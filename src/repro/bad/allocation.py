@@ -14,9 +14,10 @@ allocation" and "considers serial-parallel tradeoffs" (section 2.4).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.bad.scheduling import Schedule
+from repro.bad.scheduling import Schedule, fold
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.ops import MEMORY_OP_TYPES
 from repro.errors import PredictionError
@@ -142,10 +143,37 @@ def value_lifetimes(
     return lifetimes
 
 
+#: Register words and bits live in each absolute cycle of a schedule.
+LiveProfile = Tuple[List[int], List[int]]
+
+
+def live_profile(graph: DataFlowGraph, schedule: Schedule) -> LiveProfile:
+    """Register words and bits live in each absolute cycle of a schedule.
+
+    One :func:`value_lifetimes` pass feeds both counts: each lifetime
+    adds ``+1`` / ``+width`` at its birth and the opposite at its death,
+    and a running sum turns the two difference arrays into per-cycle
+    occupancy.  :func:`register_requirement` and :func:`register_bits`
+    fold these modulo the initiation interval.
+    """
+    lifetimes = value_lifetimes(graph, schedule)
+    end = max((death for _birth, death in lifetimes.values()), default=0)
+    words = [0] * (end + 1)
+    bits = [0] * (end + 1)
+    for value_id, (birth, death) in lifetimes.items():
+        width = graph.values[value_id].width
+        words[birth] += 1
+        words[death] -= 1
+        bits[birth] += width
+        bits[death] -= width
+    return list(accumulate(words[:end])), list(accumulate(bits[:end]))
+
+
 def register_requirement(
     graph: DataFlowGraph,
     schedule: Schedule,
     initiation_interval: int,
+    live: Optional[LiveProfile] = None,
 ) -> int:
     """Register **words** needed, by modulo-interval lifetime overlap.
 
@@ -153,40 +181,36 @@ def register_requirement(
     the computation then reduces to the classic max-live count (left-edge
     bound).  For a pipelined design with interval ``l``, iterations
     overlap and a value alive ``s`` cycles occupies ``ceil(s/l)`` slots in
-    steady state; the per-slot accumulation below captures exactly that.
+    steady state; folding the live words modulo ``l`` captures exactly
+    that.  ``live`` is the schedule's :func:`live_profile`, for callers
+    that already hold it.
     """
-    if initiation_interval <= 0:
-        raise PredictionError(
-            f"initiation interval must be positive, got {initiation_interval}"
-        )
-    slots = [0] * initiation_interval
-    for birth, death in value_lifetimes(graph, schedule).values():
-        for cycle in range(birth, death):
-            slots[cycle % initiation_interval] += 1
-    return max(slots, default=0)
+    _check_interval(initiation_interval)
+    words, _bits = live or live_profile(graph, schedule)
+    return max(fold(words, initiation_interval))
 
 
 def register_bits(
     graph: DataFlowGraph,
     schedule: Schedule,
     initiation_interval: int,
+    live: Optional[LiveProfile] = None,
 ) -> int:
     """Register bits: the word requirement weighted by value widths.
 
     Uses the width-weighted analogue of :func:`register_requirement` so
     mixed-width graphs are charged correctly.
     """
+    _check_interval(initiation_interval)
+    _words, bits = live or live_profile(graph, schedule)
+    return max(fold(bits, initiation_interval))
+
+
+def _check_interval(initiation_interval: int) -> None:
     if initiation_interval <= 0:
         raise PredictionError(
             f"initiation interval must be positive, got {initiation_interval}"
         )
-    slots = [0] * initiation_interval
-    lifetimes = value_lifetimes(graph, schedule)
-    for value_id, (birth, death) in lifetimes.items():
-        width = graph.value(value_id).width
-        for cycle in range(birth, death):
-            slots[cycle % initiation_interval] += width
-    return max(slots, default=0)
 
 
 def mux_requirement(

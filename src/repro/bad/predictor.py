@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.bad.allocation import (
+    LiveProfile,
     allocation_candidates,
+    live_profile,
     mux_requirement,
     partition_resource_model,
     register_bits,
@@ -79,6 +81,38 @@ class PredictorParameters:
     scan_delay_ns: float = 1.5
 
 
+@dataclass(frozen=True, slots=True)
+class _Partition:
+    """What every prediction of one partition shares, whatever its module
+    set or schedule: derived from the subgraph once per
+    :meth:`BADPredictor.predict_partition` call."""
+
+    graph: DataFlowGraph
+    #: Resource class of each operation, and op count per class.
+    op_class: Dict[str, str]
+    counts: Dict[str, int]
+    #: The dominant value width, which sizes every unit.
+    width: int
+    memory_bandwidth_bits: Dict[str, int]
+    input_bits: int
+    output_bits: int
+
+
+@dataclass(frozen=True, slots=True)
+class _Design:
+    """One design a schedule supports, whatever the module set: the
+    quantities a prediction takes from its schedule alone."""
+
+    pipelined: bool
+    ii_dp: int
+    latency_dp: int
+    #: Units the design instantiates per resource class.
+    operators: Dict[str, int]
+    register_words: int
+    register_bits: int
+    mux_count: int
+
+
 class BADPredictor:
     """Behavioral area-delay predictor for one library/style/clock setup."""
 
@@ -123,14 +157,33 @@ class BADPredictor:
             raise PredictionError(f"partition {name!r} is empty")
         ready = self._ready_times(sub, input_arrivals)
         op_class, counts = partition_resource_model(sub)
+        module_sets = self._module_sets(sub)
+        # Raises PredictionError on an unknown memory block, before the
+        # bandwidth model below meets it.
+        memory_cycles = self._memory_cycles(sub)
+        profile = memory_access_profile(sub, sub.operations)
+        part = _Partition(
+            graph=sub,
+            op_class=op_class,
+            counts=counts,
+            width=max((v.width for v in sub.values.values()), default=1),
+            memory_bandwidth_bits=(
+                profile.bandwidth_bits(self.memories)
+                if profile.blocks else {}
+            ),
+            input_bits=sum(v.width for v in sub.primary_inputs()),
+            output_bits=sum(v.width for v in sub.primary_outputs()),
+        )
 
         predictions: Dict[Tuple, DesignPrediction] = {}
         # Module sets with identical cycle counts and (when chaining)
-        # identical delays produce identical schedules; cache them so a
-        # rich library does not re-run the list scheduler needlessly.
-        schedule_cache: Dict[Tuple, Schedule] = {}
-        for module_set in self._module_sets(sub):
-            duration = self._durations(sub, module_set)
+        # identical delays produce identical schedules, and a schedule's
+        # designs (interval, units, registers, muxes) do not depend on the
+        # module set; analyse each distinct schedule once, so a rich
+        # library does not re-run the scheduler or the II probe.
+        schedule_cache: Dict[Tuple, List[_Design]] = {}
+        for module_set in module_sets:
+            duration = self._durations(sub, module_set, memory_cycles)
             delay_ns, cycle_ns = self._chaining_model(sub, module_set)
             if duration and max(duration.values()) > 1:
                 # A multi-cycle memory access forbids chaining alignment.
@@ -139,6 +192,13 @@ class BADPredictor:
             for op_id, cycles in duration.items():
                 cls = op_class[op_id]
                 busy_cycles[cls] = busy_cycles.get(cls, 0) + cycles
+            unit_area = {
+                cls: module_set.component(OpType(cls)).area_for_width(
+                    part.width
+                )
+                for cls in counts
+                if not cls.startswith("mem:")
+            }
             timing_key: Tuple = (
                 tuple(sorted(duration.items())),
                 tuple(sorted(delay_ns.items())) if delay_ns else None,
@@ -150,17 +210,20 @@ class BADPredictor:
                 cache_key = (
                     timing_key, tuple(sorted(capacities.items()))
                 )
-                schedule = schedule_cache.get(cache_key)
-                if schedule is None:
+                designs = schedule_cache.get(cache_key)
+                if designs is None:
                     schedule = list_schedule(
                         sub, duration, op_class, capacities,
                         delay_ns=delay_ns, cycle_ns=cycle_ns,
                         ready=ready,
                     )
-                    schedule_cache[cache_key] = schedule
-                for prediction in self._designs_for_schedule(
-                    name, sub, module_set, allocation, schedule
-                ):
+                    designs = self._designs_for_schedule(part, schedule)
+                    schedule_cache[cache_key] = designs
+                for design in designs:
+                    prediction = self._build_prediction(
+                        name, part, module_set, unit_area, busy_cycles,
+                        design,
+                    )
                     key = self._dedup_key(prediction)
                     existing = predictions.get(key)
                     if (
@@ -195,9 +258,12 @@ class BADPredictor:
             )
         ready: Dict[str, int] = {}
         for value_id, arrival in input_arrivals.items():
-            if arrival < 0:
+            # Exactly int: a bool would pass as cycle 0 or 1, and a float
+            # or string would fail deep inside the scheduler.
+            if type(arrival) is not int or arrival < 0:
                 raise PredictionError(
-                    f"input {value_id!r} has negative arrival time"
+                    f"input {value_id!r} has arrival time {arrival!r}; "
+                    "expected a non-negative int of datapath cycles"
                 )
             for consumer in sub.consumers(value_id):
                 ready[consumer] = max(ready.get(consumer, 0), arrival)
@@ -220,11 +286,10 @@ class BADPredictor:
             max_delay = self.clocks.dp_cycle_ns
         return self.library.module_sets(compute_types, max_delay)
 
-    def _durations(
-        self, sub: DataFlowGraph, module_set: ModuleSet
-    ) -> Dict[str, int]:
+    def _memory_cycles(self, sub: DataFlowGraph) -> Dict[str, int]:
+        """Access cycles of each memory operation (module-set independent)."""
         dp = self.clocks.dp_cycle_ns
-        duration: Dict[str, int] = {}
+        cycles: Dict[str, int] = {}
         for op in sub:
             if op.op_type in MEMORY_OP_TYPES:
                 module = self.memories.get(op.memory_block or "")
@@ -233,12 +298,24 @@ class BADPredictor:
                         f"operation {op.id!r} accesses unknown memory block "
                         f"{op.memory_block!r}"
                     )
-                duration[op.id] = cycles_for_delay(module.access_time_ns, dp)
-                continue
-            component = module_set.component(op.op_type)
-            if self.style.timing is OperationTiming.SINGLE_CYCLE:
+                cycles[op.id] = cycles_for_delay(module.access_time_ns, dp)
+        return cycles
+
+    def _durations(
+        self,
+        sub: DataFlowGraph,
+        module_set: ModuleSet,
+        memory_cycles: Mapping[str, int],
+    ) -> Dict[str, int]:
+        dp = self.clocks.dp_cycle_ns
+        duration: Dict[str, int] = {}
+        for op in sub:
+            if op.op_type in MEMORY_OP_TYPES:
+                duration[op.id] = memory_cycles[op.id]
+            elif self.style.timing is OperationTiming.SINGLE_CYCLE:
                 duration[op.id] = 1
             else:
+                component = module_set.component(op.op_type)
                 duration[op.id] = cycles_for_delay(component.delay_ns, dp)
         return duration
 
@@ -261,7 +338,7 @@ class BADPredictor:
         for op in sub:
             if op.op_type in MEMORY_OP_TYPES:
                 module = self.memories.get(op.memory_block or "")
-                assert module is not None  # checked in _durations
+                assert module is not None  # checked in _memory_cycles
                 delays[op.id] = module.access_time_ns
             else:
                 delays[op.id] = module_set.component(op.op_type).delay_ns
@@ -283,32 +360,67 @@ class BADPredictor:
         return capacities
 
     def _designs_for_schedule(
-        self,
-        name: str,
-        sub: DataFlowGraph,
-        module_set: ModuleSet,
-        allocation: Mapping[str, int],
-        schedule: Schedule,
-    ) -> List[DesignPrediction]:
-        designs: List[DesignPrediction] = []
+        self, part: _Partition, schedule: Schedule
+    ) -> List[_Design]:
+        """The nonpipelined and tightest pipelined design of a schedule.
+
+        Everything here depends on the schedule alone, not on the module
+        set.  Value lifetimes are walked once, for both intervals.
+        """
+        designs: List[_Design] = []
         latency = max(schedule.latency, 1)
+        live = live_profile(part.graph, schedule)
         if self.style.allow_nonpipelined:
-            designs.append(
-                self._build_prediction(
-                    name, sub, module_set, allocation, schedule,
-                    ii_dp=latency, pipelined=False,
-                )
-            )
+            # Charge the units the schedule actually needs, not the raw
+            # allocation: chaining and slack often leave allocated units
+            # never used concurrently, and synthesis instantiates only
+            # the peak.
+            peak = {
+                cls: max(units) or 1
+                for cls, units in schedule.occupancy.items()
+            }
+            designs.append(self._make_design(
+                part, schedule, live, peak, latency, pipelined=False
+            ))
         if self.style.allow_pipelined and latency > 1:
             ii = self._min_pipeline_ii(schedule)
             if ii < latency:
-                designs.append(
-                    self._build_prediction(
-                        name, sub, module_set, allocation, schedule,
-                        ii_dp=ii, pipelined=True,
-                    )
-                )
+                # Pipelined designs peak across overlapped iterations.
+                designs.append(self._make_design(
+                    part, schedule, live, schedule.pipeline_capacities(ii),
+                    ii, pipelined=True,
+                ))
         return designs
+
+    def _make_design(
+        self,
+        part: _Partition,
+        schedule: Schedule,
+        live: LiveProfile,
+        operators: Dict[str, int],
+        ii_dp: int,
+        pipelined: bool,
+    ) -> _Design:
+        sub = part.graph
+        reg_words = register_requirement(sub, schedule, ii_dp, live)
+        reg_bits = register_bits(sub, schedule, ii_dp, live)
+        muxes = mux_requirement(
+            sub, operators, part.op_class, reg_words, part.width,
+            sharing_factor=self.params.mux_sharing_factor,
+        )
+        if self.params.scan_design:
+            # Design-for-test: a scan path threads every register bit
+            # through a 2:1 mux.
+            muxes += reg_bits
+        return _Design(
+            pipelined=pipelined,
+            ii_dp=ii_dp,
+            latency_dp=max(schedule.latency, 1),
+            operators=operators,
+            register_words=reg_words,
+            register_bits=reg_bits,
+            mux_count=muxes,
+        )
 
     @staticmethod
     def _min_pipeline_ii(schedule: Schedule) -> int:
@@ -322,14 +434,10 @@ class BADPredictor:
         design (always emitted separately) covers the point.
         """
         latency = max(schedule.latency, 1)
-        busy: Dict[str, int] = {}
-        for op_id, begin in schedule.start.items():
-            cls = schedule.resource_class[op_id]
-            busy[cls] = busy.get(cls, 0) + schedule.duration[op_id]
         lower = max(
             (
-                ceil_div(total, schedule.capacities[cls])
-                for cls, total in busy.items()
+                ceil_div(sum(units), schedule.capacities[cls])
+                for cls, units in schedule.occupancy.items()
             ),
             default=1,
         )
@@ -345,49 +453,31 @@ class BADPredictor:
     def _build_prediction(
         self,
         name: str,
-        sub: DataFlowGraph,
+        part: _Partition,
         module_set: ModuleSet,
-        allocation: Mapping[str, int],
-        schedule: Schedule,
-        ii_dp: int,
-        pipelined: bool,
+        unit_area: Mapping[str, float],
+        busy_cycles: Mapping[str, int],
+        design: _Design,
     ) -> DesignPrediction:
+        """One module set's prediction for one design of a schedule.
+
+        ``unit_area`` is one unit's area and ``busy_cycles`` the
+        unit-cycles per iteration, per resource class of the module set.
+        Every object placed in the prediction is built here, fresh: the
+        prediction lists are pickled, and an object shared between two
+        predictions would pickle as a back-reference.
+        """
         params = self.params
-        width = self._dominant_width(sub)
-        op_class, _counts = partition_resource_model(sub)
-
-        # Charge the units the schedule actually needs, not the raw
-        # allocation: chaining and slack often leave allocated units
-        # never used concurrently, and synthesis instantiates only the
-        # peak (pipelined designs peak across overlapped iterations).
-        if pipelined:
-            effective = schedule.pipeline_capacities(ii_dp)
-        else:
-            profile = schedule.usage_profile()
-            effective = {
-                cls: max(usage, default=0) or 1
-                for cls, usage in profile.items()
-            }
-
-        interval = ii_dp if pipelined else max(schedule.latency, 1)
-        reg_words = register_requirement(sub, schedule, interval)
-        reg_bits = register_bits(sub, schedule, interval)
-        muxes = mux_requirement(
-            sub, effective, op_class, reg_words, width,
-            sharing_factor=params.mux_sharing_factor,
-        )
-        if params.scan_design:
-            # Design-for-test: a scan path threads every register bit
-            # through a 2:1 mux.
-            muxes += reg_bits
+        width = part.width
+        reg_bits = design.register_bits
+        muxes = design.mux_count
 
         functional_ml = 0.0
         operator_count = 0
-        for cls, units in effective.items():
+        for cls, units in design.operators.items():
             if cls.startswith("mem:"):
                 continue  # memory area belongs to the memory block
-            component = module_set.component(OpType(cls))
-            functional_ml += units * component.area_for_width(width)
+            functional_ml += units * unit_area[cls]
             operator_count += units
         functional = Triplet.spread(
             functional_ml, params.functional_rel_lb, params.functional_rel_ub
@@ -404,9 +494,9 @@ class BADPredictor:
         ) if muxes else Triplet.zero()
 
         controller = datapath_controller(
-            latency_cycles=max(schedule.latency, 1),
+            latency_cycles=design.latency_dp,
             operator_count=max(operator_count, 1),
-            register_words=reg_words,
+            register_words=design.register_words,
             mux_count=muxes,
             value_width=width,
             params=params.pla,
@@ -433,7 +523,7 @@ class BADPredictor:
         )
         cell_count = (
             max(operator_count, 1)
-            + reg_words
+            + design.register_words
             + ceil_div(muxes, max(width, 1))
             + 1  # the controller
         )
@@ -448,24 +538,10 @@ class BADPredictor:
         if params.scan_design:
             overhead += params.scan_delay_ns
 
-        profile = memory_access_profile(sub, sub.operations)
-        bandwidth = (
-            profile.bandwidth_bits(self.memories) if profile.blocks else {}
-        )
-
-        unit_area_by_class: Dict[str, float] = {}
-        busy_by_class: Dict[str, int] = {}
-        for an_op_id, cls in op_class.items():
-            cycles = schedule.duration[an_op_id]
-            busy_by_class[cls] = busy_by_class.get(cls, 0) + cycles
-            if cls.startswith("mem:") or cls in unit_area_by_class:
-                continue
-            component = module_set.component(OpType(cls))
-            unit_area_by_class[cls] = component.area_for_width(width)
         power = power_estimate(
-            functional_area_by_class=unit_area_by_class,
-            busy_cycles_by_class=busy_by_class,
-            ii_dp=ii_dp,
+            functional_area_by_class=unit_area,
+            busy_cycles_by_class=busy_cycles,
+            ii_dp=design.ii_dp,
             dp_cycle_ns=self.clocks.dp_cycle_ns,
             register_bits=reg_bits,
             mux_count=muxes,
@@ -478,16 +554,14 @@ class BADPredictor:
             partition=name,
             module_set=module_set,
             timing=self.style.timing,
-            pipelined=pipelined,
-            operators=dict(effective),
-            ii_dp=ii_dp,
-            latency_dp=max(schedule.latency, 1),
-            ii_main=self.clocks.dp_cycles_to_main(ii_dp),
-            latency_main=self.clocks.dp_cycles_to_main(
-                max(schedule.latency, 1)
-            ),
+            pipelined=design.pipelined,
+            operators=dict(design.operators),
+            ii_dp=design.ii_dp,
+            latency_dp=design.latency_dp,
+            ii_main=self.clocks.dp_cycles_to_main(design.ii_dp),
+            latency_main=self.clocks.dp_cycles_to_main(design.latency_dp),
             register_bits=reg_bits,
-            register_words=reg_words,
+            register_words=design.register_words,
             mux_count=muxes,
             area=AreaBreakdown(
                 functional_units=functional,
@@ -498,16 +572,11 @@ class BADPredictor:
             ),
             controller=controller,
             clock_overhead_ns=overhead,
-            memory_bandwidth_bits=bandwidth,
-            input_bits=sum(v.width for v in sub.primary_inputs()),
-            output_bits=sum(v.width for v in sub.primary_outputs()),
+            memory_bandwidth_bits=dict(part.memory_bandwidth_bits),
+            input_bits=part.input_bits,
+            output_bits=part.output_bits,
             power_mw=power.total_mw,
         )
-
-    @staticmethod
-    def _dominant_width(sub: DataFlowGraph) -> int:
-        widths = [v.width for v in sub.values.values()]
-        return max(widths) if widths else 1
 
     @staticmethod
     def _dedup_key(prediction: DesignPrediction) -> Tuple:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from operator import add
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import PredictionError
@@ -33,17 +34,9 @@ def asap_schedule(
     section 5 relaxes that.
     """
     _check_durations(graph, duration)
-    start: Dict[str, int] = {}
-    for op_id in graph.topological_order():
-        earliest = ready.get(op_id, 0) if ready else 0
-        if earliest < 0:
-            raise PredictionError(
-                f"operation {op_id!r} has negative ready time"
-            )
-        for pred in graph.predecessors(op_id):
-            earliest = max(earliest, start[pred] + duration[pred])
-        start[op_id] = earliest
-    return start
+    order = graph.topological_order()
+    preds = {op_id: graph.predecessors(op_id) for op_id in order}
+    return _asap(order, preds, duration, ready)
 
 
 def critical_path_cycles(
@@ -52,10 +45,7 @@ def critical_path_cycles(
     ready: Optional[Mapping[str, int]] = None,
 ) -> int:
     """Unconstrained latency: the longest duration-weighted path."""
-    start = asap_schedule(graph, duration, ready)
-    return max(
-        (start[op_id] + duration[op_id] for op_id in start), default=0
-    )
+    return _finish_time(asap_schedule(graph, duration, ready), duration)
 
 
 def alap_schedule(
@@ -66,24 +56,69 @@ def alap_schedule(
     Raises :class:`PredictionError` when the deadline is shorter than the
     critical path.
     """
-    _check_durations(graph, duration)
     cp = critical_path_cycles(graph, duration)
     if deadline < cp:
         raise PredictionError(
             f"deadline {deadline} is below the critical path {cp}"
         )
+    order = graph.topological_order()
+    succs = {op_id: graph.successors(op_id) for op_id in order}
+    return _alap(order, succs, duration, deadline)
+
+
+def _asap(
+    order: Sequence[str],
+    preds: Mapping[str, Sequence[str]],
+    duration: Mapping[str, int],
+    ready: Optional[Mapping[str, int]],
+) -> Dict[str, int]:
     start: Dict[str, int] = {}
-    for op_id in reversed(graph.topological_order()):
+    for op_id in order:
+        earliest = ready.get(op_id, 0) if ready else 0
+        if earliest < 0:
+            raise PredictionError(
+                f"operation {op_id!r} has negative ready time"
+            )
+        for pred in preds[op_id]:
+            earliest = max(earliest, start[pred] + duration[pred])
+        start[op_id] = earliest
+    return start
+
+
+def _alap(
+    order: Sequence[str],
+    succs: Mapping[str, Sequence[str]],
+    duration: Mapping[str, int],
+    deadline: int,
+) -> Dict[str, int]:
+    start: Dict[str, int] = {}
+    for op_id in reversed(order):
         latest = deadline - duration[op_id]
-        for succ in graph.successors(op_id):
+        for succ in succs[op_id]:
             latest = min(latest, start[succ] - duration[op_id])
         start[op_id] = latest
     return start
 
 
+def _finish_time(
+    start: Mapping[str, int], duration: Mapping[str, int]
+) -> int:
+    return max(
+        (begin + duration[op_id] for op_id, begin in start.items()),
+        default=0,
+    )
+
+
 @dataclass(slots=True)
 class Schedule:
     """A resource-feasible schedule of one partition's operations.
+
+    ``occupancy`` holds, per resource class, the units busy in each cycle
+    ``0 .. max(latency, 1) - 1`` — the table the list scheduler fills
+    while placing operations.  Every resource question asked of a
+    schedule (the usage profile, steady-state modulo usage, the units a
+    pipeline needs) is a fold of it, O(classes x latency), rather than a
+    walk over operations and their durations.
 
     When built with operation chaining (single-cycle style with a long
     datapath cycle), ``offset_ns`` holds each operation's start offset
@@ -97,6 +132,7 @@ class Schedule:
     resource_class: Dict[str, str]
     capacities: Dict[str, int]
     latency: int
+    occupancy: Dict[str, List[int]]
     offset_ns: Dict[str, float] = field(default_factory=dict)
     delay_ns: Dict[str, float] = field(default_factory=dict)
 
@@ -112,19 +148,17 @@ class Schedule:
 
     def usage_profile(self) -> Dict[str, List[int]]:
         """Per-class unit usage in each cycle of the schedule."""
-        profile = {
-            cls: [0] * max(self.latency, 1) for cls in self.capacities
-        }
-        for op_id, begin in self.start.items():
-            cls = self.resource_class[op_id]
-            for cycle in range(begin, begin + self.duration[op_id]):
-                profile[cls][cycle] += 1
-        return profile
+        return {cls: list(units) for cls, units in self.occupancy.items()}
 
     def verify(self, graph: DataFlowGraph) -> None:
         """Raise :class:`PredictionError` on any violated constraint."""
+        self._verify(
+            {op_id: graph.predecessors(op_id) for op_id in self.start}
+        )
+
+    def _verify(self, preds: Mapping[str, Sequence[str]]) -> None:
         for op_id, begin in self.start.items():
-            for pred in graph.predecessors(op_id):
+            for pred in preds[op_id]:
                 if self.finish(pred) <= begin:
                     continue
                 if self.chained(pred, op_id):
@@ -137,8 +171,8 @@ class Schedule:
                     f"precedence violated: {pred} finishes at "
                     f"{self.finish(pred)} but {op_id} starts at {begin}"
                 )
-        for cls, usage in self.usage_profile().items():
-            peak = max(usage, default=0)
+        for cls, units in self.occupancy.items():
+            peak = max(units, default=0)
             if peak > self.capacities[cls]:
                 raise PredictionError(
                     f"resource class {cls!r} oversubscribed: peak {peak} > "
@@ -150,21 +184,17 @@ class Schedule:
 
         Slot ``s`` of the result accumulates every cycle congruent to ``s``
         modulo the initiation interval across overlapped iterations — the
-        standard pipeline resource model.
+        standard pipeline resource model, folded from the occupancy.
         """
         if initiation_interval <= 0:
             raise PredictionError(
                 f"initiation interval must be positive, got "
                 f"{initiation_interval}"
             )
-        usage = {
-            cls: [0] * initiation_interval for cls in self.capacities
+        return {
+            cls: fold(units, initiation_interval)
+            for cls, units in self.occupancy.items()
         }
-        for op_id, begin in self.start.items():
-            cls = self.resource_class[op_id]
-            for cycle in range(begin, begin + self.duration[op_id]):
-                usage[cls][cycle % initiation_interval] += 1
-        return usage
 
     def pipeline_capacities(
         self, initiation_interval: int
@@ -181,6 +211,16 @@ class Schedule:
         return all(
             needed[cls] <= self.capacities[cls] for cls in self.capacities
         )
+
+
+def fold(per_cycle: Sequence[int], initiation_interval: int) -> List[int]:
+    """Fold a per-cycle count modulo the interval: slot ``s`` sums every
+    cycle congruent to ``s``, one interval-long chunk at a time."""
+    slots = [0] * initiation_interval
+    for base in range(0, len(per_cycle), initiation_interval):
+        chunk = per_cycle[base : base + initiation_interval]
+        slots[: len(chunk)] = list(map(add, slots, chunk))
+    return slots
 
 
 def list_schedule(
@@ -235,19 +275,24 @@ def list_schedule(
                     f"{cycle_ns:g} ns cycle; use the multi-cycle style"
                 )
 
-    cp = critical_path_cycles(graph, duration, ready)
-    alap = alap_schedule(graph, duration, cp)
+    # One topological sort and one adjacency pass serve the ASAP/ALAP
+    # urgency computation, the placement loop and the final check.
     order = graph.topological_order()
-    remaining_preds = {
-        op_id: len(graph.predecessors(op_id)) for op_id in order
-    }
+    preds = {op_id: graph.predecessors(op_id) for op_id in order}
+    succs = {op_id: graph.successors(op_id) for op_id in order}
+    cp = _finish_time(_asap(order, preds, duration, ready), duration)
+    alap = _alap(order, succs, duration, cp)
+    remaining_preds = {op_id: len(preds[op_id]) for op_id in order}
+
+    def urgency(op_id: str) -> Tuple[int, str]:
+        return alap[op_id], op_id
+
     ready_list: List[str] = sorted(
         (op_id for op_id, n in remaining_preds.items() if n == 0),
-        key=lambda o: (alap[o], o),
+        key=urgency,
     )
     start: Dict[str, int] = {}
     offset: Dict[str, float] = {}
-    usage: Dict[str, Dict[int, int]] = {cls: {} for cls in capacities}
 
     def chain_offset_at(op_id: str, time: int) -> Optional[float]:
         """Start offset of ``op_id`` within cycle ``time``, or None if a
@@ -255,7 +300,7 @@ def list_schedule(
         if ready and ready.get(op_id, 0) > time:
             return None
         begin = 0.0
-        for pred in graph.predecessors(op_id):
+        for pred in preds[op_id]:
             if pred not in start:
                 return None
             pred_finish = start[pred] + duration[pred]
@@ -280,6 +325,10 @@ def list_schedule(
     horizon = sum(duration[o] for o in order) + 1
     if ready:
         horizon += max(ready.values(), default=0)
+    # Units busy per class and absolute cycle.  No placement starts past
+    # the horizon, so no operation runs past horizon + its duration.
+    cycles = horizon + max((duration[o] for o in order), default=0)
+    occupancy = {cls: [0] * cycles for cls in capacities}
     # Event-driven time advance: placements can only become possible at
     # operation-finish boundaries (resources free, dependencies settle)
     # or at input arrival times, so the clock jumps between those.
@@ -292,47 +341,57 @@ def list_schedule(
             raise PredictionError(
                 "list scheduler failed to converge; inconsistent resources"
             )
-        placed_any = True
-        while placed_any:
-            placed_any = False
-            for op_id in list(ready_list):
+        # An op readied by a placement in this cycle can start in it only
+        # by chaining, and an op that did not fit stays unplaceable for
+        # the rest of the cycle (units only fill up, its predecessors are
+        # fixed).  So one pass over the ready list places everything that
+        # fits, and each further pass, with chaining, tries only the ops
+        # the previous pass readied.
+        candidates = ready_list
+        while candidates:
+            readied: List[str] = []
+            for op_id in candidates:
+                cls = resource_class[op_id]
+                units = occupancy[cls]
+                end = time + duration[op_id]
+                if max(units[time:end]) >= capacities[cls]:
+                    continue
                 begin_offset = chain_offset_at(op_id, time)
                 if begin_offset is None:
                     continue
-                cls = resource_class[op_id]
-                cap = capacities[cls]
-                span = range(time, time + duration[op_id])
-                if all(usage[cls].get(c, 0) < cap for c in span):
-                    start[op_id] = time
-                    offset[op_id] = begin_offset
-                    for c in span:
-                        usage[cls][c] = usage[cls].get(c, 0) + 1
-                    ready_list.remove(op_id)
-                    scheduled += 1
-                    placed_any = True
-                    heapq.heappush(events, time + duration[op_id])
-                    for succ in graph.successors(op_id):
-                        remaining_preds[succ] -= 1
-                        if remaining_preds[succ] == 0:
-                            ready_list.append(succ)
-            ready_list.sort(key=lambda o: (alap[o], o))
+                start[op_id] = time
+                offset[op_id] = begin_offset
+                for c in range(time, end):
+                    units[c] += 1
+                scheduled += 1
+                heapq.heappush(events, end)
+                for succ in succs[op_id]:
+                    remaining_preds[succ] -= 1
+                    if remaining_preds[succ] == 0:
+                        readied.append(succ)
+            ready_list = [o for o in ready_list if o not in start] + readied
+            readied.sort(key=urgency)
+            candidates = readied if chaining else []
+        ready_list.sort(key=urgency)
         while events and events[0] <= time:
             heapq.heappop(events)
         time = events[0] if events else time + 1
 
-    latency = max(
-        (start[o] + duration[o] for o in start), default=0
-    )
+    latency = _finish_time(start, duration)
     schedule = Schedule(
         start=start,
         duration=dict(duration),
         resource_class=dict(resource_class),
         capacities=dict(capacities),
         latency=latency,
+        occupancy={
+            cls: units[: max(latency, 1)]
+            for cls, units in occupancy.items()
+        },
         offset_ns=offset if chaining else {},
         delay_ns=dict(delay_ns) if chaining else {},
     )
-    schedule.verify(graph)
+    schedule._verify(preds)
     return schedule
 
 

@@ -273,9 +273,13 @@ class DataFlowGraph:
             raise SpecificationError(
                 f"subgraph references unknown operations: {sorted(unknown)}"
             )
+        # Walk the subset in this graph's order, not the set's: set order
+        # follows string hashing, which changes from process to process,
+        # and the subgraph's order is the order BAD's dicts are built in.
+        members = [op_id for op_id in self._operations if op_id in chosen]
         ops: Dict[str, Operation] = {}
         values: Dict[str, Value] = {}
-        for op_id in chosen:
+        for op_id in members:
             op = self._operations[op_id]
             ops[op_id] = op
             for vid in op.inputs:
@@ -286,7 +290,7 @@ class DataFlowGraph:
                     vid,
                     Value(id=vid, width=original.width, producer=None),
                 )
-        for op_id in chosen:
+        for op_id in members:
             op = self._operations[op_id]
             if op.output is None:
                 continue

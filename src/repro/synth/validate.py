@@ -68,7 +68,9 @@ def synthesize_prediction(
         )
     sub = graph.subgraph_ops(op_ids) if op_ids is not None else graph
     op_class, _counts = partition_resource_model(sub)
-    duration = predictor._durations(sub, prediction.module_set)
+    duration = predictor._durations(
+        sub, prediction.module_set, predictor._memory_cycles(sub)
+    )
     delay_ns, cycle_ns = predictor._chaining_model(
         sub, prediction.module_set
     )

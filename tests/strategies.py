@@ -31,16 +31,25 @@ def triplet_parts(draw):
 
 
 @st.composite
-def dags(draw, max_ops: int = 24, max_inputs: int = 5):
+def dags(
+    draw, max_ops: int = 24, max_inputs: int = 5, mixed_widths: bool = False
+):
     """A random acyclic data-flow graph built through GraphBuilder.
 
     Every operation consumes two previously available values, so the
-    graph is acyclic by construction; leaf values become outputs.
+    graph is acyclic by construction; leaf values become outputs.  With
+    ``mixed_widths`` every value draws its own bit width.
     """
     n_inputs = draw(st.integers(min_value=1, max_value=max_inputs))
     n_ops = draw(st.integers(min_value=1, max_value=max_ops))
     builder = GraphBuilder(f"random-{n_inputs}-{n_ops}")
-    available = [builder.input(f"in{i}") for i in range(n_inputs)]
+
+    def width():
+        return draw(st.sampled_from([4, 8, 16, 32])) if mixed_widths else None
+
+    available = [
+        builder.input(f"in{i}", width=width()) for i in range(n_inputs)
+    ]
     for index in range(n_ops):
         op_type = draw(st.sampled_from(_BINARY_TYPES))
         left = available[
@@ -49,7 +58,7 @@ def dags(draw, max_ops: int = 24, max_inputs: int = 5):
         right = available[
             draw(st.integers(min_value=0, max_value=len(available) - 1))
         ]
-        available.append(builder.op(op_type, left, right))
+        available.append(builder.op(op_type, left, right, width=width()))
     graph_values = set(available[n_inputs:])
     graph = _finish(builder, graph_values)
     return graph

@@ -129,6 +129,15 @@ class TestSubgraph:
         assert len(sub.primary_inputs()) == len(ar_graph.primary_inputs())
         assert len(sub.primary_outputs()) == len(ar_graph.primary_outputs())
 
+    def test_subgraph_keeps_graph_order(self, ar_graph):
+        # A set's order follows string hashing, which differs between
+        # processes; the subgraph must not inherit it.
+        chosen = frozenset(list(ar_graph.operations)[::2])
+        sub = ar_graph.subgraph_ops(chosen)
+        assert list(sub.operations) == [
+            op_id for op_id in ar_graph.operations if op_id in chosen
+        ]
+
     def test_subgraph_rejects_unknown_ops(self, tiny_graph):
         with pytest.raises(SpecificationError):
             tiny_graph.subgraph_ops(["ghost"])

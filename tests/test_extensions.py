@@ -120,14 +120,21 @@ class TestArrivalTimes:
         ]
 
     def test_unknown_input_rejected(self, diffeq_predictor, diffeq_graph):
-        with pytest.raises(PredictionError, match="non-input"):
-            diffeq_predictor.predict_partition(
-                diffeq_graph, input_arrivals={"nope": 3}
-            )
+        # An unknown id, a produced value, and an unknown id whose arrival
+        # is also malformed (the unknown id is reported first).
+        for arrivals in ({"nope": 3}, {"u1": 3}, {"nope": 2.5}):
+            with pytest.raises(PredictionError, match="non-input"):
+                diffeq_predictor.predict_partition(
+                    diffeq_graph, input_arrivals=arrivals
+                )
 
     def test_negative_arrival_rejected(self, diffeq_predictor,
                                        diffeq_graph):
-        with pytest.raises(PredictionError, match="negative"):
-            diffeq_predictor.predict_partition(
-                diffeq_graph, input_arrivals={"dx": -2}
-            )
+        # Anything but a non-negative plain int: a float or a string
+        # used to fail inside the scheduler, and True passed as cycle 1.
+        for arrival in (-2, 2.5, "3", True):
+            with pytest.raises(PredictionError, match="negative") as caught:
+                diffeq_predictor.predict_partition(
+                    diffeq_graph, input_arrivals={"dx": arrival}
+                )
+            assert repr(arrival) in str(caught.value)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bad.allocation import partition_resource_model
+from repro.bad.allocation import (
+    partition_resource_model,
+    register_bits,
+    register_requirement,
+    value_lifetimes,
+)
 from repro.bad.scheduling import critical_path_cycles, list_schedule
 from tests.strategies import dags
 
@@ -66,3 +71,71 @@ def test_modulo_usage_conserves_work(graph, ii):
     usage = schedule.modulo_usage(ii)
     for cls, slots in usage.items():
         assert sum(slots) == counts[cls]
+
+
+@st.composite
+def schedules(draw):
+    """A list schedule of a random graph under a random allocation:
+    multi-cycle operations, or single-cycle ones chained within a cycle."""
+    graph = draw(dags(mixed_widths=True))
+    op_class, counts = partition_resource_model(graph)
+    capacities = {
+        cls: draw(st.integers(min_value=1, max_value=count))
+        for cls, count in counts.items()
+    }
+    if draw(st.booleans()):
+        duration = {op_id: 1 for op_id in graph.operations}
+        delays = {
+            op_id: draw(st.sampled_from([0.0, 40.0, 120.0, 300.0]))
+            for op_id in graph.operations
+        }
+        schedule = list_schedule(
+            graph, duration, op_class, capacities,
+            delay_ns=delays, cycle_ns=300.0,
+        )
+    else:
+        duration = {
+            op_id: draw(st.integers(min_value=1, max_value=4))
+            for op_id in graph.operations
+        }
+        schedule = list_schedule(graph, duration, op_class, capacities)
+    return graph, schedule
+
+
+def naive_usage(schedule, slots):
+    """Reference oracle: every busy cycle of every op, one at a time."""
+    usage = {cls: [0] * slots for cls in schedule.capacities}
+    for op_id, begin in schedule.start.items():
+        cls = schedule.resource_class[op_id]
+        for cycle in range(begin, begin + schedule.duration[op_id]):
+            usage[cls][cycle % slots] += 1
+    return usage
+
+
+def naive_registers(graph, schedule, ii):
+    """Reference oracle: every live cycle of every value, one at a time."""
+    words = [0] * ii
+    bits = [0] * ii
+    for value_id, (birth, death) in value_lifetimes(graph, schedule).items():
+        for cycle in range(birth, death):
+            words[cycle % ii] += 1
+            bits[cycle % ii] += graph.value(value_id).width
+    return max(words), max(bits)
+
+
+@given(schedules())
+@settings(max_examples=80, deadline=None)
+def test_folds_match_per_op_accumulation(drawn):
+    graph, schedule = drawn
+    latency = max(schedule.latency, 1)
+    assert schedule.usage_profile() == naive_usage(schedule, latency)
+    for ii in range(1, latency + 3):
+        usage = naive_usage(schedule, ii)
+        assert schedule.modulo_usage(ii) == usage
+        assert schedule.pipeline_capacities(ii) == {
+            cls: max(slots) for cls, slots in usage.items()
+        }
+        assert (
+            register_requirement(graph, schedule, ii),
+            register_bits(graph, schedule, ii),
+        ) == naive_registers(graph, schedule, ii)
