@@ -136,7 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     warms: List[float] = []
     cold_result = None
 
-    from repro.engine import DiskPredictionCache
+    from repro.cache import DiskPredictionCache
 
     for _ in range(reps):
         with tempfile.TemporaryDirectory() as directory:

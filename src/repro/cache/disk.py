@@ -1,9 +1,7 @@
 """The single-writer disk backend of the prediction cache.
 
-This is the original ``repro.engine.diskcache.DiskPredictionCache``
-behaviour, unchanged: one process owns the directory, writes are atomic
-temp-file + ``os.replace``, defective entries are quarantined as
-``*.corrupt``.  Concurrent writers from *other processes* are tolerated
+One process owns the directory, writes are atomic temp-file +
+``os.replace``, defective entries are quarantined as ``*.corrupt``.  Concurrent writers from *other processes* are tolerated
 only in the sense that atomic renames never produce torn entries — for
 a fleet of writers sharing one directory use
 :class:`repro.cache.SharedPredictionCache`, which adds advisory

@@ -125,22 +125,19 @@ def _build_engine(args):
     return EvaluationEngine(
         workers=workers,
         start_method=getattr(args, "start_method", None),
-        kernel=getattr(args, "engine", None) or "scalar",
     )
 
 
 def _checked(session, heuristic: str, args):
     """One check, optionally engine-sharded and disk-cache warmed."""
     engine = _build_engine(args)
-    kernel = getattr(args, "engine", None) if args is not None else None
     soft_deadline = (
         getattr(args, "soft_deadline", None) if args is not None else None
     )
     cache_dir = getattr(args, "disk_cache", None) if args else None
     if not cache_dir:
         return session.check(
-            heuristic=heuristic, engine=engine,
-            soft_deadline_s=soft_deadline, kernel=kernel,
+            heuristic=heuristic, engine=engine, soft_deadline_s=soft_deadline,
         )
     from repro.cache import create_backend
 
@@ -160,8 +157,7 @@ def _checked(session, heuristic: str, args):
             f"seeded from {cache.directory}"
         )
     result = session.check(
-        heuristic=heuristic, engine=engine,
-        soft_deadline_s=soft_deadline, kernel=kernel,
+        heuristic=heuristic, engine=engine, soft_deadline_s=soft_deadline,
     )
     if cached is None:
         if cache.store_safely(key, session.export_predictions()):
@@ -620,7 +616,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             disk_cache_dir=args.disk_cache,
             cache_backend=args.cache_backend,
             start_method=args.start_method,
-            engine_kernel=args.engine,
             max_queued=args.max_queued,
             max_jobs_per_session=args.max_session_jobs,
             max_body_bytes=args.max_body_kb * 1024,
@@ -760,13 +755,6 @@ def _add_engine_arguments(command: argparse.ArgumentParser) -> None:
         default=None,
         help="multiprocessing start method (default: platform default, "
         "or $CHOP_START_METHOD)",
-    )
-    command.add_argument(
-        "--engine", choices=("scalar", "vectorized"), default=None,
-        dest="engine",
-        help="evaluation kernel for the enumeration walk: 'scalar' "
-        "(reference loop) or 'vectorized' (numpy batch screening, "
-        "byte-identical results; default scalar)",
     )
     command.add_argument(
         "--disk-cache", default=None, metavar="DIR",
@@ -1095,12 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--search-workers", type=int, default=0,
         help="worker processes sharding each enumeration's combination "
         "walk; 0 or 1 keeps searches in-process (default 0)",
-    )
-    serve_.add_argument(
-        "--engine", choices=("scalar", "vectorized"), default="scalar",
-        help="default evaluation kernel for enumeration searches "
-        "(requests can override per job with the 'engine' option; "
-        "results are byte-identical; default scalar)",
     )
     serve_.add_argument(
         "--disk-cache", default=None, metavar="DIR",

@@ -292,7 +292,6 @@ class ChopSession:
         progress: Optional[Callable[[int, int], None]] = None,
         collector: Optional["ExplainCollector"] = None,
         soft_deadline_s: Optional[float] = None,
-        kernel: Optional[str] = None,
     ):
         """Search for feasible implementations of the current partitioning.
 
@@ -316,22 +315,11 @@ class ChopSession:
         so far with ``SearchResult.degraded=True`` — a partial verdict
         beats no verdict inside an interactive loop.  It forces the
         serial path (see :mod:`repro.search.enumeration`).
-        ``kernel`` selects the enumeration evaluation kernel:
-        ``"scalar"`` (the reference loop) or ``"vectorized"`` (numpy
-        batch screening, byte-identical results — see
-        :mod:`repro.kernels`); ``None`` defers to the engine's
-        configured default.  The iterative heuristic walks one
-        combination at a time and ignores it.
         Returns a :class:`repro.search.results.SearchResult`.
         """
         from repro.search.enumeration import enumeration_search
         from repro.search.iterative import iterative_search
 
-        if kernel not in (None, "scalar", "vectorized"):
-            raise PredictionError(
-                f"unknown kernel {kernel!r}; use 'scalar' or "
-                "'vectorized'"
-            )
         with trace_span(
             "session.check", heuristic=heuristic, prune=prune,
             keep_all=keep_all,
@@ -358,20 +346,12 @@ class ChopSession:
                 )
             task_graph = self._eval.task_graph(partitioning)
             if heuristic == "enumeration":
-                effective_kernel = kernel or (
-                    engine.kernel if engine is not None else "scalar"
-                )
                 result = enumeration_search(
                     partitioning, predictions, self.clocks, self.library,
                     self.criteria, prune=prune, keep_all=keep_all,
                     cancel=cancel, engine=engine, progress=progress,
                     collector=collector, soft_deadline_s=soft_deadline_s,
-                    task_graph=task_graph, kernel=kernel,
-                    packer=(
-                        self._eval.attach_packed
-                        if effective_kernel == "vectorized"
-                        else None
-                    ),
+                    task_graph=task_graph,
                 )
             elif heuristic == "iterative":
                 result = iterative_search(

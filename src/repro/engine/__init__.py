@@ -4,50 +4,34 @@ Every combination-search path in the system funnels through this
 package: :mod:`~repro.engine.sharding` addresses the cross-product space
 by flat index, :mod:`~repro.engine.workers` evaluates index ranges in a
 process pool (degrading gracefully to in-process serial execution),
-:mod:`~repro.engine.merge` recombines shard results deterministically,
-and :mod:`~repro.engine.diskcache` persists BAD prediction lists across
-processes so repeated checks of an unchanged project skip prediction
-entirely.  See ``docs/engine.md`` for the architecture and the
+and :mod:`~repro.engine.merge` recombines shard results
+deterministically.  See ``docs/engine.md`` for the architecture and the
 failure/degradation matrix.
 """
 
-from repro.engine.diskcache import (
-    CACHE_VERSION,
-    DiskPredictionCache,
-    library_clock_digest,
-)
 from repro.engine.merge import ShardResult, merge_shard_results
 from repro.engine.sharding import (
     Shard,
     combination_count,
     decode_combination,
-    digit_weights,
     plan_shards,
 )
 from repro.engine.workers import (
-    KERNELS,
     EngineRun,
     EvaluationEngine,
     EvaluationProblem,
     evaluate_range,
-    evaluate_range_kernel,
 )
 
 __all__ = [
-    "CACHE_VERSION",
-    "DiskPredictionCache",
     "EngineRun",
     "EvaluationEngine",
     "EvaluationProblem",
-    "KERNELS",
     "Shard",
     "ShardResult",
     "combination_count",
     "decode_combination",
-    "digit_weights",
     "evaluate_range",
-    "evaluate_range_kernel",
-    "library_clock_digest",
     "merge_shard_results",
     "plan_shards",
 ]

@@ -33,10 +33,6 @@ class ShardResult:
     #: Finished span records built inside the worker process (traced
     #: runs only); the engine re-parents and replays them on merge.
     spans: List[Dict[str, Any]] = field(default_factory=list)
-    #: Which evaluation kernel produced this shard ("scalar" or
-    #: "vectorized") — results are byte-identical either way, but the
-    #: engine labels its shard-latency histogram with it.
-    kernel: str = "scalar"
 
 
 def merge_shard_results(

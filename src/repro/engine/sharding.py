@@ -46,23 +46,6 @@ def combination_count(radices: Sequence[int]) -> int:
     return total
 
 
-def digit_weights(radices: Sequence[int]) -> Tuple[int, ...]:
-    """Place value of each mixed-radix digit position.
-
-    ``weights[p]`` is the product of the radices *after* position ``p``,
-    so ``digit[p] = (flat // weights[p]) % radices[p]`` — the closed
-    form of :func:`decode_combination` that the vectorized kernels apply
-    to whole index arrays at once.
-    """
-    weights = [1] * len(radices)
-    for position in range(len(radices) - 2, -1, -1):
-        radix = radices[position + 1]
-        if radix < 1:
-            raise ValueError(f"radices must be >= 1, got {list(radices)}")
-        weights[position] = weights[position + 1] * radix
-    return tuple(weights)
-
-
 def decode_combination(
     flat: int, radices: Sequence[int]
 ) -> Tuple[int, ...]:

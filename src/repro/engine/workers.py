@@ -52,7 +52,7 @@ from repro.engine.sharding import (
     decode_combination,
     plan_shards,
 )
-from repro.errors import EngineError, InfeasibleError, SearchCancelled
+from repro.errors import InfeasibleError, SearchCancelled
 from repro.library.library import ComponentLibrary
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import (
@@ -77,20 +77,6 @@ DEFAULT_SHARDS_PER_WORKER = 4
 #: Below this many combinations the pool startup cost dominates; the
 #: engine evaluates in process instead.
 DEFAULT_MIN_COMBINATIONS = 64
-
-#: Selectable evaluation kernels: the scalar reference loop, and the
-#: numpy batch-screening path (see :mod:`repro.kernels`).  Both produce
-#: byte-identical feasible lists; "vectorized" requires numpy.
-KERNELS = ("scalar", "vectorized")
-
-
-def _check_kernel(kernel: str) -> str:
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    return kernel
-
 
 # ----------------------------------------------------------------------
 # the immutable problem and its (shared) evaluation loop
@@ -163,28 +149,6 @@ class EvaluationProblem:
                 zip(self.names, digits)
             )
         }
-
-    def packed(self) -> Any:
-        """The :class:`repro.kernels.PackedPredictions` for this problem.
-
-        Packed lazily and cached on the instance (the dataclass is
-        frozen but not slotted, so the cache lives in ``__dict__`` and
-        rides the initializer pickle to pool workers — each worker
-        reuses the parent's pack instead of re-packing per shard).
-        Callers that already hold a pack for these lists can seed the
-        cache through :meth:`attach_packed`.
-        """
-        cached = self.__dict__.get("_packed")
-        if cached is None:
-            from repro.kernels.packing import pack_problem
-
-            cached = pack_problem(self)
-            object.__setattr__(self, "_packed", cached)
-        return cached
-
-    def attach_packed(self, packed: Any) -> None:
-        """Seed the :meth:`packed` cache with a pre-built pack."""
-        object.__setattr__(self, "_packed", packed)
 
 
 def usable_area_by_chip(partitioning: Partitioning) -> Dict[str, float]:
@@ -343,63 +307,18 @@ def evaluate_range(
     return feasible, trials
 
 
-def evaluate_range_kernel(
-    problem: EvaluationProblem,
-    start: int,
-    stop: int,
-    kernel: str = "scalar",
-    cancel: Optional[Callable[[], bool]] = None,
-    counters: Optional[Dict[str, int]] = None,
-) -> Tuple[List[FeasibleDesign], int]:
-    """Dispatch a plain index range to the selected evaluation kernel.
-
-    The vectorized kernel supports exactly this signature — no design
-    space, collector or soft stop (callers needing those hooks use the
-    scalar loop directly).  Results are byte-identical across kernels;
-    see :mod:`repro.kernels`.
-    """
-    _check_kernel(kernel)
-    if kernel == "vectorized":
-        try:
-            from repro.kernels.batch import evaluate_range_batch
-        except ImportError as error:
-            raise EngineError(
-                "kernel 'vectorized' requires numpy, which is not "
-                "importable in this environment"
-            ) from error
-        return evaluate_range_batch(
-            problem, start, stop, cancel=cancel, counters=counters
-        )
-    return evaluate_range(
-        problem, start, stop, cancel=cancel, counters=counters
-    )
-
-
 # ----------------------------------------------------------------------
 # worker-process side
 # ----------------------------------------------------------------------
 _WORKER_PROBLEM: Optional[EvaluationProblem] = None
 _WORKER_CANCEL: Optional[Any] = None
-_WORKER_KERNEL: str = "scalar"
-
-
-def _problem_kernel(problem: EvaluationProblem) -> str:
-    """The kernel stamped on ``problem`` for this run ("scalar" if none).
-
-    Stored in the frozen dataclass's ``__dict__`` (like the prediction
-    pack) so it travels inside the one problem pickle the pool
-    initializer already ships — the ``_make_executor`` override seam
-    keeps its ``(problem)`` signature.
-    """
-    return problem.__dict__.get("_kernel", "scalar")
 
 
 def _init_worker(problem: EvaluationProblem, cancel_event: Any) -> None:
     """Pool initializer: receive the problem once, keep it in a global."""
-    global _WORKER_PROBLEM, _WORKER_CANCEL, _WORKER_KERNEL
+    global _WORKER_PROBLEM, _WORKER_CANCEL
     _WORKER_PROBLEM = problem
     _WORKER_CANCEL = cancel_event
-    _WORKER_KERNEL = _problem_kernel(problem)
 
 
 def _evaluate_shard(
@@ -429,9 +348,9 @@ def _evaluate_shard(
     counters: Optional[Dict[str, int]] = (
         {} if trace_id is not None else None
     )
-    feasible, trials = evaluate_range_kernel(
+    feasible, trials = evaluate_range(
         _WORKER_PROBLEM, shard.start, shard.stop,
-        kernel=_WORKER_KERNEL, cancel=cancel, counters=counters,
+        cancel=cancel, counters=counters,
     )
     spans: List[Dict[str, Any]] = []
     if trace_id is not None:
@@ -450,7 +369,6 @@ def _evaluate_shard(
                     "shard": shard.index,
                     "start": shard.start,
                     "stop": shard.stop,
-                    "kernel": _WORKER_KERNEL,
                 },
             )
         )
@@ -460,7 +378,6 @@ def _evaluate_shard(
         trials=trials,
         elapsed_s=time.perf_counter() - started,
         spans=spans,
-        kernel=_WORKER_KERNEL,
     )
 
 
@@ -504,13 +421,11 @@ class EvaluationEngine:
         retry_policy: Optional[RetryPolicy] = None,
         degrade_after: int = 3,
         degrade_cooldown_s: float = 60.0,
-        kernel: str = "scalar",
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        _check_kernel(kernel)
         if shards_per_worker < 1:
             raise ValueError(
                 f"shards_per_worker must be >= 1, got {shards_per_worker}"
@@ -519,8 +434,6 @@ class EvaluationEngine:
             start_method = os.environ.get(START_METHOD_ENV) or None
         self.workers = workers
         self.start_method = start_method
-        #: Default evaluation kernel for runs that don't override it.
-        self.kernel = kernel
         if degrade_after < 0:
             raise ValueError(
                 f"degrade_after must be >= 0, got {degrade_after}"
@@ -562,7 +475,6 @@ class EvaluationEngine:
         self._stats: Dict[str, Any] = {
             "workers": workers,
             "start_method": start_method or "default",
-            "kernel": kernel,
             "searches_parallel": 0,
             "searches_serial": 0,
             "searches_degraded": 0,
@@ -583,7 +495,6 @@ class EvaluationEngine:
         problem: EvaluationProblem,
         cancel: Optional[Callable[[], bool]] = None,
         progress: Optional[Callable[[int, int], None]] = None,
-        kernel: Optional[str] = None,
     ) -> EngineRun:
         """Evaluate the whole combination space of ``problem``.
 
@@ -592,37 +503,26 @@ class EvaluationEngine:
         worker processes left behind.  ``progress`` (if given) receives
         ``(shards_done, shards_total)`` after every finished shard.
 
-        ``kernel`` overrides the engine's default evaluation kernel for
-        this run only; results are byte-identical either way.
-
         When a tracer is active (see :mod:`repro.obs.tracing`) the run
         opens an ``engine.run`` span; worker shard spans ship back with
         the shard results and are re-parented under it during the merge.
         """
-        if kernel is None:
-            kernel = self.kernel
-        else:
-            _check_kernel(kernel)
         total = problem.combination_count()
         started = time.perf_counter()
         with trace_span(
             "engine.run", workers=self.workers, space=total,
-            kernel=kernel,
         ) as sp:
             if self.workers <= 1 or total < self.min_combinations:
                 run = self._run_serial(problem, total, started, cancel,
-                                       progress, mode="serial",
-                                       kernel=kernel)
+                                       progress, mode="serial")
             elif self.is_degraded():
                 # Repeated pool failures: stop fighting the platform
                 # and answer serially until the cooldown passes.
                 run = self._run_serial(problem, total, started, cancel,
-                                       progress, mode="serial-degraded",
-                                       kernel=kernel)
+                                       progress, mode="serial-degraded")
             else:
                 run = self._run_parallel(
-                    problem, total, started, cancel, progress,
-                    run_span=sp, kernel=kernel,
+                    problem, total, started, cancel, progress, run_span=sp,
                 )
             sp.put("mode", run.mode)
             sp.put("shards", run.shard_count)
@@ -679,15 +579,12 @@ class EvaluationEngine:
         progress: Optional[Callable[[int, int], None]],
         mode: str,
         retried_shards: int = 0,
-        kernel: str = "scalar",
     ) -> EngineRun:
         with trace_span(
             "engine.serial", start=0, stop=total, mode=mode,
-            kernel=kernel,
         ) as sp:
-            feasible, trials = evaluate_range_kernel(
-                problem, 0, total, kernel=kernel, cancel=cancel,
-                counters=sp.counters,
+            feasible, trials = evaluate_range(
+                problem, 0, total, cancel=cancel, counters=sp.counters,
             )
         if progress is not None:
             progress(1, 1)
@@ -704,12 +601,7 @@ class EvaluationEngine:
     def _make_executor(
         self, problem: EvaluationProblem
     ) -> Tuple[ProcessPoolExecutor, Any]:
-        """Create the pool (separated out so tests can inject failure).
-
-        The run's kernel choice rides to the workers on the problem
-        itself (:func:`_problem_kernel`), keeping this override seam's
-        signature stable.
-        """
+        """Create the pool (separated out so tests can inject failure)."""
         context = multiprocessing.get_context(self.start_method)
         cancel_event = context.Event()
         executor = ProcessPoolExecutor(
@@ -728,16 +620,10 @@ class EvaluationEngine:
         cancel: Optional[Callable[[], bool]],
         progress: Optional[Callable[[int, int], None]],
         run_span: Any = None,
-        kernel: str = "scalar",
     ) -> EngineRun:
         shards = plan_shards(
             total, self.workers * self.shards_per_worker
         )
-        object.__setattr__(problem, "_kernel", kernel)
-        if kernel == "vectorized":
-            # Pack in the parent so every worker inherits one shared
-            # pack through the initializer pickle instead of re-packing.
-            problem.packed()
         try:
             executor, cancel_event = self._make_executor(problem)
         except (ValueError, OSError, ImportError):
@@ -747,8 +633,7 @@ class EvaluationEngine:
                 self._stats["fallbacks"] += 1
             self._note_pool_failure()
             return self._run_serial(problem, total, started, cancel,
-                                    progress, mode="serial-fallback",
-                                    kernel=kernel)
+                                    progress, mode="serial-fallback")
 
         tracer = current_tracer()
         trace_id = tracer.trace_id if tracer is not None else None
@@ -777,13 +662,9 @@ class EvaluationEngine:
                     if error is None:
                         result = future.result()
                         results.append(result)
-                        self._shard_seconds.labels(
-                            mode=(
-                                "vectorized"
-                                if result.kernel == "vectorized"
-                                else "parallel"
-                            )
-                        ).observe(result.elapsed_s, exemplar=trace_id)
+                        self._shard_seconds.labels(mode="parallel").observe(
+                            result.elapsed_s, exemplar=trace_id
+                        )
                         if progress is not None:
                             progress(
                                 len(results) + len(dead_shards),
@@ -804,7 +685,7 @@ class EvaluationEngine:
         retry_attempts = 0
         for shard in sorted(dead_shards, key=lambda s: s.start):
             feasible, trials, attempts = self._retry_shard(
-                problem, shard, cancel, kernel=kernel
+                problem, shard, cancel
             )
             retry_attempts += attempts
             results.append(
@@ -813,7 +694,6 @@ class EvaluationEngine:
                     feasible=feasible,
                     trials=trials,
                     retried=True,
-                    kernel=kernel,
                 )
             )
             if progress is not None:
@@ -862,7 +742,6 @@ class EvaluationEngine:
         problem: EvaluationProblem,
         shard: Shard,
         cancel: Optional[Callable[[], bool]],
-        kernel: str = "scalar",
     ) -> Tuple[List[FeasibleDesign], int, int]:
         """Serially re-run a shard whose worker died, with backoff.
 
@@ -885,8 +764,8 @@ class EvaluationEngine:
                 stop=shard.stop, retried=True, attempt=attempt,
             ) as sp:
                 try:
-                    feasible, trials = evaluate_range_kernel(
-                        problem, shard.start, shard.stop, kernel=kernel,
+                    feasible, trials = evaluate_range(
+                        problem, shard.start, shard.stop,
                         cancel=cancel, counters=sp.counters,
                     )
                 except SearchCancelled:

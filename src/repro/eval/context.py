@@ -120,12 +120,6 @@ class EvaluationContext:
         self._ingredient_state: Dict[str, ContentKey] = {}
         self._assembled: Optional[TaskGraph] = None
         self._assembled_key: Optional[Tuple] = None
-        # -- packed-prediction reuse (vectorized kernel; one slot) --
-        # (task_graph, names, usable_area, prediction lists, pack):
-        # the strong references to the prediction lists keep their ids
-        # from being recycled, so the elementwise identity check below
-        # can never false-hit.
-        self._packed_entry: Optional[Tuple] = None
         # -- counters (exported through stats() / the /metrics gauge) --
         self._hits = 0
         self._misses = 0
@@ -137,8 +131,6 @@ class EvaluationContext:
         self._tg_reuses = 0
         self._pairs_reused = 0
         self._pairs_rebuilt = 0
-        self._packs = 0
-        self._pack_reuses = 0
 
     # ------------------------------------------------------------------
     # content keys
@@ -315,7 +307,6 @@ class EvaluationContext:
         self._ingredient_state = {}
         self._assembled = None
         self._assembled_key = None
-        self._packed_entry = None
         self._invalidations += 1
 
     # ------------------------------------------------------------------
@@ -391,52 +382,6 @@ class EvaluationContext:
             return graph
 
     # ------------------------------------------------------------------
-    # packed predictions (vectorized kernel)
-    # ------------------------------------------------------------------
-    def attach_packed(self, problem) -> None:
-        """Seed ``problem`` with a cached prediction pack, or pack now.
-
-        The single-slot cache is valid only when nothing the pack
-        derives from has changed: the task graph must be the *same
-        object* (every invalidation path drops ``_assembled``, so a
-        rebuilt graph is always a new object — an epoch marker), the
-        partition names and optimistic usable areas must be equal, and
-        every prediction object must be identical (``is``) position for
-        position.  The entry holds strong references to the cached
-        prediction lists, so a recycled ``id`` can never alias a new
-        prediction into a false hit.
-        """
-        entry = self._packed_entry
-        if entry is not None:
-            graph, names, usable, cached_lists, pack = entry
-            if (
-                graph is problem.task_graph
-                and names == problem.names
-                and usable == dict(problem.usable_area)
-                and len(cached_lists) == len(problem.lists)
-                and all(
-                    len(have) == len(want)
-                    and all(a is b for a, b in zip(have, want))
-                    for have, want in zip(cached_lists, problem.lists)
-                )
-            ):
-                problem.attach_packed(pack)
-                self._pack_reuses += 1
-                return
-        try:
-            pack = problem.packed()
-        except ImportError:  # numpy absent; the kernel dispatcher will
-            return           # raise the descriptive EngineError itself
-        self._packed_entry = (
-            problem.task_graph,
-            problem.names,
-            dict(problem.usable_area),
-            problem.lists,
-            pack,
-        )
-        self._packs += 1
-
-    # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -459,9 +404,5 @@ class EvaluationContext:
                 "reuses": self._tg_reuses,
                 "pairs_reused": self._pairs_reused,
                 "pairs_rebuilt": self._pairs_rebuilt,
-            },
-            "packed": {
-                "packs": self._packs,
-                "reuses": self._pack_reuses,
             },
         }

@@ -383,7 +383,7 @@ def explore(
     :func:`project_session_factory` to inherit an existing project's
     designer inputs).  ``engine`` shards each candidate's enumeration
     across a process pool; ``disk_cache`` (a
-    :class:`repro.engine.DiskPredictionCache`) makes repeated sweeps
+    :class:`repro.cache.DiskPredictionCache`) makes repeated sweeps
     warm by persisting every candidate's prediction lists.  ``progress``
     receives ``(candidates_done, candidates_total)``; ``cancel`` is
     polled between candidates and raises

@@ -32,11 +32,7 @@ from repro.bad.styles import ClockScheme
 from repro.core.feasibility import FeasibilityCriteria
 from repro.core.partitioning import Partitioning
 from repro.core.tasks import TaskGraph
-from repro.engine.workers import (
-    EvaluationProblem,
-    evaluate_range,
-    evaluate_range_kernel,
-)
+from repro.engine.workers import EvaluationProblem, evaluate_range
 from repro.errors import CombinationExplosionError, PredictionError
 from repro.library.library import ComponentLibrary
 from repro.obs.tracing import span as trace_span
@@ -66,8 +62,6 @@ def enumeration_search(
     collector: Optional[object] = None,
     soft_deadline_s: Optional[float] = None,
     task_graph: Optional[TaskGraph] = None,
-    kernel: Optional[str] = None,
-    packer: Optional[Callable[[EvaluationProblem], None]] = None,
 ) -> SearchResult:
     """Try every combination of per-partition implementations.
 
@@ -99,23 +93,7 @@ def enumeration_search(
     ``task_graph`` accepts a pre-built graph for ``partitioning`` (the
     incremental one from :class:`repro.eval.EvaluationContext`); when
     omitted the graph is built from scratch.
-
-    ``kernel`` selects the evaluation kernel ("scalar" or
-    "vectorized"); ``None`` defers to the engine's configured default
-    (plain "scalar" on the serial path).  Both kernels return
-    byte-identical results; the vectorized one supports neither
-    ``keep_all``, a ``collector`` nor a soft deadline (those hooks are
-    per-combination by definition), so those modes run the scalar loop
-    regardless.  ``packer`` (if given) is called with the built
-    :class:`EvaluationProblem` before the walk — the
-    :class:`~repro.eval.EvaluationContext` uses it to seed or reuse its
-    cached prediction pack across checks of an unchanged design.
     """
-    if kernel is not None and kernel not in ("scalar", "vectorized"):
-        raise PredictionError(
-            f"unknown kernel {kernel!r}; expected 'scalar' or "
-            f"'vectorized'"
-        )
     names = sorted(partitioning.partitions)
     missing = [n for n in names if not predictions.get(n)]
     if missing:
@@ -133,8 +111,6 @@ def enumeration_search(
             limit=MAX_COMBINATIONS,
             list_sizes=problem.list_sizes(),
         )
-    if packer is not None:
-        packer(problem)
 
     soft_stop: Optional[Callable[[], bool]] = None
     if soft_deadline_s is not None:
@@ -149,9 +125,7 @@ def enumeration_search(
             engine is not None and not keep_all and collector is None
             and soft_stop is None
         ):
-            run = engine.run(
-                problem, cancel=cancel, progress=progress, kernel=kernel
-            )
+            run = engine.run(problem, cancel=cancel, progress=progress)
             sp.add("combinations", run.trials)
             sp.add("feasible", len(run.feasible))
             return SearchResult(
@@ -162,22 +136,12 @@ def enumeration_search(
                 space=None,
             )
 
-        if (
-            kernel == "vectorized" and not keep_all
-            and collector is None and soft_stop is None
-        ):
-            feasible, trials = evaluate_range_kernel(
-                problem, 0, combination_count, kernel=kernel,
-                cancel=cancel, counters=sp.counters,
-            )
-            space = None
-        else:
-            space = DesignSpace() if keep_all else None
-            feasible, trials = evaluate_range(
-                problem, 0, combination_count, cancel=cancel,
-                space=space, collector=collector, counters=sp.counters,
-                soft_stop=soft_stop,
-            )
+        space = DesignSpace() if keep_all else None
+        feasible, trials = evaluate_range(
+            problem, 0, combination_count, cancel=cancel,
+            space=space, collector=collector, counters=sp.counters,
+            soft_stop=soft_stop,
+        )
         degraded = trials < combination_count
         if degraded:
             sp.put("degraded", True)

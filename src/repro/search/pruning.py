@@ -24,13 +24,6 @@ from repro.core.feasibility import (
 )
 from repro.search.pareto import pareto_front
 
-#: Prediction lists at least this long take the vectorized level-1
-#: filter (:func:`repro.kernels.level1_keep_mask`); below it the numpy
-#: round trip costs more than the scalar comprehension saves.  The mask
-#: replicates every scalar comparison bitwise, so the switch is
-#: invisible in the results.
-LEVEL1_VECTOR_THRESHOLD = 64
-
 
 def dominance_filter(
     predictions: Sequence[DesignPrediction],
@@ -65,28 +58,13 @@ def level1_prune(
     integration overhead, then (optionally) the Pareto-dominated ones.
     The result keeps the paper's ordering (II, then delay).
     """
-    keep = None
-    if len(predictions) >= LEVEL1_VECTOR_THRESHOLD:
-        try:
-            from repro.kernels.batch import level1_keep_mask
-        except ImportError:  # numpy absent: the scalar filter is fine
-            pass
-        else:
-            keep = level1_keep_mask(
-                predictions, criteria, clocks, max_usable_area_mil2
-            )
-    if keep is not None:
-        feasible = [
-            p for p, kept in zip(predictions, keep.tolist()) if kept
-        ]
-    else:
-        feasible = [
-            p
-            for p in predictions
-            if prediction_possibly_feasible(
-                p, criteria, clocks, max_usable_area_mil2
-            )
-        ]
+    feasible = [
+        p
+        for p in predictions
+        if prediction_possibly_feasible(
+            p, criteria, clocks, max_usable_area_mil2
+        )
+    ]
     if drop_inferior:
         feasible = dominance_filter(feasible)
     return sorted(feasible, key=DesignPrediction.sort_key)

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import re
 import signal
 import threading
@@ -131,7 +132,6 @@ class ChopService:
         disk_cache_dir: Optional[str] = None,
         cache_backend: str = "auto",
         start_method: Optional[str] = None,
-        engine_kernel: str = "scalar",
         max_queued: Optional[int] = 64,
         max_jobs_per_session: Optional[int] = 4,
         max_body_bytes: int = 1_000_000,
@@ -175,16 +175,9 @@ class ChopService:
         )
         # ``workers`` threads drain the job queue; ``search_workers``
         # processes shard each enumeration's combination walk.
-        if engine_kernel not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"engine_kernel must be 'scalar' or 'vectorized', got "
-                f"{engine_kernel!r}"
-            )
-        self.engine_kernel = engine_kernel
         self.engine: Optional[EvaluationEngine] = (
             EvaluationEngine(
-                workers=search_workers, start_method=start_method,
-                kernel=engine_kernel,
+                workers=search_workers, start_method=start_method
             )
             if search_workers > 1
             else None
@@ -384,21 +377,21 @@ class ChopService:
         if len(parts) == 3 and parts[0] == "projects":
             entry = self._entry(parts[1])
             if method == "POST" and parts[2] == "check":
-                payload = self._check(entry, self._json_body(body, {}))
+                payload = self._check(entry, self._options(body))
                 return 200, payload, "POST /projects/{id}/check"
             if method == "POST" and parts[2] == "enumerate":
                 payload = self._enumerate(
-                    entry, self._json_body(body, {}), trace_id
+                    entry, self._options(body), trace_id
                 )
                 return 202, payload, "POST /projects/{id}/enumerate"
             if method == "POST" and parts[2] == "auto":
                 payload = self._auto(
-                    entry, self._json_body(body, {}), trace_id
+                    entry, self._options(body), trace_id
                 )
                 return 202, payload, "POST /projects/{id}/auto"
             if method == "POST" and parts[2] == "explore":
                 payload = self._explore(
-                    entry, self._json_body(body, {}), trace_id
+                    entry, self._options(body), trace_id
                 )
                 return 202, payload, "POST /projects/{id}/explore"
         if len(parts) == 2 and parts[0] == "jobs" and method == "GET":
@@ -551,47 +544,23 @@ class ChopService:
         payload["created"] = created
         return (201 if created else 200), payload
 
-    def _parse_kernel(self, options: Dict[str, Any]) -> str:
-        """The request's evaluation-kernel choice (``engine`` option).
-
-        Falls back to the service-wide default; anything but the two
-        known kernels is an immediate 400 ``invalid_option``.
-        """
-        kernel = options.get("engine", self.engine_kernel)
-        if kernel not in ("scalar", "vectorized"):
-            raise ServiceError(
-                400,
-                f"unknown engine {kernel!r}; use 'scalar' or "
-                f"'vectorized'",
-                kind="invalid_option",
-            )
-        return kernel
-
     def _check(
         self, entry: SessionEntry, options: Dict[str, Any]
     ) -> Dict[str, Any]:
         heuristic = options.get("heuristic", "iterative")
         prune = bool(options.get("prune", True))
-        kernel = self._parse_kernel(options)
-        soft_deadline_s = options.get("soft_deadline_s")
         if heuristic not in HEURISTICS:
             raise ServiceError(
                 400,
                 f"unknown heuristic {heuristic!r}; use one of "
                 f"{list(HEURISTICS)}",
             )
+        soft_deadline_s = self._number_option(options, "soft_deadline_s")
         if soft_deadline_s is not None:
-            try:
-                soft_deadline_s = float(soft_deadline_s)
-            except (TypeError, ValueError):
-                raise ServiceError(
-                    400,
-                    f"soft_deadline_s must be a number, "
-                    f"got {soft_deadline_s!r}",
-                ) from None
             if soft_deadline_s <= 0:
                 raise ServiceError(
-                    400, "soft_deadline_s must be positive"
+                    400, "soft_deadline_s must be positive",
+                    kind="invalid_option",
                 )
             # A soft-deadlined check may return a *partial* verdict;
             # partial verdicts are never memoized (a later full check
@@ -602,24 +571,18 @@ class ChopService:
                     heuristic=heuristic,
                     prune=prune,
                     soft_deadline_s=soft_deadline_s,
-                    kernel=kernel,
                 ).to_dict()
             return {
                 "project_id": entry.project_id,
                 "cache_hit": False,
                 "result": result,
             }
-        # The kernel is deliberately NOT part of the verdict cache key:
-        # both kernels return byte-identical results (the property the
-        # identity suite enforces), so a verdict computed by either
-        # serves requests asking for the other.
         key = check_cache_key(entry.fingerprint, heuristic, prune)
 
         def compute() -> Dict[str, Any]:
             with entry.lock:
                 return self._checked(
-                    entry, heuristic=heuristic, prune=prune,
-                    kernel=kernel,
+                    entry, heuristic=heuristic, prune=prune
                 ).to_dict()
 
         result, hit = self.cache.get_or_compute(key, compute)
@@ -638,7 +601,6 @@ class ChopService:
         prediction entirely.  Callers must hold ``entry.lock``.
         """
         options.setdefault("engine", self.engine)
-        options.setdefault("kernel", self.engine_kernel)
         if self.disk_cache is None:
             return entry.session.check(**options)
         session = entry.session
@@ -667,7 +629,6 @@ class ChopService:
         heuristic = options.get("heuristic", "enumeration")
         prune = bool(options.get("prune", True))
         explain = bool(options.get("explain", False))
-        kernel = self._parse_kernel(options)
         if heuristic not in HEURISTICS:
             raise ServiceError(
                 400,
@@ -682,7 +643,7 @@ class ChopService:
                 kind="invalid_option",
             )
         self._require_valid_trace_id(trace_id)
-        timeout_s = self._parse_timeout(options)
+        timeout_s = self._number_option(options, "timeout_s")
 
         tracer = Tracer(trace_id=trace_id)
 
@@ -701,7 +662,6 @@ class ChopService:
                             cancel=job.should_stop,
                             progress=job.report_progress,
                             collector=collector,
-                            kernel=kernel,
                         ).to_dict()
             finally:
                 # Keep the trace (and explain, once collected) even
@@ -712,9 +672,7 @@ class ChopService:
                     job.artifacts["explain"] = collector.report(
                         heuristic=heuristic
                     ).to_dict()
-                self._flight_job(
-                    job, tracer, started, engine_kernel=kernel
-                )
+                self._flight_job(job, tracer, started)
             return result
 
         job = self.jobs.submit(
@@ -759,7 +717,7 @@ class ChopService:
                 kind="invalid_option",
             )
         self._require_valid_trace_id(trace_id)
-        timeout_s = self._parse_timeout(options)
+        timeout_s = self._number_option(options, "timeout_s")
         try:
             config = AutoPartitionConfig(
                 chips=int(options.get("chips", 4)),
@@ -864,7 +822,7 @@ class ChopService:
         )
 
         self._require_valid_trace_id(trace_id)
-        timeout_s = self._parse_timeout(options)
+        timeout_s = self._number_option(options, "timeout_s")
         try:
             if "chip_counts" in options:
                 chip_counts = tuple(
@@ -948,13 +906,7 @@ class ChopService:
         job.trace_id = tracer.trace_id
         return job.to_dict()
 
-    def _flight_job(
-        self,
-        job,
-        tracer: Tracer,
-        started: float,
-        engine_kernel: Optional[str] = None,
-    ) -> None:
+    def _flight_job(self, job, tracer: Tracer, started: float) -> None:
         """Flight-record one finished background job (any outcome)."""
         self.flight.record(
             "job",
@@ -963,7 +915,6 @@ class ChopService:
             spans=tracer.spans(),
             job_id=job.id,
             job_kind=job.kind,
-            engine_kernel=engine_kernel or self.engine_kernel,
         )
 
     def _job_trace(self, job) -> Dict[str, Any]:
@@ -1021,18 +972,28 @@ class ChopService:
             )
 
     @staticmethod
-    def _parse_timeout(options: Dict[str, Any]) -> Optional[float]:
-        timeout_s = options.get("timeout_s")
-        if timeout_s is None:
+    def _number_option(
+        options: Dict[str, Any], name: str
+    ) -> Optional[float]:
+        """A finite numeric option, or None when absent.
+
+        NaN and infinity are rejected: a NaN deadline never fires, and
+        neither value serializes as JSON in the job document.
+        """
+        value = options.get(name)
+        if value is None:
             return None
         try:
-            return float(timeout_s)
+            number = float(value)
         except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):
             raise ServiceError(
                 400,
-                f"timeout_s must be a number, got {timeout_s!r}",
+                f"{name} must be a finite number, got {value!r}",
                 kind="invalid_option",
-            ) from None
+            )
+        return number
 
     def _entry(self, project_id: str) -> SessionEntry:
         entry = self.sessions.get(project_id)
@@ -1049,6 +1010,19 @@ class ChopService:
         if job is None:
             raise ServiceError(404, f"unknown job {job_id!r}")
         return job
+
+    @classmethod
+    def _options(cls, body: Optional[bytes]) -> Dict[str, Any]:
+        """A POST's options object; an empty body means all defaults."""
+        options = cls._json_body(body, {})
+        if not isinstance(options, dict):
+            raise ServiceError(
+                400,
+                f"request options must be a JSON object, got "
+                f"{type(options).__name__}",
+                kind="invalid_option",
+            )
+        return options
 
     @staticmethod
     def _json_body(body: Optional[bytes], default: Any = None) -> Any:

@@ -1,8 +1,7 @@
 """The pluggable prediction-cache backends (``repro.cache``).
 
 Covers the factory/auto resolution, the shared multi-writer backend's
-collision and attribution semantics, back-compat of the historical
-``repro.engine.diskcache`` import path, and — the distributed-tier
+collision and attribution semantics, and — the distributed-tier
 correctness core — a multi-process stress test: N processes hammering
 the same fingerprint namespace must produce no torn reads, no lost
 quarantines, and loads byte-identical to a serial write.
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
-    CACHE_VERSION,
     CacheBackend,
     DiskPredictionCache,
     SharedPredictionCache,
@@ -64,15 +62,6 @@ class TestFactory:
             assert isinstance(
                 create_backend(kind, tmp_path), CacheBackend
             )
-
-    def test_engine_import_path_still_works(self):
-        from repro.engine import diskcache
-
-        assert diskcache.DiskPredictionCache is DiskPredictionCache
-        assert diskcache.CACHE_VERSION == CACHE_VERSION
-        from repro.engine import DiskPredictionCache as reexported
-
-        assert reexported is DiskPredictionCache
 
 
 # ----------------------------------------------------------------------

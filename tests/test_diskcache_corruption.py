@@ -14,7 +14,8 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import DiskPredictionCache, EvaluationEngine
+from repro.cache import DiskPredictionCache
+from repro.engine import EvaluationEngine
 from repro.experiments import experiment1_session, experiment2_session
 from repro.resilience import FAULTS_ENV
 

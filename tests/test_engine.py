@@ -23,8 +23,8 @@ from repro.core.chop import ChopSession
 from repro.core.feasibility import FeasibilityCriteria
 from repro.core.schemes import horizontal_cut
 from repro.dfg.parser import parse_spec
+from repro.cache import DiskPredictionCache
 from repro.engine import (
-    DiskPredictionCache,
     EvaluationEngine,
     EvaluationProblem,
     Shard,

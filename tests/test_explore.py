@@ -176,7 +176,7 @@ class TestSweep:
         assert seen == [(1, 2), (2, 2)]
 
     def test_disk_cache_seeds_second_sweep(self, graph, tmp_path):
-        from repro.engine import DiskPredictionCache
+        from repro.cache import DiskPredictionCache
 
         cache = DiskPredictionCache(tmp_path)
         config = ExploreConfig(chip_counts=(1, 2))

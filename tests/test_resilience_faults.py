@@ -14,7 +14,7 @@ import multiprocessing
 
 import pytest
 
-from repro.engine import DiskPredictionCache, EvaluationEngine
+from repro.engine import EvaluationEngine
 from repro.experiments import experiment1_session, experiment2_session
 from repro.resilience import (
     FAULTS_ENV,

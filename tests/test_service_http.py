@@ -39,6 +39,10 @@ def server():
 
 def request(port, method, path, payload=None, timeout=60):
     body = None if payload is None else json.dumps(payload).encode()
+    return raw_request(port, method, path, body, timeout)
+
+
+def raw_request(port, method, path, body, timeout=60):
     req = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}",
         data=body,
@@ -127,16 +131,7 @@ class TestRoundTrip:
         assert "malformed project document" in err["error"]
 
         # Raw bytes that are not JSON at all.
-        req = urllib.request.Request(
-            f"http://127.0.0.1:{port}/projects",
-            data=b"{nope",
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=10) as resp:
-                status = resp.status
-        except urllib.error.HTTPError as exc:
-            status = exc.code
+        status, err = raw_request(port, "POST", "/projects", b"{nope")
         assert status == 400
 
         status, pid_doc = request(port, "POST", "/projects", project_doc)
@@ -146,6 +141,23 @@ class TestRoundTrip:
             {"heuristic": "simulated-annealing"},
         )
         assert status == 400 and "unknown heuristic" in err["error"]
+
+        # Option bodies must be JSON objects, and deadlines finite.
+        for route in ("check", "enumerate", "auto", "explore"):
+            for body in (b"null", b"[]", b'"x"', b"3"):
+                status, err = raw_request(
+                    port, "POST", f"/projects/{pid}/{route}", body
+                )
+                assert status == 400, (route, body)
+                assert err["type"] == "invalid_option"
+            option = "soft_deadline_s" if route == "check" else "timeout_s"
+            for bad in ("nan", "inf", float("nan"), float("-inf")):
+                status, err = request(
+                    port, "POST", f"/projects/{pid}/{route}", {option: bad}
+                )
+                assert status == 400, (route, bad)
+                assert err["type"] == "invalid_option"
+                assert option in err["error"]
 
 
 class TestConcurrencyAndCache:
