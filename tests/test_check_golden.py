@@ -33,6 +33,9 @@ PAPER_CELLS = [
 
 HEURISTICS = ("iterative", "enumeration")
 
+#: The cells whose walk combines more than one prediction list.
+MULTI_PARTITION_CELLS = [cell for cell in PAPER_CELLS if cell[3] > 1]
+
 
 def verdict_doc(result) -> Dict[str, object]:
     doc = result.to_dict()
@@ -53,6 +56,35 @@ def _cell_check(experiment: int, package: int, k: int, heuristic: str):
     return run
 
 
+def shared_chip_session():
+    """Experiment 1, package 1, k = 3 with P1 moved onto chip2.
+
+    Two partitions then share a chip, so the level-2 screen (processing
+    unit area lower bounds alone overflow a chip) kills combinations;
+    on the paper cells every partition has a chip to itself and the
+    screen never fires.
+    """
+    session = experiment1_session(package_number=1, partition_count=3)
+    session.move_partition("P1", "chip2")
+    return session
+
+
+def _cell_explain(experiment: int, package: int, k: int):
+    def run():
+        return _session(experiment, package, k).explain().to_dict()
+
+    return run
+
+
+def _figure7_explain():
+    session = experiment1_session(package_number=2, partition_count=2)
+    return session.explain(prune=False).to_dict()
+
+
+def _shared_chip_explain():
+    return shared_chip_session().explain().to_dict()
+
+
 def _figure7_keep_all():
     result = experiment1_session(package_number=2, partition_count=2).check(
         "enumeration", prune=False, keep_all=True
@@ -70,6 +102,10 @@ def cases() -> Dict[str, Callable[[], Dict[str, object]]]:
         for heuristic in HEURISTICS
     }
     out["figure7_keep_all"] = _figure7_keep_all
+    for cell, experiment, package, k in MULTI_PARTITION_CELLS:
+        out[f"explain|{cell}"] = _cell_explain(experiment, package, k)
+    out["explain|figure7_unpruned"] = _figure7_explain
+    out["explain|shared_chip"] = _shared_chip_explain
     return out
 
 
