@@ -86,6 +86,7 @@ class TaskGraph:
                 )
             self._successors[src].append(dst)
             self._predecessors[dst].append(src)
+        self._order: Optional[Tuple[str, ...]] = None
 
     def successors(self, task: str) -> List[str]:
         return list(self._successors[task])
@@ -94,6 +95,17 @@ class TaskGraph:
         return list(self._predecessors[task])
 
     def topological_order(self) -> List[str]:
+        """Tasks in dependency order, ties broken by name.
+
+        A task graph is never changed after construction, so the order
+        is derived once and kept; every integration of a search reuses
+        it.
+        """
+        if self._order is None:
+            self._order = tuple(self._derive_order())
+        return list(self._order)
+
+    def _derive_order(self) -> List[str]:
         indegree = {t: len(self._predecessors[t]) for t in self.tasks}
         ready = sorted(t for t, d in indegree.items() if d == 0)
         order: List[str] = []

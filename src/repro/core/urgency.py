@@ -70,8 +70,10 @@ def urgency_schedule(
                 "would cause data clashes"
             )
 
-    urgency = _urgency(task_graph, durations)
     order = task_graph.topological_order()
+    urgency = _urgency(task_graph, durations, order)
+    # Most urgent first, ties by name; the key is fixed per schedule.
+    rank = {name: (-urgency[name], name) for name in order}
     remaining = {
         name: len(task_graph.predecessors(name)) for name in order
     }
@@ -95,7 +97,7 @@ def urgency_schedule(
                 f"urgency scheduling cannot share the data pins at "
                 f"initiation interval {ii_main}; pins are oversubscribed"
             )
-        ready.sort(key=lambda n: (-urgency[n], n))
+        ready.sort(key=rank.__getitem__)
         placed = True
         while placed:
             placed = False
@@ -125,7 +127,7 @@ def urgency_schedule(
                     )
                     if remaining[succ] == 0:
                         ready.append(succ)
-                ready.sort(key=lambda n: (-urgency[n], n))
+                ready.sort(key=rank.__getitem__)
         time += 1
 
     makespan = max(finish.values(), default=0)
@@ -150,11 +152,13 @@ def urgency_schedule(
 
 
 def _urgency(
-    task_graph: TaskGraph, durations: Mapping[str, int]
+    task_graph: TaskGraph,
+    durations: Mapping[str, int],
+    order: List[str],
 ) -> Dict[str, int]:
     """Critical-path-to-sink length of every task (inclusive)."""
     urgency: Dict[str, int] = {}
-    for name in reversed(task_graph.topological_order()):
+    for name in reversed(order):
         downstream = max(
             (urgency[s] for s in task_graph.successors(name)), default=0
         )

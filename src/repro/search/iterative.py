@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.bad.prediction import DesignPrediction
 from repro.bad.styles import ClockScheme
 from repro.core.feasibility import FeasibilityCriteria, evaluate_system
-from repro.core.integration import integrate
+from repro.core.integration import IntegrationPlan, integrate
 from repro.core.partitioning import Partitioning
 from repro.core.tasks import TaskGraph, build_task_graph
 from repro.errors import InfeasibleError, PredictionError, SearchCancelled
@@ -86,6 +86,7 @@ def iterative_search(
 
     if task_graph is None:
         task_graph = build_task_graph(partitioning)
+    plan = IntegrationPlan(partitioning, task_graph, clocks, library)
     space = DesignSpace() if keep_all else None
     feasible: List[FeasibleDesign] = []
     trials = 0
@@ -130,7 +131,7 @@ def iterative_search(
                     trials += 1
                     system, report = _try_integration(
                         partitioning, selection, l, clocks, library,
-                        task_graph, criteria, space,
+                        plan, criteria, space,
                     )
                     if (
                         system is not None
@@ -155,7 +156,7 @@ def iterative_search(
                         break  # not an area problem; cannot serialize out
                     choice = _pick_serialization(
                         partitioning, sorted_preds, indices, candidates,
-                        l, clocks, library, task_graph, names,
+                        l, clocks, library, plan, names,
                     )
                     trials += choice.tentative_trials
                     if choice.partition is None:
@@ -241,14 +242,13 @@ def _try_integration(
     l: int,
     clocks: ClockScheme,
     library: ComponentLibrary,
-    task_graph: TaskGraph,
+    plan: IntegrationPlan,
     criteria: FeasibilityCriteria,
     space: Optional[DesignSpace],
 ):
     try:
         system = integrate(
-            partitioning, selection, l, clocks, library,
-            task_graph=task_graph,
+            partitioning, selection, l, clocks, library, plan=plan,
         )
     except InfeasibleError:
         if space is not None:
@@ -312,7 +312,7 @@ def _pick_serialization(
     l: int,
     clocks: ClockScheme,
     library: ComponentLibrary,
-    task_graph: TaskGraph,
+    plan: IntegrationPlan,
     names: List[str],
 ) -> _SerializationChoice:
     """Tentatively serialize each candidate; keep the min-delay choice.
@@ -338,8 +338,7 @@ def _pick_serialization(
         choice.tentative_trials += 1
         try:
             system = integrate(
-                partitioning, tentative, l, clocks, library,
-                task_graph=task_graph,
+                partitioning, tentative, l, clocks, library, plan=plan,
             )
         except InfeasibleError:
             continue

@@ -43,6 +43,7 @@ from repro.errors import (
 from repro.experiments import experiment1_session, experiment2_session
 from repro.library.presets import extended_library
 from repro.memory.module import MemoryModule
+from tests.test_check_golden import shared_chip_session
 
 SPEC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -209,9 +210,21 @@ class TestEvaluationProblem:
 # ----------------------------------------------------------------------
 # parallel == serial
 # ----------------------------------------------------------------------
+#: Pool == serial states: a paper cell, the largest paper cell (5,280
+#: combinations over every interval the cell has), and a shared-chip
+#: state where the level-2 screen fires.  The problem pickled to the
+#: workers carries the integration plan and the level-2 table.
+EQUIVALENCE_STATES = {
+    "exp2_k3": lambda: experiment2_session(partition_count=3),
+    "exp2_k5": lambda: experiment2_session(partition_count=5),
+    "shared_chip": shared_chip_session,
+}
+
+
 class TestEquivalence:
-    def test_experiment_session_byte_identical(self):
-        session = experiment2_session(partition_count=3)
+    @pytest.mark.parametrize("state", sorted(EQUIVALENCE_STATES))
+    def test_experiment_session_byte_identical(self, state):
+        session = EQUIVALENCE_STATES[state]()
         serial = session.check(heuristic="enumeration")
         engine = EvaluationEngine(workers=2)
         parallel = session.check(heuristic="enumeration", engine=engine)
