@@ -16,6 +16,7 @@ probability of 80% of satisfying the system delay ... constraint"
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -42,9 +43,13 @@ class FeasibilityCriteria:
     power_confidence: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.performance_ns <= 0 or self.delay_ns <= 0:
+        if not all(
+            math.isfinite(limit) and limit > 0
+            for limit in (self.performance_ns, self.delay_ns)
+        ):
             raise PredictionError(
-                "performance and delay constraints must be positive"
+                "performance and delay constraints must be positive and "
+                f"finite, got {self.performance_ns} and {self.delay_ns}"
             )
         for name in (
             "performance_confidence", "area_confidence",
@@ -57,9 +62,12 @@ class FeasibilityCriteria:
                 )
         for name in ("system_power_mw", "chip_power_mw"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not (
+                math.isfinite(value) and value > 0
+            ):
                 raise PredictionError(
-                    f"{name} must be positive when set, got {value}"
+                    f"{name} must be positive and finite when set, got "
+                    f"{value}"
                 )
 
 

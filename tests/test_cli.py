@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.test_io_properties import HOSTILE_EDITS, mutated
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,13 @@ class TestProjectCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "malformed project document" in err
+
+        # Non-finite numbers and non-string names.
+        for path, value in HOSTILE_EDITS:
+            broken.write_text(json.dumps(mutated(data, path, value)))
+            assert main(["check", str(broken)]) == 3, (path, value)
+            err = capsys.readouterr().err
+            assert "malformed project document" in err, (path, value)
 
     def test_export_demo_prints_fingerprint(self, tmp_path, capsys):
         out = tmp_path / "demo.json"

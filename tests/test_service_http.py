@@ -13,6 +13,7 @@ import pytest
 from repro.experiments import experiment1_session
 from repro.io.project import session_to_dict
 from repro.service import ChopService, make_server
+from tests.test_io_properties import HOSTILE_EDITS, mutated
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,14 @@ class TestRoundTrip:
         status, err = request(port, "POST", "/projects", broken)
         assert status == 400
         assert "malformed project document" in err["error"]
+
+        # Non-finite numbers and non-string names.
+        for path, value in HOSTILE_EDITS:
+            status, err = request(
+                port, "POST", "/projects", mutated(project_doc, path, value)
+            )
+            assert status == 400, (path, value)
+            assert err["type"] == "specification", (path, value)
 
         # Raw bytes that are not JSON at all.
         status, err = raw_request(port, "POST", "/projects", b"{nope")
