@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List, Optional
 
 import json as _json
@@ -139,19 +138,13 @@ def _checked(session, heuristic: str, args):
         return session.check(
             heuristic=heuristic, engine=engine, soft_deadline_s=soft_deadline,
         )
-    from repro.cache import create_backend
+    from repro.cache import create_backend, warm_from_disk
 
     cache = create_backend(
         getattr(args, "cache_backend", None) or "auto", cache_dir
     )
-    key = cache.key_for(
-        project_fingerprint(session_to_dict(session)),
-        session.library,
-        session.clocks,
-    )
-    cached = cache.load(key)
-    if cached is not None:
-        seeded = session.seed_predictions(cached)
+    store_key, seeded = warm_from_disk(session, cache)
+    if store_key is None:
         print(
             f"disk cache: hit — {seeded} partition prediction lists "
             f"seeded from {cache.directory}"
@@ -159,8 +152,8 @@ def _checked(session, heuristic: str, args):
     result = session.check(
         heuristic=heuristic, engine=engine, soft_deadline_s=soft_deadline,
     )
-    if cached is None:
-        if cache.store_safely(key, session.export_predictions()):
+    if store_key is not None:
+        if cache.store_safely(store_key, session.export_predictions()):
             print(
                 f"disk cache: miss — predictions stored in "
                 f"{cache.directory}"
@@ -597,11 +590,8 @@ def _cmd_export_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal as _signal
-    import threading as _threading
-
-    from repro.obs.logging import configure_logging, get_logger
-    from repro.service import ChopService, make_server
+    from repro.obs.logging import configure_logging
+    from repro.service import ChopService, serve
 
     # $CHOP_LOG / $CHOP_LOG_FILE select level and sink; unset stays off.
     configure_logging()
@@ -627,6 +617,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fleet=fleet,
         )
 
+    def _announce(line: str) -> None:
+        print(line, flush=True)
+
     if args.procs > 1:
         # Multi-process front: the parent binds once and forks workers;
         # each worker builds its own shared-nothing service after the
@@ -639,84 +632,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             procs=args.procs,
-            drain_timeout_s=args.drain_timeout,
-            announce=lambda line: print(line, flush=True),
+            announce=_announce,
         )
-
-    service = _make_service()
-    server = make_server(service, host=args.host, port=args.port)
-    # port 0 binds an ephemeral port; report the one actually bound so
-    # wrappers (tests, orchestrators) can parse it from the first line.
-    bound_port = server.server_address[1]
-    engine_note = (
-        f"{args.search_workers} search workers"
-        if args.search_workers > 1
-        else "in-process search"
-    )
-    cache_note = (
-        f", disk cache {args.disk_cache}" if args.disk_cache else ""
-    )
-    print(
-        f"chop-repro serving on http://{args.host}:{bound_port} "
-        f"({args.workers} job threads, {engine_note}, "
-        f"cache {args.cache_size}, max {args.max_sessions} sessions, "
-        f"queue cap {args.max_queued}, drain {args.drain_timeout:g}s"
-        f"{cache_note})",
-        flush=True,
-    )
-    get_logger("cli").info(
-        "service_started",
-        host=args.host,
-        port=bound_port,
-        job_threads=args.workers,
-        search_workers=args.search_workers,
-    )
-
-    drained = _threading.Event()
-
-    def _drain_and_stop() -> None:
-        if drained.is_set():
-            return
-        drained.set()
-        print(
-            f"draining: waiting up to {args.drain_timeout:g}s for "
-            f"running jobs",
-            flush=True,
-        )
-        outcome = service.drain()
-        print(f"drained: {outcome}", flush=True)
-        server.shutdown()
-
-    def _on_sigterm(signum, frame) -> None:
-        _threading.Thread(target=_drain_and_stop, daemon=True).start()
-
-    def _on_sigusr2(signum, frame) -> None:
-        def _dump() -> None:
-            if args.flight_dir:
-                path = service._dump_flight(reason="sigusr2")
-            else:
-                path = service.flight.dump_to(
-                    f"flight-{int(time.time())}-sigusr2.json"
-                )
-            if path:
-                print(f"flight recorder dumped to {path}", flush=True)
-
-        _threading.Thread(target=_dump, daemon=True).start()
-
-    try:
-        _signal.signal(_signal.SIGTERM, _on_sigterm)
-        if hasattr(_signal, "SIGUSR2"):
-            _signal.signal(_signal.SIGUSR2, _on_sigusr2)
-    except ValueError:
-        pass  # not the main thread; the embedder owns signal handling
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        _drain_and_stop()
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
+    serve(_make_service(), host=args.host, port=args.port, announce=_announce)
     return 0
 
 

@@ -49,6 +49,7 @@ from typing import (
     Tuple,
 )
 
+from repro.cache import warm_from_disk
 from repro.chips.cost import CostParameters, CostReport, partition_cost
 from repro.chips.package import ChipPackage
 from repro.core.chop import ChopSession
@@ -352,21 +353,6 @@ def _seed_heuristic(
     )
 
 
-def _warm_from_disk(session: ChopSession, disk_cache) -> Tuple[Any, int]:
-    """Seed ``session`` from the disk prediction cache; (key, seeded)."""
-    from repro.io.project import project_fingerprint, session_to_dict
-
-    key = disk_cache.key_for(
-        project_fingerprint(session_to_dict(session)),
-        session.library,
-        session.clocks,
-    )
-    cached = disk_cache.load(key)
-    if cached is None:
-        return key, 0
-    return None, session.seed_predictions(cached)
-
-
 def explore(
     graph: DataFlowGraph,
     config: Optional[ExploreConfig] = None,
@@ -530,7 +516,7 @@ def _evaluate_candidate(
             return None, "skipped", str(exc), 0
         store_key, seeded = (None, 0)
         if disk_cache is not None:
-            store_key, seeded = _warm_from_disk(session, disk_cache)
+            store_key, seeded = warm_from_disk(session, disk_cache)
         try:
             result = session.check(
                 heuristic=config.heuristic, engine=engine, cancel=cancel,

@@ -4,8 +4,8 @@ Metrics aggregate and traces are per-job; what is missing when a 5xx
 pages someone is the *recent history* — what the last N requests and
 jobs were, how long they took, which traces to pull.  The flight
 recorder keeps exactly that: a bounded, thread-safe ring buffer of
-completed request/job summaries (route, status, latency, trace id, the
-top spans of a traced job), oldest evicted first.
+completed request/job summaries (route, path, status, latency, trace
+id, the top spans of a traced job), oldest evicted first.
 
 It is dumpable three ways, all wired in by the service:
 
@@ -72,19 +72,27 @@ class FlightRecorder:
         kind: str,
         *,
         route: Optional[str] = None,
+        path: Optional[str] = None,
         status: Optional[int] = None,
         latency_ms: Optional[float] = None,
         trace_id: Optional[str] = None,
         spans: Optional[Sequence[Mapping[str, Any]]] = None,
         **extra: Any,
     ) -> Dict[str, Any]:
-        """Append one completed-work summary; returns the record."""
+        """Append one completed-work summary; returns the record.
+
+        ``route`` is a request's route template and ``path`` the raw
+        path it was sent to — the metric labels keep only the template,
+        the bounded ring may keep both.
+        """
         record: Dict[str, Any] = {
             "kind": kind,
             "ts": time.time(),
         }
         if route is not None:
             record["route"] = route
+        if path is not None:
+            record["path"] = path
         if status is not None:
             record["status"] = int(status)
         if latency_ms is not None:

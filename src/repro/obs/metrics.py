@@ -483,13 +483,35 @@ class MetricsRegistry:
         with self._lock:
             self._stats_suppliers[namespace] = supplier
 
+    def unregister_stats(
+        self, namespace: str, supplier: Callable[[], Mapping[str, Any]]
+    ) -> None:
+        """Withdraw ``supplier`` — only if it still owns ``namespace``.
+
+        A closed service withdraws its suppliers so the registry stops
+        reporting (and keeping alive) its subsystems; a later service
+        that re-registered the namespace keeps it.
+        """
+        with self._lock:
+            if self._stats_suppliers.get(namespace) is supplier:
+                del self._stats_suppliers[namespace]
+
+    def stats_suppliers(
+        self,
+    ) -> List[Tuple[str, Callable[[], Mapping[str, Any]]]]:
+        """The registered ``(namespace, supplier)`` pairs, sorted.
+
+        A copy taken under the lock: callers invoke the suppliers
+        outside it.
+        """
+        with self._lock:
+            return sorted(self._stats_suppliers.items())
+
     # -- collection ----------------------------------------------------
     def _stats_samples(self) -> List[Dict[str, Any]]:
         """The supplier-derived gauge families, evaluated now."""
-        with self._lock:
-            suppliers = sorted(self._stats_suppliers.items())
         out: List[Dict[str, Any]] = []
-        for namespace, supplier in suppliers:
+        for namespace, supplier in self.stats_suppliers():
             leaves: List[Tuple[str, float]] = []
             _numeric_leaves(leaves, [namespace], supplier())
             for path, value in leaves:

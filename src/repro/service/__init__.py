@@ -6,7 +6,9 @@ the loop (sections 1 and 6).  This package turns the batch library into a
 long-running, stdlib-only HTTP/JSON service so many designer sessions can
 share one process:
 
-* :mod:`repro.service.app` — routing and the JSON endpoints;
+* :mod:`repro.service.app` — the route table, the JSON endpoints, the
+  one background-job path and the one serve loop (SIGTERM/SIGINT drain,
+  SIGUSR2 flight dump) shared with every fleet worker;
 * :mod:`repro.service.sessions` — fingerprint-addressed LRU registry of
   loaded :class:`~repro.core.chop.ChopSession` state;
 * :mod:`repro.service.cache` — single-flight LRU memoization of check
@@ -15,8 +17,9 @@ share one process:
   with cooperative timeout/cancellation, admission control (queue and
   per-session caps), retry of infrastructure failures and graceful
   drain;
-* :mod:`repro.service.metrics` — request/latency/cache/queue counters
-  behind ``GET /metrics``.
+* :mod:`repro.service.metrics` — the request families of the metrics
+  registry and the JSON shape of ``GET /metrics``, read from that
+  registry (route labels are route templates, so bounded by the table).
 
 Start it with ``python -m repro.cli serve --port 8080 --workers 4``.
 """
@@ -24,7 +27,6 @@ Start it with ``python -m repro.cli serve --port 8080 --workers 4``.
 from repro.service.app import ChopService, make_server, serve
 from repro.service.cache import LRUCache, check_cache_key
 from repro.service.jobs import Job, JobQueue
-from repro.service.metrics import Metrics, percentile
 from repro.service.sessions import SessionEntry, SessionRegistry
 
 __all__ = [
@@ -32,11 +34,9 @@ __all__ = [
     "Job",
     "JobQueue",
     "LRUCache",
-    "Metrics",
     "SessionEntry",
     "SessionRegistry",
     "check_cache_key",
     "make_server",
-    "percentile",
     "serve",
 ]

@@ -7,7 +7,7 @@ across many concurrent designers — checks answer on the request thread
 through a memoization cache, while design-space enumerations go to a
 background job queue.
 
-Endpoints::
+Endpoints (the route table, :data:`ROUTES`)::
 
     POST /projects                  upload a project document -> id
     GET  /projects/{id}             describe a resident session
@@ -36,7 +36,9 @@ size cap), 422 (well-formed but un-servable, e.g. no feasible
 prediction survives pruning), 429 (queue or per-session quota full —
 with a ``Retry-After`` header) or 503 (draining; also ``Retry-After``).
 The failure-mode contract — which fault produces which status, metric
-and recovery — is documented in ``docs/resilience.md``.
+and recovery — is documented in ``docs/resilience.md``.  Every response
+is counted under its route template, so metric labels are bounded by
+the table (plus ``(unmatched)``), never by the paths clients send.
 
 Every background job is traced: the whole search runs under a
 ``service.job`` span, the finished span tree (including the engine's
@@ -47,22 +49,34 @@ enumerate options additionally collects the per-constraint failure
 breakdown for ``/jobs/{id}/explain``.
 
 :class:`ChopService` is pure request->response logic; :func:`make_server`
-binds it to a ``ThreadingHTTPServer`` socket.
+binds it to a ``ThreadingHTTPServer`` socket and :func:`serve` runs it
+until a signal drains it.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
+import os
 import re
 import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.cache import PredictionCacheBase, create_backend
+from repro.cache import PredictionCacheBase, create_backend, warm_from_disk
 from repro.engine import EvaluationEngine
 from repro.errors import (
     ChopError,
@@ -81,7 +95,7 @@ from repro.obs.slo import SLOTracker, default_objectives
 from repro.obs.tracing import Tracer, activate
 from repro.resilience.retry import RetryPolicy, RetryStats
 from repro.service.cache import LRUCache, check_cache_key
-from repro.service.jobs import DONE, FAILED, CANCELLED, JobQueue
+from repro.service.jobs import DONE, FAILED, CANCELLED, Job, JobQueue
 from repro.service.metrics import Metrics
 from repro.service.sessions import SessionEntry, SessionRegistry
 
@@ -95,8 +109,70 @@ _TRACE_ID_RE = re.compile(r"^[0-9A-Za-z][0-9A-Za-z._-]{3,127}$")
 #: backpressure hints (``Retry-After`` on 429/503).
 Response = Tuple[int, Any, str, Dict[str, str]]
 
-#: Internal routing result, before headers are attached.
-_Routed = Tuple[int, Any, str]
+#: A route handler's answer: ``(status, payload)``.
+_Reply = Tuple[int, Any]
+
+#: The route table: ``"METHOD /path/template"`` -> the
+#: :class:`ChopService` method serving it.  A ``{id}`` segment matches
+#: any one path segment, handed to the handler as its ``ident``.
+#: The template string is the metrics label of every response to a
+#: matching request — success, 4xx and 413 alike.
+ROUTES: Dict[str, str] = {
+    "GET /healthz": "_healthz",
+    "GET /readyz": "_readyz",
+    "GET /metrics": "_metrics",
+    "GET /slo": "_slo",
+    "GET /debug/recent": "_recent",
+    "POST /projects": "_upload",
+    "GET /projects/{id}": "_project",
+    "POST /projects/{id}/check": "_check",
+    "POST /projects/{id}/enumerate": "_enumerate",
+    "POST /projects/{id}/auto": "_auto",
+    "POST /projects/{id}/explore": "_explore",
+    "GET /jobs/{id}": "_job_status",
+    "POST /jobs/{id}/cancel": "_job_cancel",
+    "GET /jobs/{id}/trace": "_job_trace",
+    "GET /jobs/{id}/explain": "_job_explain",
+}
+
+#: The one label of a request that matches no route.
+UNMATCHED = "(unmatched)"
+
+_SHAPES = tuple(
+    (label, method, tuple(template.strip("/").split("/")))
+    for label in ROUTES
+    for method, template in [label.split(" ", 1)]
+)
+
+
+def _resolve_route(method: str, path: str) -> Tuple[str, Optional[str]]:
+    """The route label of one request and its ``{id}`` path segment.
+
+    Returns ``(UNMATCHED, None)`` when no route matches.
+    """
+    parts = [p for p in path.partition("?")[0].split("/") if p]
+    for label, verb, shape in _SHAPES:
+        if verb != method or len(shape) != len(parts):
+            continue
+        ident = None
+        for want, got in zip(shape, parts):
+            if want == "{id}":
+                ident = got
+            elif want != got:
+                break
+        else:
+            return label, ident
+    return UNMATCHED, None
+
+
+class _Request(NamedTuple):
+    """What a route handler reads of one request."""
+
+    ident: Optional[str]
+    query: str
+    body: Optional[bytes]
+    trace_id: Optional[str]
+    internal: bool
 
 
 class ServiceError(Exception):
@@ -117,6 +193,69 @@ class ServiceError(Exception):
         self.status = status
         self.headers = dict(headers or {})
         self.kind = kind
+
+
+def _invalid(message: str) -> ServiceError:
+    return ServiceError(400, message, kind="invalid_option")
+
+
+def _is_number(value: Any) -> bool:
+    """A finite JSON number — not a boolean, a string or NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+#: The JSON types of request options: kind -> (test, description).
+_OPTION_KINDS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "boolean": (lambda v: isinstance(v, bool), "a JSON boolean"),
+    "integer": (
+        lambda v: isinstance(v, int) and not isinstance(v, bool),
+        "a JSON integer",
+    ),
+    "number": (_is_number, "a finite number"),
+    "string": (lambda v: isinstance(v, str), "a JSON string"),
+}
+
+
+def _option(
+    options: Dict[str, Any], name: str, kind: str, default: Any = None
+) -> Any:
+    """The one typed reader of request options.
+
+    ``kind`` is ``boolean``, ``integer``, ``number`` (finite, read as a
+    float) or ``string``; ``array:<kind>`` is a JSON array of one of
+    them, read as a tuple.  A value of any other JSON type — a string
+    for a number, boolean or list, a float for an integer — is a 400
+    ``invalid_option`` naming the option.  An absent option reads as
+    ``default``; ``null`` reads as unset only where the default is.
+    """
+    value = options.get(name)
+    if name not in options or (value is None and default is None):
+        return default
+    array, _, item = kind.rpartition(":")
+    test, what = _OPTION_KINDS[item]
+    convert = float if item == "number" else (lambda v: v)
+    if array:
+        if isinstance(value, list) and all(map(test, value)):
+            return tuple(map(convert, value))
+        what = f"a JSON array of {item}s"
+    elif test(value):
+        return convert(value)
+    raise _invalid(f"{name} must be {what}, got {value!r}")
+
+
+def _heuristic(options: Dict[str, Any], default: str) -> str:
+    heuristic = options.get("heuristic", default)
+    if heuristic not in HEURISTICS:
+        raise _invalid(
+            f"unknown heuristic {heuristic!r}; use one of "
+            f"{list(HEURISTICS)}"
+        )
+    return heuristic
 
 
 class ChopService:
@@ -201,38 +340,49 @@ class ChopService:
         )
         self.flight = FlightRecorder(capacity=flight_capacity)
         self.flight_dir = flight_dir
-        self.metrics.register_gauges("flight", self.flight.stats)
-        self.metrics.register_gauges("cache", self.cache.stats)
-        self.metrics.register_gauges("jobs", self.jobs.depth)
-        self.metrics.register_gauges("sessions", self.sessions.stats)
-        self.metrics.register_gauges("eval", self.sessions.eval_stats)
-        if self.engine is not None:
-            self.metrics.register_gauges("engine", self.engine.stats)
-        if self.disk_cache is not None:
-            self.metrics.register_gauges(
-                "disk_cache", self.disk_cache.stats
-            )
-        if fleet is not None:
-            self.metrics.register_gauges("fleet", fleet.stats)
-        self._auto_lock = threading.Lock()
-        self._auto_stats: Dict[str, int] = {
-            "jobs": 0, "feasible": 0, "infeasible": 0, "clones": 0,
-            "repair_moves": 0,
-        }
-        self.metrics.register_gauges("auto", self._auto_snapshot)
-        self._explore_lock = threading.Lock()
-        self._explore_stats: Dict[str, int] = {
-            "jobs": 0, "candidates": 0, "feasible": 0,
-            "front_points": 0, "cache_seeded": 0,
-        }
-        self.metrics.register_gauges("explore", self._explore_snapshot)
         self.started_at = time.time()
-        self.metrics.register_gauges("process", self._process_stats)
-        self.metrics.register_gauges("retries", self.retry_stats.stats)
+        # Job outcome counters of the auto and explore routes, one
+        # block each in /metrics.
+        self._tally_lock = threading.Lock()
+        self._tallies: Dict[str, Dict[str, int]] = {
+            "auto": dict.fromkeys(
+                ("jobs", "feasible", "infeasible", "clones",
+                 "repair_moves"),
+                0,
+            ),
+            "explore": dict.fromkeys(
+                ("jobs", "candidates", "feasible", "front_points",
+                 "cache_seeded"),
+                0,
+            ),
+        }
+        # Each subsystem's stats() becomes a /metrics block and a set
+        # of chop_<label>_* gauges; close() withdraws them again.
+        self._suppliers: Dict[str, Callable[[], Any]] = {
+            "flight": self.flight.stats,
+            "cache": self.cache.stats,
+            "jobs": self.jobs.depth,
+            "sessions": self.sessions.stats,
+            "eval": self.sessions.eval_stats,
+            "auto": functools.partial(self._tally_snapshot, "auto"),
+            "explore": functools.partial(self._tally_snapshot, "explore"),
+            "process": self._process_stats,
+            "retries": self.retry_stats.stats,
+        }
+        if self.engine is not None:
+            self._suppliers["engine"] = self.engine.stats
+        if self.disk_cache is not None:
+            self._suppliers["disk_cache"] = self.disk_cache.stats
+        if fleet is not None:
+            self._suppliers["fleet"] = fleet.stats
+        for label, supplier in self._suppliers.items():
+            self.registry.register_stats(label, supplier)
 
     def close(self) -> None:
         self._draining.set()
         self.jobs.shutdown()
+        for label, supplier in self._suppliers.items():
+            self.registry.unregister_stats(label, supplier)
 
     @property
     def draining(self) -> bool:
@@ -267,20 +417,21 @@ class ChopService:
     ) -> Response:
         """Serve one request; returns (status, payload, route, headers).
 
-        The route label is the metrics key — the path template with ids
-        elided, so per-endpoint latencies aggregate across tenants.
-        ``trace_id`` is the client's ``X-Trace-Id`` header, adopted by
-        traced background jobs so a caller can correlate its own trace
-        with the server-side span tree.  The headers dict carries
-        backpressure hints — ``Retry-After`` on 429 (queue or session
-        quota) and 503 (draining).
+        The route label is the metrics key — the matching
+        :data:`ROUTES` template, or :data:`UNMATCHED` — so per-endpoint
+        latencies aggregate across tenants and junk paths share one
+        label.  ``trace_id`` is the client's ``X-Trace-Id`` header,
+        adopted by traced background jobs so a caller can correlate its
+        own trace with the server-side span tree.  The headers dict
+        carries backpressure hints — ``Retry-After`` on 429 (queue or
+        session quota) and 503 (draining).
 
         In a fleet, a sticky request owned by another worker is
         forwarded to that worker's internal listener; ``internal``
         marks requests arriving *on* the internal listener, which are
         always served locally (forwarding never chains).
         """
-        fallback = f"{method} {path}"
+        route, ident = _resolve_route(method, path)
         try:
             if (
                 body is not None
@@ -298,36 +449,51 @@ class ChopService:
                     return self.fleet.forward(
                         owner, method, path, body, trace_id
                     )
-            status, payload, route = self._route(
-                method, path, body, trace_id, internal=internal
+            path, _, query = path.partition("?")
+            if (
+                method == "POST"
+                and self.draining
+                and not route.startswith("POST /jobs/")
+            ):
+                # Liveness, readiness, metrics, job polling and
+                # cancellation stay up during a drain; anything that
+                # admits work does not.
+                raise DrainingError(
+                    "service is draining; no new work is admitted"
+                )
+            if route == UNMATCHED:
+                raise ServiceError(404, f"no route for {method} {path}")
+            handler = getattr(self, ROUTES[route])
+            status, payload = handler(
+                _Request(ident, query, body, trace_id, internal)
             )
             return status, payload, route, {}
         except ServiceError as exc:
             return (
                 exc.status,
                 {"error": str(exc), "type": exc.kind},
-                fallback,
+                route,
                 dict(exc.headers),
             )
         except SpecificationError as exc:
             return (
                 400,
                 {"error": str(exc), "type": "specification"},
-                fallback,
+                route,
                 {},
             )
         except QueueFullError as exc:
             return (
                 429,
                 {"error": str(exc), "type": "queue_full"},
-                fallback,
+                route,
                 {"Retry-After": str(int(round(exc.retry_after_s)))},
             )
         except DrainingError as exc:
             return (
                 503,
                 {"error": str(exc), "type": "draining"},
-                fallback,
+                route,
                 {"Retry-After": str(int(round(self.drain_timeout_s)))},
             )
         except ChopError as exc:
@@ -340,96 +506,25 @@ class ChopService:
                 # Structured errors (e.g. CombinationExplosionError)
                 # carry actionable data — ship it with the 4xx.
                 payload["detail"] = detail()
-            return 422, payload, fallback, {}
-
-    def _route(
-        self,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        trace_id: Optional[str] = None,
-        internal: bool = False,
-    ) -> _Routed:
-        path, _, query = path.partition("?")
-        parts = [p for p in path.split("/") if p]
-        if method == "GET" and parts == ["healthz"]:
-            return 200, self._healthz(), "GET /healthz"
-        if method == "GET" and parts == ["readyz"]:
-            return self._readyz() + ("GET /readyz",)
-        if method == "GET" and parts == ["metrics"]:
-            return 200, self._metrics(query, internal), "GET /metrics"
-        if method == "GET" and parts == ["slo"]:
-            return 200, self.slo.evaluate(), "GET /slo"
-        if method == "GET" and parts == ["debug", "recent"]:
-            return 200, self._recent(query), "GET /debug/recent"
-        if method == "POST" and self.draining and parts[:1] != ["jobs"]:
-            # Liveness, readiness, metrics, job polling and cancellation
-            # stay up during a drain; anything that admits work does not.
-            raise DrainingError(
-                "service is draining; no new work is admitted"
-            )
-        if method == "POST" and parts == ["projects"]:
-            status, payload = self._upload(self._json_body(body))
-            return status, payload, "POST /projects"
-        if len(parts) == 2 and parts[0] == "projects" and method == "GET":
-            entry = self._entry(parts[1])
-            return 200, entry.to_dict(), "GET /projects/{id}"
-        if len(parts) == 3 and parts[0] == "projects":
-            entry = self._entry(parts[1])
-            if method == "POST" and parts[2] == "check":
-                payload = self._check(entry, self._options(body))
-                return 200, payload, "POST /projects/{id}/check"
-            if method == "POST" and parts[2] == "enumerate":
-                payload = self._enumerate(
-                    entry, self._options(body), trace_id
-                )
-                return 202, payload, "POST /projects/{id}/enumerate"
-            if method == "POST" and parts[2] == "auto":
-                payload = self._auto(
-                    entry, self._options(body), trace_id
-                )
-                return 202, payload, "POST /projects/{id}/auto"
-            if method == "POST" and parts[2] == "explore":
-                payload = self._explore(
-                    entry, self._options(body), trace_id
-                )
-                return 202, payload, "POST /projects/{id}/explore"
-        if len(parts) == 2 and parts[0] == "jobs" and method == "GET":
-            return 200, self._job(parts[1]).to_dict(), "GET /jobs/{id}"
-        if len(parts) == 3 and parts[0] == "jobs":
-            job = self._job(parts[1])
-            if method == "POST" and parts[2] == "cancel":
-                self.jobs.cancel(job.id)
-                return 202, job.to_dict(), "POST /jobs/{id}/cancel"
-            if method == "GET" and parts[2] == "trace":
-                return (
-                    200, self._job_trace(job), "GET /jobs/{id}/trace",
-                )
-            if method == "GET" and parts[2] == "explain":
-                return (
-                    200,
-                    self._job_explain(job),
-                    "GET /jobs/{id}/explain",
-                )
-        raise ServiceError(404, f"no route for {method} {path}")
+            return 422, payload, route, {}
 
     # ------------------------------------------------------------------
-    # endpoint bodies
+    # read-only routes
     # ------------------------------------------------------------------
-    def _healthz(self) -> Dict[str, Any]:
+    def _healthz(self, req: _Request) -> _Reply:
         """Liveness: 200 for as long as the process can answer at all."""
-        return {
+        return 200, {
             "status": "ok",
             "uptime_s": round(time.time() - self.started_at, 3),
         }
 
-    def _readyz(self) -> Tuple[int, Dict[str, Any]]:
+    def _readyz(self, req: _Request) -> _Reply:
         """Readiness: 503 once draining so balancers stop routing here."""
         if self.draining:
             return 503, {"status": "draining"}
         return 200, {"status": "ready"}
 
-    def _metrics(self, query: str = "", internal: bool = False) -> Any:
+    def _metrics(self, req: _Request) -> _Reply:
         # Refresh the SLO burn gauges so every scrape (either format)
         # carries the current objective state.
         self.slo.evaluate()
@@ -439,53 +534,101 @@ class ChopService:
         # single-worker so the recursion bottoms out.
         aggregate = (
             self.fleet is not None
-            and not internal
-            and "scope=local" not in query
+            and not req.internal
+            and "scope=local" not in req.query
         )
-        if "format=prometheus" in query:
-            # The text exposition renders the shared registry directly;
-            # subsystem stats() suppliers are registered pull-gauges.
+        if "format=prometheus" in req.query:
             text = render_registry(self.registry)
             if aggregate:
-                return self.fleet.aggregate_prometheus(text)
-            return text
-        # Legacy JSON shape: per-route sample percentiles plus the
-        # registered subsystem gauge suppliers.
+                return 200, self.fleet.aggregate_prometheus(text)
+            return 200, text
         snapshot = self.metrics.snapshot()
         if aggregate:
-            return self.fleet.aggregate_json(snapshot)
-        return snapshot
+            return 200, self.fleet.aggregate_json(snapshot)
+        return 200, snapshot
 
-    def _recent(self, query: str = "") -> Dict[str, Any]:
+    def _slo(self, req: _Request) -> _Reply:
+        return 200, self.slo.evaluate()
+
+    def _recent(self, req: _Request) -> _Reply:
         """The flight recorder's newest records, for ``/debug/recent``."""
         limit: Optional[int] = None
-        match = re.search(r"(?:^|&)limit=(\d+)", query)
+        match = re.search(r"(?:^|&)limit=(\d+)", req.query)
         if match:
             limit = int(match.group(1))
         records = self.flight.recent(limit=limit)
-        return {
+        return 200, {
             "stats": self.flight.stats(),
             "records": records,
         }
 
+    def _project(self, req: _Request) -> _Reply:
+        return 200, self._entry(req.ident).to_dict()
+
+    def _job_status(self, req: _Request) -> _Reply:
+        return 200, self._job(req.ident).to_dict()
+
+    def _job_cancel(self, req: _Request) -> _Reply:
+        job = self._job(req.ident)
+        self.jobs.cancel(job.id)
+        return 202, job.to_dict()
+
+    def _job_trace(self, req: _Request) -> _Reply:
+        """The finished span records of one background job."""
+        job = self._finished_job(req.ident, "its trace is")
+        spans = job.artifacts.get("trace")
+        if spans is None:
+            raise ServiceError(
+                404, f"job {job.id!r} recorded no trace"
+            )
+        return 200, {
+            "job_id": job.id,
+            "trace_id": job.trace_id,
+            "state": job.state,
+            "spans": spans,
+        }
+
+    def _job_explain(self, req: _Request) -> _Reply:
+        """The per-constraint feasibility breakdown of one job."""
+        job = self._finished_job(req.ident, "explain data is")
+        explain = job.artifacts.get("explain")
+        if explain is None:
+            raise ServiceError(
+                404,
+                f"job {job.id!r} collected no explain data; submit the "
+                'enumeration with {"explain": true} to collect it',
+            )
+        return 200, {
+            "job_id": job.id,
+            "trace_id": job.trace_id,
+            "state": job.state,
+            "explain": explain,
+        }
+
+    # ------------------------------------------------------------------
+    # request accounting
+    # ------------------------------------------------------------------
     def note_request(
         self,
         route: str,
         seconds: float,
         status: int,
         trace_id: Optional[str] = None,
+        path: Optional[str] = None,
     ) -> None:
         """Account one finished HTTP request everywhere it belongs.
 
-        Updates the metrics registry and the legacy snapshot, appends a
-        flight-recorder entry, and — on any 5xx — logs the failure and
-        snapshots the flight buffer to ``flight_dir`` so the context
-        around the error survives the process.
+        Updates the metrics registry, appends a flight-recorder entry
+        (with the raw ``path`` next to its route template), and — on any
+        5xx — logs the failure and snapshots the flight buffer to
+        ``flight_dir`` so the context around the error survives the
+        process.
         """
         self.metrics.observe(route, seconds, status, trace_id=trace_id)
         self.flight.record(
             "request",
             route=route,
+            path=path,
             status=status,
             latency_ms=seconds * 1000.0,
             trace_id=trace_id,
@@ -501,13 +644,22 @@ class ChopService:
             )
             self._dump_flight(reason="5xx")
 
-    def _dump_flight(self, reason: str = "manual") -> Optional[str]:
-        """Best-effort flight dump into ``flight_dir`` (None if unset)."""
-        if not self.flight_dir:
+    def _dump_flight(
+        self, reason: str, directory: Optional[str] = None
+    ) -> Optional[str]:
+        """Best-effort flight dump into ``directory`` or ``flight_dir``.
+
+        Returns the path written, or None when neither is set or the
+        write failed (logged, never raised).  The file name carries the
+        process id: fleet workers share one directory, and one signal
+        to the process group dumps them all in the same second.
+        """
+        directory = directory or self.flight_dir
+        if not directory:
             return None
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
         path = (
-            f"{self.flight_dir}/flight-{stamp}-"
+            f"{directory}/flight-{stamp}-{os.getpid()}-"
             f"{self.flight.stats()['recorded']}-{reason}.json"
         )
         try:
@@ -532,9 +684,21 @@ class ChopService:
             doc["peak_rss_bytes"] = rss
         return doc
 
-    def _upload(
-        self, document: Any
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _tally(self, block: str, **amounts: int) -> None:
+        with self._tally_lock:
+            counts = self._tallies[block]
+            for key, amount in amounts.items():
+                counts[key] += amount
+
+    def _tally_snapshot(self, block: str) -> Dict[str, int]:
+        with self._tally_lock:
+            return dict(self._tallies[block])
+
+    # ------------------------------------------------------------------
+    # routes that do work
+    # ------------------------------------------------------------------
+    def _upload(self, req: _Request) -> _Reply:
+        document = self._json_body(req.body)
         if not isinstance(document, dict):
             raise ServiceError(
                 400, "project upload must be a JSON object"
@@ -544,24 +708,15 @@ class ChopService:
         payload["created"] = created
         return (201 if created else 200), payload
 
-    def _check(
-        self, entry: SessionEntry, options: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        heuristic = options.get("heuristic", "iterative")
-        prune = bool(options.get("prune", True))
-        if heuristic not in HEURISTICS:
-            raise ServiceError(
-                400,
-                f"unknown heuristic {heuristic!r}; use one of "
-                f"{list(HEURISTICS)}",
-            )
-        soft_deadline_s = self._number_option(options, "soft_deadline_s")
+    def _check(self, req: _Request) -> _Reply:
+        entry = self._entry(req.ident)
+        options = self._options(req.body)
+        heuristic = _heuristic(options, "iterative")
+        prune = _option(options, "prune", "boolean", True)
+        soft_deadline_s = _option(options, "soft_deadline_s", "number")
         if soft_deadline_s is not None:
             if soft_deadline_s <= 0:
-                raise ServiceError(
-                    400, "soft_deadline_s must be positive",
-                    kind="invalid_option",
-                )
+                raise _invalid("soft_deadline_s must be positive")
             # A soft-deadlined check may return a *partial* verdict;
             # partial verdicts are never memoized (a later full check
             # must not inherit them) so this path bypasses the cache.
@@ -572,7 +727,7 @@ class ChopService:
                     prune=prune,
                     soft_deadline_s=soft_deadline_s,
                 ).to_dict()
-            return {
+            return 200, {
                 "project_id": entry.project_id,
                 "cache_hit": False,
                 "result": result,
@@ -586,7 +741,7 @@ class ChopService:
                 ).to_dict()
 
         result, hit = self.cache.get_or_compute(key, compute)
-        return {
+        return 200, {
             "project_id": entry.project_id,
             "cache_hit": hit,
             "result": result,
@@ -597,104 +752,58 @@ class ChopService:
 
         Seeds the session's prediction cache from disk before the check
         and persists the (possibly freshly computed) predictions after a
-        miss — so an identical project checked after a restart skips BAD
-        prediction entirely.  Callers must hold ``entry.lock``.
+        miss — so an identical project checked after a restart, or by
+        ``chop check`` on the same cache, skips BAD prediction entirely.
+        Callers must hold ``entry.lock``.
         """
         options.setdefault("engine", self.engine)
-        if self.disk_cache is None:
-            return entry.session.check(**options)
         session = entry.session
-        disk_key = self.disk_cache.key_for(
-            entry.fingerprint, session.library, session.clocks
-        )
-        cached = self.disk_cache.load(disk_key)
-        if cached is not None:
-            session.seed_predictions(cached)
+        if self.disk_cache is None:
+            return session.check(**options)
+        store_key, _ = warm_from_disk(session, self.disk_cache)
         result = session.check(**options)
-        if cached is None:
+        if store_key is not None:
             # Best-effort: a sick cache disk degrades persistence to a
             # no-op (counted in disk_cache.store_failures), it never
             # fails the check that just succeeded.
             self.disk_cache.store_safely(
-                disk_key, session.export_predictions()
+                store_key, session.export_predictions()
             )
         return result
 
-    def _enumerate(
-        self,
-        entry: SessionEntry,
-        options: Dict[str, Any],
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        heuristic = options.get("heuristic", "enumeration")
-        prune = bool(options.get("prune", True))
-        explain = bool(options.get("explain", False))
-        if heuristic not in HEURISTICS:
-            raise ServiceError(
-                400,
-                f"unknown heuristic {heuristic!r}; use one of "
-                f"{list(HEURISTICS)}",
-                kind="invalid_option",
-            )
+    def _enumerate(self, req: _Request) -> _Reply:
+        entry = self._entry(req.ident)
+        options = self._options(req.body)
+        heuristic = _heuristic(options, "enumeration")
+        prune = _option(options, "prune", "boolean", True)
+        explain = _option(options, "explain", "boolean", False)
         if explain and heuristic != "enumeration":
-            raise ServiceError(
-                400,
-                "explain collection requires the enumeration heuristic",
-                kind="invalid_option",
+            raise _invalid(
+                "explain collection requires the enumeration heuristic"
             )
-        self._require_valid_trace_id(trace_id)
-        timeout_s = self._number_option(options, "timeout_s")
 
-        tracer = Tracer(trace_id=trace_id)
-
-        def run(job) -> Dict[str, Any]:
+        def work(job: Job) -> Dict[str, Any]:
             collector = ExplainCollector() if explain else None
-            started = time.perf_counter()
             try:
-                with entry.lock, activate(tracer):
-                    with tracer.span(
-                        "service.job", job_id=job.id, kind=job.kind,
-                    ):
-                        result = self._checked(
-                            entry,
-                            heuristic=heuristic,
-                            prune=prune,
-                            cancel=job.should_stop,
-                            progress=job.report_progress,
-                            collector=collector,
-                        ).to_dict()
+                return self._checked(
+                    entry,
+                    heuristic=heuristic,
+                    prune=prune,
+                    cancel=job.should_stop,
+                    progress=job.report_progress,
+                    collector=collector,
+                ).to_dict()
             finally:
-                # Keep the trace (and explain, once collected) even
-                # when the search failed or was cancelled — that is
-                # when the designer needs them most.
-                job.artifacts["trace"] = tracer.spans()
+                # Keep the explain report even when the search failed
+                # or was cancelled — that is when the designer needs it.
                 if collector is not None and collector.evaluated:
                     job.artifacts["explain"] = collector.report(
                         heuristic=heuristic
                     ).to_dict()
-                self._flight_job(job, tracer, started)
-            return result
 
-        job = self.jobs.submit(
-            run,
-            kind=f"{heuristic}:{entry.project_id}",
-            timeout_s=timeout_s,
-            pass_job=True,
-            session_key=entry.project_id,
-        )
-        job.trace_id = tracer.trace_id
-        return job.to_dict()
+        return self._submit_job(req, entry, options, heuristic, work)
 
-    def _auto_snapshot(self) -> Dict[str, int]:
-        with self._auto_lock:
-            return dict(self._auto_stats)
-
-    def _auto(
-        self,
-        entry: SessionEntry,
-        options: Dict[str, Any],
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
+    def _auto(self, req: _Request) -> _Reply:
         """Submit a background auto-partitioning of one project's graph.
 
         Options: ``chips`` (default 4), ``replicate`` (bool),
@@ -708,99 +817,60 @@ class ChopService:
         from repro.auto import AutoPartitionConfig, auto_partition
         from repro.auto.partitioner import session_like_factory
 
-        heuristic = options.get("heuristic", "iterative")
-        if heuristic not in HEURISTICS:
-            raise ServiceError(
-                400,
-                f"unknown heuristic {heuristic!r}; use one of "
-                f"{list(HEURISTICS)}",
-                kind="invalid_option",
-            )
-        self._require_valid_trace_id(trace_id)
-        timeout_s = self._number_option(options, "timeout_s")
+        entry = self._entry(req.ident)
+        options = self._options(req.body)
+        config = AutoPartitionConfig(
+            chips=_option(options, "chips", "integer", 4),
+            replicate=_option(options, "replicate", "boolean", False),
+            max_clones=_option(options, "max_clones", "integer", 0),
+            balance_tolerance=_option(
+                options, "balance_tolerance", "number", 0.3
+            ),
+            feasibility_moves=_option(
+                options, "feasibility_moves", "integer", 32
+            ),
+            heuristic=_heuristic(options, "iterative"),
+        )
+        include_assignment = _option(
+            options, "include_assignment", "boolean", False
+        )
+        op_count = entry.session.graph.op_count()
         try:
-            config = AutoPartitionConfig(
-                chips=int(options.get("chips", 4)),
-                replicate=bool(options.get("replicate", False)),
-                max_clones=int(options.get("max_clones", 0)),
-                balance_tolerance=float(
-                    options.get("balance_tolerance", 0.3)
-                ),
-                feasibility_moves=int(
-                    options.get("feasibility_moves", 32)
-                ),
-                heuristic=heuristic,
-            )
             config.validate()
-            if config.chips > entry.session.graph.op_count():
+            if config.chips > op_count:
                 # auto_partition would raise the same PartitioningError
                 # inside the job; validating here turns a failed job
                 # into an immediate, typed 400.
                 raise PartitioningError(
-                    f"cannot spread "
-                    f"{entry.session.graph.op_count()} operations over "
+                    f"cannot spread {op_count} operations over "
                     f"{config.chips} chips"
                 )
-        except (TypeError, ValueError, PartitioningError) as exc:
-            raise ServiceError(
-                400, f"invalid auto option: {exc}", kind="invalid_option"
-            ) from None
-        include_assignment = bool(options.get("include_assignment", False))
+        except PartitioningError as exc:
+            raise _invalid(f"invalid auto option: {exc}") from None
 
-        tracer = Tracer(trace_id=trace_id)
-
-        def run(job) -> Dict[str, Any]:
-            started = time.perf_counter()
-            try:
-                with entry.lock, activate(tracer):
-                    with tracer.span(
-                        "service.job", job_id=job.id, kind=job.kind,
-                    ):
-                        outcome = auto_partition(
-                            entry.session.graph,
-                            config,
-                            session_factory=session_like_factory(
-                                entry.session
-                            ),
-                            engine=self.engine,
-                            progress=job.report_progress,
-                        )
-            finally:
-                job.artifacts["trace"] = tracer.spans()
-                self._flight_job(job, tracer, started)
+        def work(job: Job) -> Dict[str, Any]:
+            outcome = auto_partition(
+                entry.session.graph,
+                config,
+                session_factory=session_like_factory(entry.session),
+                engine=self.engine,
+                progress=job.report_progress,
+            )
             payload = outcome.to_dict()
             if include_assignment:
                 payload["assignment"] = dict(outcome.assignment)
-            with self._auto_lock:
-                self._auto_stats["jobs"] += 1
-                key = "feasible" if outcome.feasible else "infeasible"
-                self._auto_stats[key] += 1
-                self._auto_stats["clones"] += payload["clones"]
-                self._auto_stats["repair_moves"] += payload[
-                    "repair_moves"
-                ]
+            self._tally(
+                "auto",
+                jobs=1,
+                clones=payload["clones"],
+                repair_moves=payload["repair_moves"],
+                **{"feasible" if outcome.feasible else "infeasible": 1},
+            )
             return payload
 
-        job = self.jobs.submit(
-            run,
-            kind=f"auto:{entry.project_id}",
-            timeout_s=timeout_s,
-            pass_job=True,
-            session_key=entry.project_id,
-        )
-        job.trace_id = tracer.trace_id
-        return job.to_dict()
+        return self._submit_job(req, entry, options, "auto", work)
 
-    def _explore_snapshot(self) -> Dict[str, int]:
-        with self._explore_lock:
-            return dict(self._explore_stats)
-
-    def _explore(
-        self,
-        entry: SessionEntry,
-        options: Dict[str, Any],
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
+    def _explore(self, req: _Request) -> _Reply:
         """Submit a background design-space sweep of one project.
 
         Options: ``k_min``/``k_max`` (or an explicit ``chip_counts``
@@ -821,180 +891,136 @@ class ChopService:
             project_session_factory,
         )
 
-        self._require_valid_trace_id(trace_id)
-        timeout_s = self._number_option(options, "timeout_s")
+        entry = self._entry(req.ident)
+        options = self._options(req.body)
+        op_count = entry.session.graph.op_count()
         try:
             if "chip_counts" in options:
-                chip_counts = tuple(
-                    int(k) for k in options["chip_counts"]
+                chip_counts = _option(
+                    options, "chip_counts", "array:integer", ()
                 )
             else:
-                k_min = int(options.get("k_min", 1))
-                k_max = int(options.get("k_max", 4))
+                k_min = _option(options, "k_min", "integer", 1)
+                k_max = _option(options, "k_max", "integer", 4)
                 if k_min > k_max:
                     raise ValueError(
                         f"k_min {k_min} exceeds k_max {k_max}"
                     )
+                if k_max > op_count:
+                    # Checked before the range is built: k_max comes
+                    # from the client and may be astronomically large.
+                    raise ValueError(
+                        f"k_max {k_max} exceeds the graph's {op_count} "
+                        f"operations"
+                    )
                 chip_counts = tuple(range(k_min, k_max + 1))
             config = ExploreConfig(
                 chip_counts=chip_counts,
-                package_scales=tuple(
-                    float(s)
-                    for s in options.get("package_scales", (1.0,))
+                package_scales=_option(
+                    options, "package_scales", "array:number", (1.0,)
                 ),
-                objectives=tuple(
-                    options.get(
-                        "objectives",
-                        ("cost", "performance", "delay", "chips"),
-                    )
+                objectives=_option(
+                    options,
+                    "objectives",
+                    "array:string",
+                    ("cost", "performance", "delay", "chips"),
                 ),
-                seeding=options.get("seeding", "heuristic"),
-                heuristic=options.get("heuristic", "iterative"),
+                seeding=_option(options, "seeding", "string", "heuristic"),
+                heuristic=_option(
+                    options, "heuristic", "string", "iterative"
+                ),
             )
             # op_count bounds the k axis: a sweep that cannot seed any
             # candidate is a client error, not a job failure.
-            config.validate(op_count=entry.session.graph.op_count())
-        except (TypeError, ValueError, ChopError) as exc:
-            raise ServiceError(
-                400,
-                f"invalid explore option: {exc}",
-                kind="invalid_option",
-            ) from None
-        include_projects = bool(options.get("include_projects", False))
+            config.validate(op_count=op_count)
+        except (ValueError, ChopError) as exc:
+            raise _invalid(f"invalid explore option: {exc}") from None
+        include_projects = _option(
+            options, "include_projects", "boolean", False
+        )
 
-        tracer = Tracer(trace_id=trace_id)
-
-        def run(job) -> Dict[str, Any]:
-            factory = project_session_factory(entry.session)
-            started = time.perf_counter()
-            try:
-                with entry.lock, activate(tracer):
-                    with tracer.span(
-                        "service.job", job_id=job.id, kind=job.kind,
-                    ):
-                        result = explore(
-                            entry.session.graph,
-                            config,
-                            session_factory=factory,
-                            engine=self.engine,
-                            disk_cache=self.disk_cache,
-                            progress=job.report_progress,
-                            cancel=job.should_stop,
-                        )
-            finally:
-                job.artifacts["trace"] = tracer.spans()
-                self._flight_job(job, tracer, started)
+        def work(job: Job) -> Dict[str, Any]:
+            result = explore(
+                entry.session.graph,
+                config,
+                session_factory=project_session_factory(entry.session),
+                engine=self.engine,
+                disk_cache=self.disk_cache,
+                progress=job.report_progress,
+                cancel=job.should_stop,
+            )
             payload = result.to_dict(include_projects=include_projects)
             payload["project_id"] = entry.project_id
-            with self._explore_lock:
-                self._explore_stats["jobs"] += 1
-                self._explore_stats["candidates"] += result.evaluated
-                self._explore_stats["feasible"] += result.feasible
-                self._explore_stats["front_points"] += len(result.front)
-                self._explore_stats["cache_seeded"] += (
-                    result.cache_seeded
-                )
+            self._tally(
+                "explore",
+                jobs=1,
+                candidates=result.evaluated,
+                feasible=result.feasible,
+                front_points=len(result.front),
+                cache_seeded=result.cache_seeded,
+            )
             return payload
 
-        job = self.jobs.submit(
-            run,
-            kind=f"explore:{entry.project_id}",
-            timeout_s=timeout_s,
-            pass_job=True,
-            session_key=entry.project_id,
-        )
-        job.trace_id = tracer.trace_id
-        return job.to_dict()
+        return self._submit_job(req, entry, options, "explore", work)
 
-    def _flight_job(self, job, tracer: Tracer, started: float) -> None:
-        """Flight-record one finished background job (any outcome)."""
-        self.flight.record(
-            "job",
-            latency_ms=(time.perf_counter() - started) * 1000.0,
-            trace_id=tracer.trace_id,
-            spans=tracer.spans(),
-            job_id=job.id,
-            job_kind=job.kind,
-        )
+    def _submit_job(
+        self,
+        req: _Request,
+        entry: SessionEntry,
+        options: Dict[str, Any],
+        kind: str,
+        work: Callable[[Job], Any],
+    ) -> _Reply:
+        """Queue ``work(job)`` as a traced background job of ``entry``.
 
-    def _job_trace(self, job) -> Dict[str, Any]:
-        """The finished span records of one background job."""
-        if job.state not in (DONE, FAILED, CANCELLED):
-            raise ServiceError(
-                409,
-                f"job {job.id!r} is {job.state}; its trace is available "
-                "once it finishes",
-            )
-        spans = job.artifacts.get("trace")
-        if spans is None:
-            raise ServiceError(
-                404, f"job {job.id!r} recorded no trace"
-            )
-        return {
-            "job_id": job.id,
-            "trace_id": job.trace_id,
-            "state": job.state,
-            "spans": spans,
-        }
-
-    def _job_explain(self, job) -> Dict[str, Any]:
-        """The per-constraint feasibility breakdown of one job."""
-        if job.state not in (DONE, FAILED, CANCELLED):
-            raise ServiceError(
-                409,
-                f"job {job.id!r} is {job.state}; explain data is "
-                "available once it finishes",
-            )
-        explain = job.artifacts.get("explain")
-        if explain is None:
-            raise ServiceError(
-                404,
-                f"job {job.id!r} collected no explain data; submit the "
-                'enumeration with {"explain": true} to collect it',
-            )
-        return {
-            "job_id": job.id,
-            "trace_id": job.trace_id,
-            "state": job.state,
-            "explain": explain,
-        }
-
-    # ------------------------------------------------------------------
-    # lookups and parsing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _require_valid_trace_id(trace_id: Optional[str]) -> None:
-        if trace_id is not None and not _TRACE_ID_RE.match(trace_id):
+        The one job path of the enumerate, auto and explore routes: the
+        ``X-Trace-Id`` and ``timeout_s`` are checked before anything is
+        queued; the work runs under the session lock inside a
+        ``service.job`` span; the span tree and a flight record are
+        kept on every outcome — a failed or cancelled job is when the
+        designer needs them most.
+        """
+        if req.trace_id is not None and not _TRACE_ID_RE.match(
+            req.trace_id
+        ):
             raise ServiceError(
                 400,
                 "X-Trace-Id must be 4-128 characters of "
                 "[0-9A-Za-z._-] starting with an alphanumeric",
             )
+        timeout_s = _option(options, "timeout_s", "number")
+        tracer = Tracer(trace_id=req.trace_id)
 
-    @staticmethod
-    def _number_option(
-        options: Dict[str, Any], name: str
-    ) -> Optional[float]:
-        """A finite numeric option, or None when absent.
+        def run(job: Job) -> Any:
+            started = time.perf_counter()
+            try:
+                with entry.lock, activate(tracer), tracer.span(
+                    "service.job", job_id=job.id, kind=job.kind,
+                ):
+                    return work(job)
+            finally:
+                spans = job.artifacts["trace"] = tracer.spans()
+                self.flight.record(
+                    "job",
+                    latency_ms=(time.perf_counter() - started) * 1000.0,
+                    trace_id=tracer.trace_id,
+                    spans=spans,
+                    job_id=job.id,
+                    job_kind=job.kind,
+                )
 
-        NaN and infinity are rejected: a NaN deadline never fires, and
-        neither value serializes as JSON in the job document.
-        """
-        value = options.get(name)
-        if value is None:
-            return None
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if not math.isfinite(number):
-            raise ServiceError(
-                400,
-                f"{name} must be a finite number, got {value!r}",
-                kind="invalid_option",
-            )
-        return number
+        job = self.jobs.submit(
+            run,
+            kind=f"{kind}:{entry.project_id}",
+            timeout_s=timeout_s,
+            session_key=entry.project_id,
+        )
+        job.trace_id = tracer.trace_id
+        return 202, job.to_dict()
 
+    # ------------------------------------------------------------------
+    # lookups and parsing
+    # ------------------------------------------------------------------
     def _entry(self, project_id: str) -> SessionEntry:
         entry = self.sessions.get(project_id)
         if entry is None:
@@ -1005,22 +1031,33 @@ class ChopService:
             )
         return entry
 
-    def _job(self, job_id: str):
+    def _job(self, job_id: str) -> Job:
         job = self.jobs.get(job_id)
         if job is None:
             raise ServiceError(404, f"unknown job {job_id!r}")
         return job
 
+    def _finished_job(self, job_id: str, artifact: str) -> Job:
+        job = self._job(job_id)
+        if job.state not in (DONE, FAILED, CANCELLED):
+            raise ServiceError(
+                409,
+                f"job {job.id!r} is {job.state}; {artifact} available "
+                "once it finishes",
+            )
+        return job
+
     @classmethod
     def _options(cls, body: Optional[bytes]) -> Dict[str, Any]:
-        """A POST's options object; an empty body means all defaults."""
+        """A POST's options object; an empty body means all defaults.
+
+        Read its values with :func:`_option`.
+        """
         options = cls._json_body(body, {})
         if not isinstance(options, dict):
-            raise ServiceError(
-                400,
+            raise _invalid(
                 f"request options must be a JSON object, got "
-                f"{type(options).__name__}",
-                kind="invalid_option",
+                f"{type(options).__name__}"
             )
         return options
 
@@ -1032,7 +1069,9 @@ class ChopService:
             raise ServiceError(400, "request body required")
         try:
             return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
+            # Bad UTF-8, bad JSON, or an integer past the interpreter's
+            # digit limit — all of them ValueErrors.
             raise ServiceError(
                 400, f"invalid JSON body: {exc}"
             ) from None
@@ -1108,6 +1147,7 @@ class _Handler(BaseHTTPRequestHandler):
             time.perf_counter() - started,
             status,
             trace_id=self.headers.get("X-Trace-Id"),
+            path=self.path,
         )
 
     def log_message(self, format: str, *args: Any) -> None:
@@ -1125,67 +1165,134 @@ def make_server(
     return server
 
 
+# ----------------------------------------------------------------------
+# the serve loop
+# ----------------------------------------------------------------------
+def _quiet(line: str) -> None:
+    """An ``announce`` that drops the line."""
+
+
+def _dump_on_signal(
+    service: ChopService, announce: Callable[[str], None]
+) -> Optional[str]:
+    """The ``SIGUSR2`` action: dump the flight recorder now.
+
+    Writes to the service's flight directory, or the working directory
+    when none is configured.  Returns the path written (or None).
+    """
+    path = service._dump_flight("sigusr2", service.flight_dir or ".")
+    if path:
+        announce(f"flight recorder dumped to {path}")
+    return path
+
+
+def serve_until_drained(
+    service: ChopService,
+    servers: Sequence[ThreadingHTTPServer],
+    ready: Callable[[], None] = lambda: None,
+    announce: Callable[[str], None] = _quiet,
+) -> None:
+    """The one serve loop, for ``chop serve`` and every fleet worker.
+
+    ``SIGTERM`` and ``SIGINT`` start a graceful drain: admissions stop
+    at once (``/readyz`` flips to 503, new ``POST`` s get the same),
+    running jobs get the service's drain timeout to finish, stragglers
+    are cancelled cooperatively, and only then do the servers stop.
+    ``SIGUSR2`` dumps the flight recorder (:func:`_dump_on_signal`)
+    without interrupting traffic.  Each handler does its work on a
+    helper thread so the signal returns at once; off the main thread
+    none can be installed and the embedder drains the service itself.
+
+    The first server runs on the calling thread, the others on daemon
+    threads; ``ready`` runs once the handlers are installed and those
+    threads started.  ``announce`` receives the drain progress lines.
+    """
+    stop_once = threading.Lock()
+
+    def drain_and_stop() -> None:
+        if not stop_once.acquire(blocking=False):
+            return
+        announce(
+            f"draining: waiting up to {service.drain_timeout_s:g}s for "
+            f"running jobs"
+        )
+        announce(f"drained: {service.drain()}")
+        for server in servers:
+            server.shutdown()
+
+    actions = {
+        "SIGTERM": drain_and_stop,
+        "SIGINT": drain_and_stop,
+        "SIGUSR2": lambda: _dump_on_signal(service, announce),
+    }
+    try:
+        for name, action in actions.items():
+            if hasattr(signal, name):  # SIGUSR2 is POSIX-only
+                signal.signal(
+                    getattr(signal, name),
+                    lambda _signum, _frame, action=action: threading.Thread(
+                        target=action, daemon=True
+                    ).start(),
+                )
+    except ValueError:
+        pass  # not the main thread; the embedder owns signal handling
+    for server in servers[1:]:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        ready()
+        servers[0].serve_forever()
+    finally:
+        for server in servers[1:]:
+            server.shutdown()
+        for server in servers:
+            server.server_close()
+        service.close()
+
+
 def serve(
     service: ChopService,
     host: str = "127.0.0.1",
     port: int = 8080,
-    drain_timeout_s: Optional[float] = None,
+    announce: Callable[[str], None] = _quiet,
 ) -> None:
-    """Run the server until interrupted (the CLI entry point).
+    """Run one server process until a signal drains it (``chop serve``).
 
-    ``SIGTERM`` triggers a graceful drain: admissions stop immediately
-    (``/readyz`` flips to 503, new ``POST`` s get the same), running
-    jobs get up to the drain timeout to finish, stragglers are
-    cancelled cooperatively, and only then does the socket close.
-    ``KeyboardInterrupt`` (Ctrl-C) takes the same path.  ``SIGUSR2``
-    dumps the flight recorder to the service's flight directory (the
-    working directory when unset) without interrupting traffic.
+    The first line passed to ``announce`` is the banner
+    ``chop-repro serving on http://HOST:PORT (...)`` naming the port
+    actually bound — ``port=0`` binds an ephemeral one, which wrappers
+    parse from that line.  The drain progress lines follow it; see
+    :func:`serve_until_drained` for the signal contract.
     """
     server = make_server(service, host, port)
-    drained = threading.Event()
+    bound_port = server.server_address[1]
+    search = (
+        f"{service.engine.workers} search workers"
+        if service.engine is not None
+        else "in-process search"
+    )
+    disk = (
+        f", disk cache {service.disk_cache.directory}"
+        if service.disk_cache is not None
+        else ""
+    )
 
-    def _on_sigusr2(signum: Any, frame: Any) -> None:
-        # Black-box pull from a live process; write from a helper
-        # thread so the handler returns immediately.
-        def _dump() -> None:
-            if service.flight_dir:
-                service._dump_flight(reason="sigusr2")
-            else:
-                service.flight.dump_to(
-                    f"flight-{int(time.time())}-sigusr2.json"
-                )
+    def ready() -> None:
+        announce(
+            f"chop-repro serving on http://{host}:{bound_port} "
+            f"({service.jobs.workers} job threads, {search}, "
+            f"cache {service.cache.capacity}, "
+            f"max {service.sessions.capacity} sessions, "
+            f"queue cap {service.jobs.max_queued}, "
+            f"drain {service.drain_timeout_s:g}s{disk})"
+        )
+        service.log.info(
+            "service_started",
+            host=host,
+            port=bound_port,
+            job_threads=service.jobs.workers,
+            search_workers=(
+                service.engine.workers if service.engine is not None else 0
+            ),
+        )
 
-        threading.Thread(target=_dump, daemon=True).start()
-
-    if hasattr(signal, "SIGUSR2"):
-        try:
-            signal.signal(signal.SIGUSR2, _on_sigusr2)
-        except ValueError:
-            pass  # not the main thread; embedders dump directly
-
-    def _drain_and_stop() -> None:
-        if drained.is_set():
-            return
-        drained.set()
-        service.drain(timeout_s=drain_timeout_s)
-        server.shutdown()
-
-    def _on_sigterm(signum: Any, frame: Any) -> None:
-        # serve_forever holds the main thread; drain from a helper so
-        # the signal handler returns immediately.
-        threading.Thread(target=_drain_and_stop, daemon=True).start()
-
-    try:
-        signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:
-        # Not the main thread (embedded/test use) — SIGTERM handling
-        # is the embedder's job; drain() is still callable directly.
-        pass
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        _drain_and_stop()
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
+    serve_until_drained(service, [server], ready, announce)

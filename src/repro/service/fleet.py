@@ -50,7 +50,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.logging import get_logger
 from repro.obs.prometheus import merge_expositions
-from repro.service.app import ChopService, Response, _Handler
+from repro.service.app import (
+    ChopService,
+    Response,
+    _Handler,
+    serve_until_drained,
+)
 
 try:
     from repro.io.project import project_fingerprint
@@ -370,7 +375,6 @@ def _run_worker(
     public_addr: Tuple[str, int],
     make_service: Callable[[FleetRouter], ChopService],
     ready_fd: int,
-    drain_timeout_s: Optional[float],
 ) -> None:
     """Everything one forked worker does; never returns (``os._exit``)."""
     log = get_logger("fleet")
@@ -390,50 +394,20 @@ def _run_worker(
             host="127.0.0.1",
         )
         service = make_service(router)
-        public_server = server_over(public_sock, service, internal=False)
-        internal_server = server_over(
-            internal_sock, service, internal=True
+
+        def ready() -> None:
+            # Signal handlers and listeners are live; parent may let go.
+            os.write(ready_fd, b"x")
+            os.close(ready_fd)
+
+        serve_until_drained(
+            service,
+            [
+                server_over(public_sock, service, internal=False),
+                server_over(internal_sock, service, internal=True),
+            ],
+            ready,
         )
-        drained = threading.Event()
-
-        def _drain_and_stop() -> None:
-            if drained.is_set():
-                return
-            drained.set()
-            service.drain(timeout_s=drain_timeout_s)
-            public_server.shutdown()
-            internal_server.shutdown()
-
-        def _on_sigterm(signum: Any, frame: Any) -> None:
-            threading.Thread(target=_drain_and_stop, daemon=True).start()
-
-        signal.signal(signal.SIGTERM, _on_sigterm)
-        signal.signal(signal.SIGINT, _on_sigterm)
-        if hasattr(signal, "SIGUSR2"):
-            signal.signal(
-                signal.SIGUSR2,
-                lambda s, f: threading.Thread(
-                    target=service._dump_flight,
-                    kwargs={"reason": "sigusr2"},
-                    daemon=True,
-                ).start(),
-            )
-
-        internal_thread = threading.Thread(
-            target=internal_server.serve_forever, daemon=True
-        )
-        internal_thread.start()
-        os.write(ready_fd, b"x")  # listeners are live; parent may let go
-        os.close(ready_fd)
-        try:
-            public_server.serve_forever()
-        except KeyboardInterrupt:
-            _drain_and_stop()
-        finally:
-            public_server.server_close()
-            internal_server.shutdown()
-            internal_server.server_close()
-            service.close()
         exit_code = 0
     except Exception as exc:  # pragma: no cover - crash diagnostics
         log.error("fleet worker crashed", worker=index, error=str(exc))
@@ -449,7 +423,6 @@ def serve_fleet(
     host: str = "127.0.0.1",
     port: int = 8080,
     procs: int = 2,
-    drain_timeout_s: Optional[float] = None,
     announce: Optional[Callable[[str], None]] = None,
 ) -> int:
     """Bind once, fork ``procs`` workers, supervise until drained.
@@ -500,7 +473,6 @@ def serve_fleet(
                 (bound_host, bound_port),
                 make_service,
                 write_fd,
-                drain_timeout_s,
             )
             raise AssertionError("worker returned")  # pragma: no cover
         children.append(pid)

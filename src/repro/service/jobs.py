@@ -7,11 +7,12 @@ so the serving layer runs them on a worker pool off the request thread:
 polls ``GET /jobs/{id}``.
 
 Jobs move ``queued -> running -> done | failed | cancelled``.  Timeouts
-and cancellation are *cooperative*: the job function receives a
-``should_stop()`` callable wired into the search heuristics' cancellation
-hooks (see :meth:`repro.core.chop.ChopSession.check`), which starts
-returning ``True`` once the job is cancelled or its wall-clock budget is
-spent.  A queued job that is cancelled never starts.
+and cancellation are *cooperative*: the job function receives its
+:class:`Job`, whose ``should_stop()`` is wired into the search
+heuristics' cancellation hooks (see
+:meth:`repro.core.chop.ChopSession.check`) and starts returning ``True``
+once the job is cancelled or its wall-clock budget is spent.  A queued
+job that is cancelled never starts.
 
 Resilience (see ``docs/resilience.md``):
 
@@ -170,19 +171,17 @@ class JobQueue:
     # ------------------------------------------------------------------
     def submit(
         self,
-        fn: Callable[..., Any],
+        fn: Callable[[Job], Any],
         kind: str = "job",
         timeout_s: Optional[float] = None,
-        pass_job: bool = False,
         session_key: Optional[str] = None,
     ) -> Job:
-        """Queue ``fn(should_stop)``; returns the job record immediately.
+        """Queue ``fn(job)``; returns the job record immediately.
 
         ``timeout_s=None`` uses the queue default; pass ``0`` (or any
-        non-positive value) for no timeout.  With ``pass_job`` the
-        function receives the whole :class:`Job` instead of just the
-        ``should_stop`` hook — engine-backed searches use this to wire
-        :meth:`Job.report_progress` into per-shard callbacks.
+        non-positive value) for no timeout.  The function polls
+        :meth:`Job.should_stop` for cooperative cancellation and may
+        wire :meth:`Job.report_progress` into per-shard callbacks.
 
         Raises :class:`~repro.errors.DrainingError` once the queue is
         draining, and :class:`~repro.errors.QueueFullError` when the
@@ -232,12 +231,10 @@ class JobQueue:
                 session_key=session_key,
             )
             self._jobs[job.id] = job
-        self._executor.submit(self._run, job, fn, pass_job)
+        self._executor.submit(self._run, job, fn)
         return job
 
-    def _run(
-        self, job: Job, fn: Callable[..., Any], pass_job: bool = False
-    ) -> None:
+    def _run(self, job: Job, fn: Callable[[Job], Any]) -> None:
         with self._lock:
             if job.cancel_event.is_set():
                 job.state = CANCELLED
@@ -253,7 +250,7 @@ class JobQueue:
             job.attempts += 1
             try:
                 maybe_inject("job")
-                result = fn(job) if pass_job else fn(job.should_stop)
+                result = fn(job)
             except SearchCancelled as exc:
                 with self._lock:
                     job.finished_at = time.time()

@@ -1,69 +1,33 @@
-"""Request metrics: registry-backed histograms + the legacy JSON shape.
+"""Request metrics: the HTTP families of one registry and their JSON view.
 
-Every finished request lands twice, deliberately:
+Every finished request is recorded once, in the
+:class:`repro.obs.metrics.MetricsRegistry` the service runs on — the
+``requests_total`` / ``responses_total{status}`` /
+``route_requests_total{route}`` counters and the
+``request_latency_seconds{route,class}`` histogram (with the request's
+trace id as exemplar).  The Prometheus exposition, the SLO tracker and
+the legacy ``/metrics`` JSON shape all read these families, so they
+agree: the JSON ``routes.<route>.latency_ms.p50/p95`` are the same
+bucket-derived quantiles PromQL's ``histogram_quantile`` gives.  Route
+labels are route-table templates (:data:`repro.service.app.ROUTES`),
+so their number is bounded by the table, not by what clients send.
 
-* in the shared :class:`repro.obs.metrics.MetricsRegistry` — the
-  ``requests_total`` / ``responses_total{status}`` /
-  ``route_requests_total{route}`` counters and the
-  ``request_latency_seconds{route,class}`` histogram (with the request's
-  trace id as exemplar).  This is the *authoritative* surface: the
-  Prometheus exposition, the SLO tracker and the soak benchmark all read
-  bucket-derived percentiles from here;
-* in a small **bounded** per-route sample window that backs the legacy
-  ``/metrics`` JSON shape (``routes.<route>.latency_ms.p50/p95`` via the
-  linear-interpolation :func:`percentile`).  Retention is bounded on
-  both axes: at most :data:`MAX_SAMPLES` samples per route *and* at most
-  :data:`MAX_ROUTES` distinct route labels — traffic to further routes
-  aggregates under ``(other)`` so a label-cardinality attack cannot grow
-  the process.
-
-Subsystem statistics still arrive through *registered gauge suppliers*
-(each subsystem exposes a ``stats()`` callable); registration now also
-mirrors the supplier into the registry
-(:meth:`~repro.obs.metrics.MetricsRegistry.register_stats`), so every
-subsystem appears in the Prometheus text exposition as real gauges
-without a second wiring step.
+The JSON view also carries one block per subsystem ``stats()`` supplier
+registered on the registry
+(:meth:`~repro.obs.metrics.MetricsRegistry.register_stats`) — the same
+suppliers the Prometheus exposition renders as ``chop_<label>_*``
+gauges.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import defaultdict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry, get_registry
-
-#: Latency samples retained per route — enough for stable p50/p95 under
-#: bursty interactive traffic without unbounded growth.
-MAX_SAMPLES = 2048
-
-#: Distinct route labels tracked before new ones collapse into
-#: ``(other)`` — route labels come from path templates, so a healthy
-#: server needs ~20; the cap only defends against label-cardinality
-#: blowups (e.g. junk 404 paths).
-MAX_ROUTES = 64
-
-#: The catch-all route label once :data:`MAX_ROUTES` is reached.
-OVERFLOW_ROUTE = "(other)"
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """Linear-interpolated percentile (q in [0, 100]) of a non-empty list.
-
-    Uses the standard exclusive-of-nothing definition (numpy's default):
-    the percentile position is ``q/100 * (n-1)`` and values between ranks
-    interpolate linearly — so the p50 of ``[1, 2]`` is ``1.5``, not ``2``
-    as the old nearest-rank rounding produced.
-    """
-    ordered = sorted(samples)
-    n = len(ordered)
-    if n == 1:
-        return ordered[0]
-    position = max(0.0, min(100.0, q)) / 100.0 * (n - 1)
-    lower = int(position)
-    upper = min(lower + 1, n - 1)
-    fraction = position - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+from repro.obs.metrics import (
+    MetricsRegistry,
+    get_registry,
+    quantile_from_counts,
+)
 
 
 def status_class(status: int) -> str:
@@ -72,30 +36,10 @@ def status_class(status: int) -> str:
 
 
 class Metrics:
-    """Per-route request counts, status counts and latency percentiles."""
+    """The request families of one registry and their JSON snapshot."""
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        max_samples: int = MAX_SAMPLES,
-        max_routes: int = MAX_ROUTES,
-    ) -> None:
-        if max_samples < 1:
-            raise ValueError(
-                f"max_samples must be >= 1, got {max_samples}"
-            )
-        if max_routes < 1:
-            raise ValueError(f"max_routes must be >= 1, got {max_routes}")
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else get_registry()
-        self.max_samples = max_samples
-        self.max_routes = max_routes
-        self._lock = threading.Lock()
-        self._requests: Dict[str, int] = defaultdict(int)
-        self._statuses: Dict[int, int] = defaultdict(int)
-        self._latencies: Dict[str, Deque[float]] = defaultdict(
-            lambda: deque(maxlen=max_samples)
-        )
-        self._gauges: Dict[str, Callable[[], Any]] = {}
         self._requests_total = self.registry.counter(
             "requests_total", "Requests served, all routes"
         )
@@ -120,29 +64,6 @@ class Metrics:
         """The registry request-latency histogram (SLOs read this)."""
         return self._latency
 
-    def register_gauges(
-        self, label: str, supplier: Callable[[], Any]
-    ) -> None:
-        """Attach a subsystem's ``stats()`` callable to the snapshot.
-
-        ``supplier`` is invoked on every :meth:`snapshot` and its result
-        appears under ``label``; suppliers must be thread-safe and cheap.
-        The supplier is also mirrored into the shared registry, so its
-        numeric leaves show up as ``chop_<label>_*`` gauges in the
-        Prometheus exposition.
-        """
-        with self._lock:
-            self._gauges[label] = supplier
-        self.registry.register_stats(label, supplier)
-
-    def _route_label(self, route: str) -> str:
-        """Cap route-label cardinality; callers hold the lock."""
-        if route in self._requests or (
-            len(self._requests) < self.max_routes
-        ):
-            return route
-        return OVERFLOW_ROUTE
-
     def observe(
         self,
         route: str,
@@ -151,44 +72,48 @@ class Metrics:
         trace_id: Optional[str] = None,
     ) -> None:
         """Record one finished request (``trace_id`` becomes an exemplar)."""
-        with self._lock:
-            label = self._route_label(route)
-            self._requests[label] += 1
-            self._statuses[status] += 1
-            self._latencies[label].append(seconds)
         self._requests_total.inc()
         self._responses_total.labels(status=str(int(status))).inc()
-        self._route_requests.labels(route=label).inc()
+        self._route_requests.labels(route=route).inc()
         self._latency.labels(
-            route=label, **{"class": status_class(status)}
+            route=route, **{"class": status_class(status)}
         ).observe(seconds, exemplar=trace_id)
 
     def snapshot(self) -> Dict[str, Any]:
-        """A JSON-serializable view of everything recorded so far."""
-        with self._lock:
-            suppliers = dict(self._gauges)
-            routes: Dict[str, Any] = {}
-            for route, count in sorted(self._requests.items()):
-                samples = list(self._latencies[route])
-                routes[route] = {
-                    "count": count,
-                    "latency_ms": {
-                        "p50": round(percentile(samples, 50) * 1000, 3),
-                        "p95": round(percentile(samples, 95) * 1000, 3),
-                    }
-                    if samples
-                    else None,
+        """A JSON-serializable view of everything recorded so far.
+
+        ``requests_total`` is summed from the same pass over the route
+        counters that yields ``routes``, so a snapshot taken while
+        requests land is still internally consistent.
+        """
+        buckets = self._latency.buckets
+        routes: Dict[str, Any] = {}
+        for sample in self._route_requests.samples():
+            route = sample["labels"]["route"]
+            counts, total, _ = self._latency.aggregate(
+                where={"route": route}
+            )
+            routes[route] = {
+                "count": int(sample["value"]),
+                "latency_ms": {
+                    key: round(
+                        quantile_from_counts(buckets, counts, q) * 1000, 3
+                    )
+                    for key, q in (("p50", 0.5), ("p95", 0.95))
                 }
-            doc = {
-                "requests_total": sum(self._requests.values()),
-                "responses_by_status": {
-                    str(code): count
-                    for code, count in sorted(self._statuses.items())
-                },
-                "routes": routes,
+                if total
+                else None,
             }
-        # Suppliers run outside our lock: they take their own locks and
-        # must never nest under this one.
-        for label, supplier in sorted(suppliers.items()):
+        doc: Dict[str, Any] = {
+            "requests_total": sum(r["count"] for r in routes.values()),
+            "responses_by_status": {
+                sample["labels"]["status"]: int(sample["value"])
+                for sample in self._responses_total.samples()
+            },
+            "routes": routes,
+        }
+        # Suppliers run outside every lock: they take their own locks,
+        # and one may record a request of its own.
+        for label, supplier in self.registry.stats_suppliers():
             doc[label] = supplier()
         return doc

@@ -19,6 +19,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 
@@ -353,4 +354,49 @@ class TestFleetEndToEnd:
         # Fleet drain: SIGTERM to the parent, every worker exits 0.
         proc.send_signal(signal.SIGTERM)
         proc.communicate(timeout=60)
+        assert proc.returncode == 0
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGUSR2")
+        or not os.path.exists(f"/proc/{os.getpid()}/task"),
+        reason="needs SIGUSR2 and /proc to find the worker pids",
+    )
+    def test_sigusr2_dumps_each_worker_to_the_working_directory(
+        self, tmp_path
+    ):
+        """Workers run the one serve loop: SIGUSR2 dumps the flight
+        recorder even without --flight-dir, one file per worker."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--procs", "2", "--workers", "1",
+                "--drain-timeout", "5",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            cwd=str(tmp_path),
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "2 workers" in banner, banner
+            children = pathlib.Path(
+                f"/proc/{proc.pid}/task/{proc.pid}/children"
+            ).read_text().split()
+            assert len(children) == 2
+            for pid in children:
+                os.kill(int(pid), signal.SIGUSR2)
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline and len(
+                list(tmp_path.glob("flight-*-sigusr2.json"))
+            ) < 2:
+                time.sleep(0.05)
+            assert len(list(tmp_path.glob("flight-*-sigusr2.json"))) == 2
+        finally:
+            # The parent fans SIGTERM out, so no worker is orphaned.
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=60)
         assert proc.returncode == 0

@@ -1,47 +1,21 @@
-"""Concurrency and percentile tests for the service metrics."""
+"""Concurrency, registry and route-label tests for the service metrics."""
 
 from __future__ import annotations
 
 import threading
-
-import pytest
+import uuid
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service.metrics import (
-    OVERFLOW_ROUTE,
-    Metrics,
-    percentile,
-    status_class,
-)
-
-
-class TestPercentile:
-    def test_interpolates_between_ranks(self):
-        assert percentile([1.0, 2.0], 50) == 1.5
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5
-        assert percentile([1.0, 2.0, 3.0, 4.0], 25) == 1.75
-
-    def test_endpoints_and_single_sample(self):
-        samples = [5.0, 1.0, 3.0]
-        assert percentile(samples, 0) == 1.0
-        assert percentile(samples, 100) == 5.0
-        assert percentile(samples, 50) == 3.0
-        assert percentile([7.0], 50) == 7.0
-        assert percentile([7.0], 95) == 7.0
-
-    def test_out_of_range_q_clamps(self):
-        assert percentile([1.0, 2.0], -10) == 1.0
-        assert percentile([1.0, 2.0], 500) == 2.0
-
-    def test_unsorted_input(self):
-        assert percentile([4.0, 1.0, 3.0, 2.0], 50) == 2.5
+from repro.service import ChopService
+from repro.service.app import ROUTES, UNMATCHED
+from repro.service.metrics import Metrics, status_class
 
 
 class TestMetricsConcurrency:
     def test_concurrent_observe_and_snapshot_stay_consistent(self):
         """8 threads hammer observe() while snapshots run concurrently;
         totals must be exact and snapshots internally consistent."""
-        metrics = Metrics()
+        metrics = Metrics(registry=MetricsRegistry())
         threads_n, per_thread = 8, 500
         barrier = threading.Barrier(threads_n + 1)
         errors = []
@@ -93,63 +67,30 @@ class TestMetricsConcurrency:
             assert doc["latency_ms"]["p95"] >= doc["latency_ms"]["p50"]
 
     def test_gauge_suppliers_run_outside_the_metrics_lock(self):
-        """A supplier that takes the metrics lock itself must not
+        """A supplier that takes the registry lock itself must not
         deadlock — snapshot() promises to call suppliers unlocked."""
-        metrics = Metrics()
+        registry = MetricsRegistry()
+        metrics = Metrics(registry=registry)
         acquired = []
 
         def supplier():
             # Would time out if snapshot() held the (non-reentrant)
             # lock while invoking us.
-            got = metrics._lock.acquire(timeout=2)
+            got = registry._lock.acquire(timeout=2)
             acquired.append(got)
             if got:
-                metrics._lock.release()
+                registry._lock.release()
             # The canonical re-entrancy hazard: a supplier recording a
             # metric of its own.
             metrics.observe("supplier /self", 0.001, 200)
             return {"ok": True}
 
-        metrics.register_gauges("probe", supplier)
+        registry.register_stats("probe", supplier)
         snap = metrics.snapshot()
         assert acquired == [True]
         assert snap["probe"] == {"ok": True}
         # The supplier's own observe landed for the next snapshot.
         assert metrics.snapshot()["requests_total"] == 1
-
-
-class TestBoundedRetention:
-    def test_sample_window_is_bounded_per_route(self):
-        metrics = Metrics(
-            registry=MetricsRegistry(), max_samples=16
-        )
-        for i in range(100):
-            metrics.observe("GET /x", float(i), 200)
-        assert len(metrics._latencies["GET /x"]) == 16
-        snap = metrics.snapshot()
-        # Counts keep the full total; percentiles use the window.
-        assert snap["routes"]["GET /x"]["count"] == 100
-        assert snap["routes"]["GET /x"]["latency_ms"]["p50"] >= 84000
-
-    def test_route_cardinality_capped_with_overflow_label(self):
-        metrics = Metrics(registry=MetricsRegistry(), max_routes=4)
-        for i in range(10):
-            metrics.observe(f"GET /junk{i}", 0.001, 404)
-        snap = metrics.snapshot()
-        # max_routes distinct labels plus the overflow bucket.
-        assert len(snap["routes"]) == 5
-        assert OVERFLOW_ROUTE in snap["routes"]
-        assert snap["routes"][OVERFLOW_ROUTE]["count"] == 6
-        assert snap["requests_total"] == 10
-        # A known route keeps its own label even at the cap.
-        metrics.observe("GET /junk0", 0.001, 404)
-        assert metrics.snapshot()["routes"]["GET /junk0"]["count"] == 2
-
-    def test_invalid_bounds_raise(self):
-        with pytest.raises(ValueError):
-            Metrics(registry=MetricsRegistry(), max_samples=0)
-        with pytest.raises(ValueError):
-            Metrics(registry=MetricsRegistry(), max_routes=0)
 
 
 class TestRegistryMirror:
@@ -181,9 +122,68 @@ class TestRegistryMirror:
         assert status_class(404) == "4xx"
         assert status_class(503) == "5xx"
 
-    def test_register_gauges_mirrors_to_registry_stats(self):
+    def test_registered_stats_feed_json_and_gauges(self):
         registry = MetricsRegistry()
         metrics = Metrics(registry=registry)
-        metrics.register_gauges("cache", lambda: {"hits": 5})
+
+        def supplier():
+            return {"hits": 5}
+
+        registry.register_stats("cache", supplier)
         docs = {d["name"]: d for d in registry.collect()}
         assert docs["cache_hits"]["samples"][0]["value"] == 5.0
+        assert metrics.snapshot()["cache"] == {"hits": 5}
+        # Withdrawing another supplier leaves the owner's in place.
+        registry.unregister_stats("cache", lambda: {"hits": 0})
+        assert metrics.snapshot()["cache"] == {"hits": 5}
+        registry.unregister_stats("cache", supplier)
+        assert "cache" not in metrics.snapshot()
+
+
+class TestRouteLabels:
+    def test_labels_are_bounded_by_the_route_table(self):
+        """Junk paths and random ids never become metric labels: every
+        response counts under a route template or ``(unmatched)``."""
+        registry = MetricsRegistry()
+        service = ChopService(workers=1, registry=registry)
+        try:
+
+            def get(path):
+                status, _payload, route, _headers = service.handle(
+                    "GET", path, None
+                )
+                service.note_request(route, 0.001, status, path=path)
+                return status, route
+
+            for _ in range(100):
+                assert get(f"/{uuid.uuid4().hex}/x") == (404, UNMATCHED)
+                assert get(f"/projects/{uuid.uuid4().hex[:16]}") == (
+                    404, "GET /projects/{id}",
+                )
+                assert get(f"/jobs/{uuid.uuid4().hex}") == (
+                    404, "GET /jobs/{id}",
+                )
+            assert get("/healthz") == (200, "GET /healthz")
+
+            allowed = set(ROUTES) | {UNMATCHED}
+            routes = {
+                s["labels"]["route"]
+                for s in registry.get("route_requests_total").samples()
+            }
+            assert routes <= allowed
+            assert "GET /healthz" in routes
+            latency_routes = {
+                s["labels"]["route"]
+                for s in registry.get("request_latency_seconds").samples()
+            }
+            assert latency_routes == routes
+            snapshot = service.metrics.snapshot()
+            assert snapshot["routes"][UNMATCHED]["count"] == 100
+            assert snapshot["routes"]["GET /healthz"]["count"] == 1
+            assert snapshot["requests_total"] == 301
+            # The bounded flight ring keeps the raw path of a miss.
+            newest_miss = service.flight.recent(limit=2)[1]
+            assert newest_miss["route"] == "GET /jobs/{id}"
+            assert newest_miss["path"].startswith("/jobs/")
+        finally:
+            service.close()

@@ -1,6 +1,7 @@
 """The metrics registry: families, labels, histograms, exposition."""
 
 import math
+import statistics
 import threading
 
 import pytest
@@ -24,7 +25,6 @@ from repro.obs.prometheus import (
     sample_line,
     unescape_label_value,
 )
-from repro.service.metrics import percentile
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +227,14 @@ class TestHistogram:
         samples = [0.0007 * (i % 97 + 1) for i in range(500)]
         for v in samples:
             h.observe(v)
-        for q, pct in ((0.5, 50.0), (0.95, 95.0)):
+        # The inclusive method interpolates at rank q * (n - 1), the
+        # linear definition (numpy's default).
+        exact_percentiles = statistics.quantiles(
+            samples, n=100, method="inclusive"
+        )
+        for q, pct in ((0.5, 50), (0.95, 95)):
             derived = h.quantile(q)
-            exact = percentile(samples, pct)
+            exact = exact_percentiles[pct - 1]
             assert derived is not None
             assert abs(derived - exact) <= h.bucket_width_at(exact)
 

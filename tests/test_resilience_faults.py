@@ -264,7 +264,7 @@ class TestJobRetry:
             retry_stats=stats,
         )
         try:
-            job = queue.submit(lambda should_stop: "survived")
+            job = queue.submit(lambda job: "survived")
             finished = queue.wait(job.id, timeout=10)
             assert finished.state == DONE
             assert finished.result == "survived"
@@ -286,7 +286,7 @@ class TestJobRetry:
             retry_stats=stats,
         )
         try:
-            job = queue.submit(lambda should_stop: "never")
+            job = queue.submit(lambda job: "never")
             finished = queue.wait(job.id, timeout=10)
             assert finished.state == "failed"
             assert finished.attempts == 2
@@ -301,7 +301,7 @@ class TestJobRetry:
         )
         try:
 
-            def broken(should_stop):
+            def broken(job):
                 raise ValueError("logic bug")
 
             job = queue.submit(broken)

@@ -50,7 +50,7 @@ class _Gate:
         self.release = threading.Event()
         self.running = threading.Event()
 
-    def job(self, should_stop):
+    def job(self, _job):
         self.running.set()
         self.release.wait(timeout=30)
         return "done"

@@ -45,14 +45,14 @@ class _Gate:
         self.release = threading.Event()
         self.running = threading.Event()
 
-    def job(self, should_stop):
+    def job(self, _job):
         self.running.set()
         self.release.wait(timeout=30)
         return "done"
 
-    def cooperative_job(self, should_stop):
+    def cooperative_job(self, job):
         self.running.set()
-        while not should_stop():
+        while not job.should_stop():
             time.sleep(0.01)
         return "stopped"
 
@@ -82,7 +82,7 @@ class TestShutdownMarksQueuedJobs:
         queue = JobQueue(workers=1)
         queue.shutdown()
         with pytest.raises(DrainingError):
-            queue.submit(lambda should_stop: None)
+            queue.submit(lambda job: None)
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +121,7 @@ class TestDrain:
         queue = JobQueue(workers=1)
         queue.drain(timeout_s=0.1)
         with pytest.raises(DrainingError):
-            queue.submit(lambda should_stop: None)
+            queue.submit(lambda job: None)
 
 
 # ----------------------------------------------------------------------

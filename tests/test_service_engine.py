@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.experiments import experiment1_session, experiment2_session
 from repro.io.project import session_to_dict
 from repro.service import ChopService
@@ -134,6 +135,34 @@ class TestDiskCacheAcrossRestarts:
             assert warm_doc == cold_doc
         finally:
             second.close()
+
+    def test_cli_and_service_share_one_entry(
+        self, tmp_path, project_doc, capsys
+    ):
+        """One warm-up keyed one way: a document that omits a defaulted
+        section is cached once, whichever caller computed it first."""
+        doc = dict(project_doc)
+        del doc["memories"]
+        path = tmp_path / "project.json"
+        path.write_text(json.dumps(doc))
+        cache_dir = tmp_path / "predictions"
+        assert cli_main(
+            ["check", str(path), "--disk-cache", str(cache_dir)]
+        ) == 0
+        assert "disk cache: miss" in capsys.readouterr().out
+
+        service = ChopService(workers=1, disk_cache_dir=str(cache_dir))
+        try:
+            pid = upload(service, doc)
+            status, _ = call(service, "POST", f"/projects/{pid}/check", {})
+            assert status == 200
+            stats = service.disk_cache.stats()
+            assert (stats["hits"], stats["misses"], stats["stores"]) == (
+                1, 0, 0,
+            )
+        finally:
+            service.close()
+        assert len(list(cache_dir.glob("*.predictions.pkl"))) == 1
 
 
 class TestCombinationExplosionDetail:

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import experiment1_session
 from repro.io.project import session_to_dict
+from repro.obs.metrics import MetricsRegistry
 from repro.service import ChopService, make_server
+from repro.service.app import _dump_on_signal
 from tests.test_io_properties import HOSTILE_EDITS, mutated
 
 
@@ -25,7 +29,11 @@ def project_doc():
 
 @pytest.fixture()
 def server():
-    service = ChopService(workers=1, job_timeout_s=60.0)
+    # A private registry: route counts are registry-scoped, and the
+    # assertions below count this server's requests only.
+    service = ChopService(
+        workers=1, job_timeout_s=60.0, registry=MetricsRegistry()
+    )
     httpd = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -139,9 +147,11 @@ class TestRoundTrip:
             assert status == 400, (path, value)
             assert err["type"] == "specification", (path, value)
 
-        # Raw bytes that are not JSON at all.
-        status, err = raw_request(port, "POST", "/projects", b"{nope")
-        assert status == 400
+        # Raw bytes that are not JSON at all, and an integer with more
+        # digits than the interpreter will parse.
+        for raw in (b"{nope", b'{"graph": ' + b"1" * 5000 + b"}"):
+            status, err = raw_request(port, "POST", "/projects", raw)
+            assert status == 400, raw[:20]
 
         status, pid_doc = request(port, "POST", "/projects", project_doc)
         pid = pid_doc["project_id"]
@@ -150,6 +160,32 @@ class TestRoundTrip:
             {"heuristic": "simulated-annealing"},
         )
         assert status == 400 and "unknown heuristic" in err["error"]
+        assert err["type"] == "invalid_option"
+
+        # Options are read as their JSON types: no string is iterated,
+        # truncated or truth-tested into a value.
+        for route, options, name in (
+            ("explore", {"chip_counts": "12"}, "chip_counts"),
+            ("explore", {"chip_counts": [2.9]}, "chip_counts"),
+            ("explore", {"package_scales": [math.inf]}, "package_scales"),
+            ("explore", {"objectives": "cost"}, "objectives"),
+            ("explore", {"include_projects": "yes"}, "include_projects"),
+            ("explore", {"k_max": 10**12}, "k_max"),
+            ("auto", {"chips": 2.9}, "chips"),
+            ("auto", {"chips": True}, "chips"),
+            ("auto", {"replicate": "no"}, "replicate"),
+            ("auto", {"balance_tolerance": "0.3"}, "balance_tolerance"),
+            ("auto", {"include_assignment": "yes"}, "include_assignment"),
+            ("check", {"prune": "false"}, "prune"),
+            ("enumerate", {"explain": "false", "heuristic": "iterative"},
+             "explain"),
+        ):
+            status, err = request(
+                port, "POST", f"/projects/{pid}/{route}", options
+            )
+            assert status == 400, (route, options, err)
+            assert err["type"] == "invalid_option", (route, options, err)
+            assert name in err["error"], (route, options, err)
 
         # Option bodies must be JSON objects, and deadlines finite.
         for route in ("check", "enumerate", "auto", "explore"):
@@ -167,6 +203,98 @@ class TestRoundTrip:
                 assert status == 400, (route, bad)
                 assert err["type"] == "invalid_option"
                 assert option in err["error"]
+
+
+#: The documented options of each option route and the JSON types each
+#: accepts; ``null`` means "unset" only where the default is unset.
+NUMBER = {"integer", "float"}
+OPTIONAL_NUMBER = NUMBER | {"null"}
+OPTION_TYPES = {
+    "check": {
+        "heuristic": {"string"},
+        "prune": {"boolean"},
+        "soft_deadline_s": OPTIONAL_NUMBER,
+    },
+    "enumerate": {
+        "heuristic": {"string"},
+        "prune": {"boolean"},
+        "explain": {"boolean"},
+        "timeout_s": OPTIONAL_NUMBER,
+    },
+    "auto": {
+        "chips": {"integer"},
+        "replicate": {"boolean"},
+        "max_clones": {"integer"},
+        "balance_tolerance": NUMBER,
+        "feasibility_moves": {"integer"},
+        "heuristic": {"string"},
+        "timeout_s": OPTIONAL_NUMBER,
+        "include_assignment": {"boolean"},
+    },
+    "explore": {
+        "k_min": {"integer"},
+        "k_max": {"integer"},
+        "chip_counts": {"array"},
+        "package_scales": {"array"},
+        "objectives": {"array"},
+        "seeding": {"string"},
+        "heuristic": {"string"},
+        "timeout_s": OPTIONAL_NUMBER,
+        "include_projects": {"boolean"},
+    },
+}
+VALID_OPTIONS = {
+    "check": {},
+    "enumerate": {},
+    "auto": {"chips": 2},
+    "explore": {"k_min": 1, "k_max": 2},
+}
+JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(-3, 3),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=6),
+    "array": st.lists(st.integers(1, 3), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+@st.composite
+def wrong_option(draw, route):
+    name = draw(st.sampled_from(sorted(OPTION_TYPES[route])))
+    wrong = sorted(set(JSON_VALUES) - OPTION_TYPES[route][name])
+    return name, draw(JSON_VALUES[draw(st.sampled_from(wrong))])
+
+
+@pytest.fixture(scope="module")
+def resident_project(project_doc):
+    service = ChopService(workers=1, registry=MetricsRegistry())
+    body = json.dumps(project_doc).encode()
+    _status, project, _route, _headers = service.handle(
+        "POST", "/projects", body
+    )
+    yield service, project["project_id"]
+    service.close()
+
+
+@pytest.mark.parametrize("route", sorted(OPTION_TYPES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wrong_json_type_is_an_invalid_option_400(
+    resident_project, route, data
+):
+    """Property: one documented option of a valid body set to a value
+    of a wrong JSON type is a 400 ``invalid_option`` naming it."""
+    service, pid = resident_project
+    name, value = data.draw(wrong_option(route))
+    body = dict(VALID_OPTIONS[route], **{name: value})
+    status, payload, _route, _headers = service.handle(
+        "POST", f"/projects/{pid}/{route}", json.dumps(body).encode()
+    )
+    assert status == 400, (body, payload)
+    assert payload["type"] == "invalid_option", (body, payload)
+    assert name in payload["error"], (body, payload)
 
 
 class TestConcurrencyAndCache:
@@ -506,6 +634,24 @@ class TestObservability:
             doc = json.loads(dumps[0].read_text())
             routes = [r.get("route") for r in doc["records"]]
             assert "POST /projects" in routes
+        finally:
+            service.close()
+
+    def test_sigusr2_dump_without_flight_dir_lands_in_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        service = ChopService(workers=1, registry=MetricsRegistry())
+        try:
+            service.note_request("GET /healthz", 0.001, 200, path="/healthz")
+            lines = []
+            path = _dump_on_signal(service, lines.append)
+            dumps = list(tmp_path.glob("flight-*-sigusr2.json"))
+            assert len(dumps) == 1
+            assert lines == [f"flight recorder dumped to {path}"]
+            record = json.loads(dumps[0].read_text())["records"][0]
+            assert record["route"] == "GET /healthz"
+            assert record["path"] == "/healthz"
         finally:
             service.close()
 

@@ -25,10 +25,10 @@ def queue():
     q.shutdown()
 
 
-def _cooperative(should_stop):
+def _cooperative(job):
     """A job that politely polls its hook, like the search heuristics."""
     for _ in range(1000):
-        if should_stop():
+        if job.should_stop():
             raise SearchCancelled("stopped by hook")
         time.sleep(0.005)
     return "ran to completion"
@@ -36,7 +36,7 @@ def _cooperative(should_stop):
 
 class TestJobQueue:
     def test_success_lifecycle(self, queue):
-        job = queue.submit(lambda should_stop: 42, kind="answer")
+        job = queue.submit(lambda job: 42, kind="answer")
         finished = queue.wait(job.id)
         assert finished.state == DONE
         assert finished.result == 42
@@ -46,7 +46,7 @@ class TestJobQueue:
         assert doc["started_at"] >= doc["submitted_at"]
 
     def test_failure_captures_error(self, queue):
-        def boom(should_stop):
+        def boom(job):
             raise ValueError("bad input")
 
         job = queue.submit(boom)
@@ -75,12 +75,12 @@ class TestJobQueue:
     def test_cancel_queued_job_never_starts(self, queue):
         release = threading.Event()
 
-        def blocker(should_stop):
+        def blocker(job):
             release.wait(10)
             return "done"
 
         first = queue.submit(blocker)
-        second = queue.submit(lambda should_stop: "should not run")
+        second = queue.submit(lambda job: "should not run")
         assert second.state == QUEUED
         queue.cancel(second.id)
         release.set()
@@ -90,7 +90,7 @@ class TestJobQueue:
         assert queue.wait(first.id).state == DONE
 
     def test_zero_timeout_means_no_deadline(self, queue):
-        job = queue.submit(lambda should_stop: should_stop(), timeout_s=0)
+        job = queue.submit(lambda job: job.should_stop(), timeout_s=0)
         finished = queue.wait(job.id)
         assert finished.state == DONE
         assert finished.result is False  # hook never fires
@@ -99,11 +99,11 @@ class TestJobQueue:
     def test_depth_gauges(self, queue):
         release = threading.Event()
 
-        def blocker(should_stop):
+        def blocker(job):
             release.wait(10)
 
         running = queue.submit(blocker)
-        queued = queue.submit(lambda should_stop: None)
+        queued = queue.submit(lambda job: None)
         deadline = time.monotonic() + 5
         while running.state == QUEUED and time.monotonic() < deadline:
             time.sleep(0.005)
