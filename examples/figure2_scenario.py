@@ -98,7 +98,12 @@ def v_op(builder: GraphBuilder, value_id: str) -> str:
     return producer
 
 
-def main() -> None:
+def build_session() -> ChopSession:
+    """The Figure 2 design on four chips.
+
+    P1 on chip1 reads M_A and P4 on chip3 writes M_B; M_A sits beside
+    its reader and M_B on chip2, off its writer's chip.
+    """
     graph, stages = five_stage_pipeline()
     session = ChopSession(
         graph=graph,
@@ -131,7 +136,11 @@ def main() -> None:
         [Partition.of(name, ops) for name, ops in stages.items()],
         assignment,
     )
+    return session
 
+
+def main() -> None:
+    session = build_session()
     partitioning = session.partitioning()
     print("Partition dependencies (acyclic, as section 2.3 requires):")
     for src, dst in partitioning.partition_dependencies():

@@ -4,7 +4,10 @@ Each case is a full ``SearchResult.to_dict()`` without ``cpu_seconds``
 (the document the benchmark verifies, too).  The cases are the paper's
 nine cells (experiment 1 at packages 1 and 2 with k = 1..3, experiment 2
 with k = 3..5) under both heuristics, plus the Figure 7 keep-all walk
-(experiment 1, package 2, k = 2, unpruned) with its design-space totals.
+(experiment 1, package 2, k = 2, unpruned) with its design-space totals,
+and two memory designs of ``examples/``: the windowed filter of
+``memory_partitioning.py`` with M_IN off its reader's chip, and the
+Figure 2 design of ``figure2_scenario.py``.
 
 A refactor of the search, the engine or the integration model must leave
 every document unchanged.  A deliberate model change rewrites the file,
@@ -16,6 +19,7 @@ and its diff is reviewed like code::
 from __future__ import annotations
 
 import json
+import runpy
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -25,6 +29,7 @@ import pytest
 from repro.experiments.setups import experiment1_session, experiment2_session
 
 GOLDEN = Path(__file__).parent / "golden" / "check_results.json"
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 #: (cell, experiment, package, partition count) — the paper's cells.
 PAPER_CELLS = [
@@ -35,6 +40,12 @@ HEURISTICS = ("iterative", "enumeration")
 
 #: The cells whose walk combines more than one prediction list.
 MULTI_PARTITION_CELLS = [cell for cell in PAPER_CELLS if cell[3] > 1]
+
+#: Memory designs by case name: (example script, ``build_session`` args).
+MEMORY_DESIGNS = {
+    "memory_m_in_chip2": ("memory_partitioning", ("chip2",)),
+    "figure2": ("figure2_scenario", ()),
+}
 
 
 def verdict_doc(result) -> Dict[str, object]:
@@ -67,6 +78,30 @@ def shared_chip_session():
     session = experiment1_session(package_number=1, partition_count=3)
     session.move_partition("P1", "chip2")
     return session
+
+
+def example_session(name: str, *args):
+    """``build_session(*args)`` of one script of ``examples/``."""
+    return runpy.run_path(str(EXAMPLES / f"{name}.py"))["build_session"](*args)
+
+
+def _memory_session(design: str):
+    script, args = MEMORY_DESIGNS[design]
+    return example_session(script, *args)
+
+
+def _memory_check(design: str, heuristic: str):
+    def run():
+        return verdict_doc(_memory_session(design).check(heuristic))
+
+    return run
+
+
+def _memory_explain(design: str):
+    def run():
+        return _memory_session(design).explain().to_dict()
+
+    return run
 
 
 def _cell_explain(experiment: int, package: int, k: int):
@@ -106,6 +141,10 @@ def cases() -> Dict[str, Callable[[], Dict[str, object]]]:
         out[f"explain|{cell}"] = _cell_explain(experiment, package, k)
     out["explain|figure7_unpruned"] = _figure7_explain
     out["explain|shared_chip"] = _shared_chip_explain
+    for design in MEMORY_DESIGNS:
+        for heuristic in HEURISTICS:
+            out[f"{design}|{heuristic}"] = _memory_check(design, heuristic)
+        out[f"explain|{design}"] = _memory_explain(design)
     return out
 
 
