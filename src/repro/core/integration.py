@@ -467,28 +467,48 @@ class IntegrationPlan:
             # in experiment 2 where dp = main).
             overhead = (dp_overhead + transfer_overhead) / dp_multiplier
 
-            dtm_buffer_bits = sum(m.buffer_bits for m in chip_modules)
-            integration_power = Triplet.spread(
-                dtm_buffer_bits * _DTM_MW_PER_BUFFER_BIT
-                + chip.driven_pads * _PAD_DRIVER_MW,
-                0.8,
-                1.3,
-            ) if (dtm_buffer_bits or chip.driven_pads) else Triplet.zero()
+            # Each field is folded in plain floats, in Triplet.sum's
+            # order, and built as one Triplet.
+            pu_lb = pu_ml = pu_ub = 0.0
+            power_lb = power_ml = power_ub = 0.0
+            for pred in chosen:
+                area = pred.area_total
+                pu_lb += area.lb
+                pu_ml += area.ml
+                pu_ub += area.ub
+                power = pred.power_mw
+                power_lb += power.lb
+                power_ml += power.ml
+                power_ub += power.ub
+            dtm_lb = dtm_ml = dtm_ub = 0.0
+            buffer_bits = 0
+            for module in chip_modules:
+                area = module.area_mil2
+                dtm_lb += area.lb
+                dtm_ml += area.ml
+                dtm_ub += area.ub
+                buffer_bits += module.buffer_bits
+            if buffer_bits or chip.driven_pads:
+                # Buffers and pads: Triplet.spread(integration, 0.8, 1.3).
+                integration = float(
+                    buffer_bits * _DTM_MW_PER_BUFFER_BIT
+                    + chip.driven_pads * _PAD_DRIVER_MW
+                )
+                power_lb += integration * 0.8
+                power_ml += integration
+                power_ub += integration * 1.3
 
             usage[chip.name] = ChipUsage(
                 chip=chip.name,
                 partitions=chip.partitions,
-                pu_area=Triplet.sum(pred.area_total for pred in chosen),
-                dtm_area=Triplet.sum(m.area_mil2 for m in chip_modules),
+                pu_area=Triplet(pu_lb, pu_ml, pu_ub),
+                dtm_area=Triplet(dtm_lb, dtm_ml, dtm_ub),
                 pin_mux_area=chip.pin_mux_area,
                 memory_area=chip.memory_area,
                 usable_area_mil2=chip.usable_area_mil2,
                 bonded_pins=chip.bonded_pins,
                 clock_overhead_ns=overhead,
-                power_mw=(
-                    Triplet.sum(pred.power_mw for pred in chosen)
-                    + integration_power
-                ),
+                power_mw=Triplet(power_lb, power_ml, power_ub),
             )
         return usage
 

@@ -77,22 +77,29 @@ class TaskGraph:
         self.tasks = dict(tasks)
         self.edges = list(edges)
         self.memory_pin_loads = dict(memory_pin_loads)
-        self._successors: Dict[str, List[str]] = {t: [] for t in self.tasks}
-        self._predecessors: Dict[str, List[str]] = {t: [] for t in self.tasks}
+        successors: Dict[str, List[str]] = {t: [] for t in self.tasks}
+        predecessors: Dict[str, List[str]] = {t: [] for t in self.tasks}
         for src, dst in self.edges:
             if src not in self.tasks or dst not in self.tasks:
                 raise PartitioningError(
                     f"task edge references unknown task: {src!r} -> {dst!r}"
                 )
-            self._successors[src].append(dst)
-            self._predecessors[dst].append(src)
+            successors[src].append(dst)
+            predecessors[dst].append(src)
+        # Immutable, so every schedule of a search reads them uncopied.
+        self._successors: Dict[str, Tuple[str, ...]] = {
+            t: tuple(s) for t, s in successors.items()
+        }
+        self._predecessors: Dict[str, Tuple[str, ...]] = {
+            t: tuple(p) for t, p in predecessors.items()
+        }
         self._order: Optional[Tuple[str, ...]] = None
 
-    def successors(self, task: str) -> List[str]:
-        return list(self._successors[task])
+    def successors(self, task: str) -> Tuple[str, ...]:
+        return self._successors[task]
 
-    def predecessors(self, task: str) -> List[str]:
-        return list(self._predecessors[task])
+    def predecessors(self, task: str) -> Tuple[str, ...]:
+        return self._predecessors[task]
 
     def topological_order(self) -> List[str]:
         """Tasks in dependency order, ties broken by name.
