@@ -100,9 +100,13 @@ class AutoPartitionConfig:
             raise PartitioningError(
                 f"chips must be >= 1, got {self.chips}"
             )
-        if self.balance_tolerance < 0:
+        if not (
+            math.isfinite(self.balance_tolerance)
+            and self.balance_tolerance >= 0
+        ):
             raise PartitioningError(
-                "balance_tolerance must be non-negative"
+                "balance_tolerance must be a finite non-negative number, "
+                f"got {self.balance_tolerance}"
             )
 
 

@@ -82,6 +82,7 @@ from repro.reporting.tables import (
     package_table,
     results_table,
 )
+from repro.resilience import SoftDeadline
 
 
 def _cmd_inputs(_args: argparse.Namespace) -> int:
@@ -651,6 +652,17 @@ def _scale_list(text: str) -> List[float]:
     return scales
 
 
+def _soft_deadline(text: str) -> float:
+    """``"2.5"`` -> ``2.5`` (argparse type for --soft-deadline): a budget
+    :class:`~repro.resilience.SoftDeadline` accepts."""
+    try:
+        seconds = float(text)
+        SoftDeadline(seconds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return seconds
+
+
 def _objective_list(text: str) -> List[str]:
     """``"cost,delay"`` -> ``["cost", "delay"]`` (validated lazily)."""
     names = [part.strip() for part in text.split(",") if part.strip()]
@@ -702,7 +714,8 @@ def _add_engine_arguments(command: argparse.ArgumentParser) -> None:
         "hottest frames",
     )
     command.add_argument(
-        "--soft-deadline", type=float, default=None, metavar="SECONDS",
+        "--soft-deadline", type=_soft_deadline, default=None,
+        metavar="SECONDS",
         help="stop the search gracefully after SECONDS and report the "
         "partial (degraded) verdict instead of failing; forces the "
         "serial path",

@@ -11,6 +11,7 @@ expired soft deadline just ends the walk early and keeps what was found.
 
 from __future__ import annotations
 
+import math
 import time
 
 
@@ -25,9 +26,12 @@ class SoftDeadline:
     """
 
     def __init__(self, seconds: float) -> None:
-        if seconds <= 0:
+        # NaN compares false to everything and infinity never expires,
+        # so both would silently mean "no deadline".
+        if not math.isfinite(seconds) or seconds <= 0:
             raise ValueError(
-                f"soft deadline must be positive, got {seconds}"
+                f"soft deadline must be a positive finite number of "
+                f"seconds, got {seconds}"
             )
         self.seconds = seconds
         self._expires_at = time.monotonic() + seconds

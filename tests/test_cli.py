@@ -358,3 +358,29 @@ class TestAutoCommand:
     def test_auto_rejects_unknown_generator(self, capsys):
         with pytest.raises(SystemExit):
             main(["auto", "--generate", "mystery"])
+
+    @pytest.mark.parametrize("balance", ["nan", "inf", "-inf", "-1"])
+    def test_auto_rejects_a_bad_balance_tolerance(self, balance, capsys):
+        # Exit 1 means "infeasible"; a bad option is a typed error, 2.
+        assert main([
+            "auto", "--generate", "layered", "--ops", "60",
+            f"--balance={balance}",
+        ]) == 2
+        assert "balance_tolerance" in capsys.readouterr().err
+
+
+class TestSoftDeadlineOption:
+    @pytest.mark.parametrize(
+        "value", ["-1", "0", "nan", "inf", "-inf", "soon"]
+    )
+    def test_bad_budget_is_a_usage_error(self, project_file, value,
+                                         capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", str(project_file), f"--soft-deadline={value}"])
+        assert exit_.value.code == 2
+        assert "--soft-deadline" in capsys.readouterr().err
+
+    def test_positive_budget_is_accepted(self, project_file, capsys):
+        assert main([
+            "check", str(project_file), "--soft-deadline", "300",
+        ]) == 0

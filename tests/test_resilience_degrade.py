@@ -9,6 +9,7 @@ pool-construction tax and runs serial for a cooldown.
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -26,6 +27,12 @@ class TestSoftDeadline:
             SoftDeadline(0)
         with pytest.raises(ValueError):
             SoftDeadline(-1.0)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf])
+    def test_rejects_non_finite_budget(self, seconds):
+        # Neither would ever expire: a silent "no deadline".
+        with pytest.raises(ValueError, match="finite"):
+            SoftDeadline(seconds)
 
     def test_expires_after_budget(self):
         deadline = SoftDeadline(0.02)
