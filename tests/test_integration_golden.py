@@ -13,7 +13,9 @@ The states are the seven multi-partition paper cells, the shared-chip
 state, experiment 1 package 1 with k = 3 on packages of 6 to 40 pins
 (and on 400 pins, whose pads consume the die), and the memory designs of
 ``examples/memory_partitioning.py`` and ``examples/figure2_scenario.py``
-with their blocks on and off the accessing chip.  Together they reach
+with their blocks on and off the accessing chip (the windowed filter
+also on 24-pin packages and with a transfer clock three main cycles
+long, which slows its memory blocks).  Together they reach
 every integration failure: the pin budget, memory I/O over the pins, a
 transfer with no data pins, memory bandwidth at an interval, pads that
 consume the die, a data clash and pins oversubscribed in the urgency
