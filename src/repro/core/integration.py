@@ -489,7 +489,8 @@ class IntegrationPlan:
                 dtm_ub += area.ub
                 buffer_bits += module.buffer_bits
             if buffer_bits or chip.driven_pads:
-                # Buffers and pads: Triplet.spread(integration, 0.8, 1.3).
+                # DTM buffers and driven pads, spread as
+                # Triplet.spread(integration, 0.8, 1.3) spreads them.
                 integration = float(
                     buffer_bits * _DTM_MW_PER_BUFFER_BIT
                     + chip.driven_pads * _PAD_DRIVER_MW
