@@ -15,8 +15,8 @@ state, experiment 1 package 1 with k = 3 on packages of 6 to 40 pins
 ``examples/memory_partitioning.py`` and ``examples/figure2_scenario.py``
 with their blocks on and off the accessing chip (the windowed filter
 also on 24-pin packages and with a transfer clock three main cycles
-long, which slows its memory blocks).  Together they reach
-every integration failure: the pin budget, memory I/O over the pins, a
+long, which slows its memory blocks).  Together they reach every
+integration failure: the pin budget, memory I/O over the pins, a
 transfer with no data pins, memory bandwidth at an interval, pads that
 consume the die, a data clash and pins oversubscribed in the urgency
 schedule (see ``BRANCHES``).
@@ -36,7 +36,9 @@ import json
 import runpy
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Sequence
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, NamedTuple, Sequence,
+)
 
 import pytest
 
@@ -47,7 +49,7 @@ from repro.core.chop import ChopSession
 from repro.core.integration import IntegrationPlan, integrate
 from repro.core.partitioning import Partitioning
 from repro.core.tasks import build_task_graph
-from repro.engine.sharding import decode_combination
+from repro.engine.sharding import combination_count, decode_combination
 from repro.errors import ChopError
 from repro.experiments.setups import experiment1_session, experiment2_session
 from repro.library.library import ComponentLibrary
@@ -85,10 +87,7 @@ def outcomes(state: State) -> Iterator[str]:
     names = sorted(partitioning.partitions)
     lists = [state.lists[name] for name in names]
     radices = [len(options) for options in lists]
-    total = 1
-    for radix in radices:
-        total *= radix
-    for flat in range(total):
+    for flat in range(combination_count(radices)):
         digits = decode_combination(flat, radices)
         selection = {
             name: options[digit]
