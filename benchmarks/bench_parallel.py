@@ -111,13 +111,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="worker counts to measure (default: 2 4 8, or 2 with "
         "--smoke)",
     )
-    parser.add_argument(
-        "--start-method", default=None,
-        choices=("fork", "spawn", "forkserver"),
-    )
     args = parser.parse_args(argv)
 
+    import repro.engine.workers as workers_module
     from repro.engine import EvaluationEngine
+
+    # Measure the pool itself, even on a space the engine would
+    # otherwise keep in process.
+    workers_module.MIN_COMBINATIONS = 1
 
     widths = args.workers or ([2] if args.smoke else [2, 4, 8])
     # --smoke keeps the level-1 pruned space (fast, still parallel);
@@ -135,11 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     rows = [("serial", 1, serial_s, 1.0, "-")]
     failures = []
     for workers in widths:
-        engine = EvaluationEngine(
-            workers=workers,
-            start_method=args.start_method,
-            min_combinations=1,
-        )
+        engine = EvaluationEngine(workers=workers)
         result, elapsed = timed_check(session, prune, engine=engine)
         if comparable(result) != reference:
             failures.append(

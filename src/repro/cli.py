@@ -58,6 +58,7 @@ unreadable input (bad project JSON, missing file, bad spec).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -82,7 +83,6 @@ from repro.reporting.tables import (
     package_table,
     results_table,
 )
-from repro.resilience import SoftDeadline
 
 
 def _cmd_inputs(_args: argparse.Namespace) -> int:
@@ -117,15 +117,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _build_engine(args):
     """An :class:`EvaluationEngine` when ``--workers`` asks for one."""
-    workers = getattr(args, "workers", 1) if args is not None else 1
-    if workers is None or workers <= 1:
+    if args is None or args.workers <= 1:
         return None
     from repro.engine import EvaluationEngine
 
-    return EvaluationEngine(
-        workers=workers,
-        start_method=getattr(args, "start_method", None),
-    )
+    return EvaluationEngine(workers=args.workers)
 
 
 def _checked(session, heuristic: str, args):
@@ -169,12 +165,8 @@ def _checked(session, heuristic: str, args):
 
 
 def _dry_run(session, args) -> int:
-    """Print the combination count and shard plan, search nothing."""
-    from repro.engine import EvaluationProblem, plan_shards
-    from repro.engine.workers import (
-        DEFAULT_MIN_COMBINATIONS,
-        DEFAULT_SHARDS_PER_WORKER,
-    )
+    """Print the combination count and the engine's plan, search nothing."""
+    from repro.engine import EvaluationEngine, EvaluationProblem
     from repro.search.enumeration import MAX_COMBINATIONS
 
     problem = EvaluationProblem.build(
@@ -195,21 +187,12 @@ def _dry_run(session, args) -> int:
             "constraints or repartition before searching"
         )
         return 1
-    workers = max(1, getattr(args, "workers", 1) or 1)
-    if workers == 1 or total < DEFAULT_MIN_COMBINATIONS:
-        reason = (
-            "one worker requested"
-            if workers == 1
-            else f"space below the engine minimum of "
-            f"{DEFAULT_MIN_COMBINATIONS}"
-        )
-        print(f"mode: serial ({reason})")
-        return 0
-    shards = plan_shards(total, workers * DEFAULT_SHARDS_PER_WORKER)
-    print(
-        f"mode: parallel ({workers} workers, {len(shards)} shards)"
+    plan = EvaluationEngine(workers=args.workers).plan(total)
+    detail = plan.reason or (
+        f"{args.workers} workers, {len(plan.shards)} shards"
     )
-    for shard in shards:
+    print(f"mode: {plan.mode} ({detail})")
+    for shard in plan.shards:
         print(
             f"  shard {shard.index:>3}: [{shard.start}, {shard.stop})"
             f"  {shard.size} combinations"
@@ -606,7 +589,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             search_workers=args.search_workers,
             disk_cache_dir=args.disk_cache,
             cache_backend=args.cache_backend,
-            start_method=args.start_method,
             max_queued=args.max_queued,
             max_jobs_per_session=args.max_session_jobs,
             max_body_bytes=args.max_body_kb * 1024,
@@ -652,15 +634,37 @@ def _scale_list(text: str) -> List[float]:
     return scales
 
 
-def _soft_deadline(text: str) -> float:
-    """``"2.5"`` -> ``2.5`` (argparse type for --soft-deadline): a budget
-    :class:`~repro.resilience.SoftDeadline` accepts."""
-    try:
-        seconds = float(text)
-        SoftDeadline(seconds)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return seconds
+def _bounded(kind, low, high=None, low_open=False):
+    """An argparse type for a finite ``kind`` (int or float) of at least
+    ``low`` (above it when ``low_open``) and at most ``high``, so a bad
+    option ends in a usage error before anything starts or binds."""
+    if high is not None:
+        bounds = f"in {'(' if low_open else '['}{low}, {high}]"
+    else:
+        bounds = f"{'>' if low_open else '>='} {low}"
+    noun = "an integer" if kind is int else "a number"
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # fails every comparison below
+        above = low < value if low_open else low <= value
+        too_high = high is not None and value > high
+        if not above or value == math.inf or too_high:
+            raise argparse.ArgumentTypeError(
+                f"expected {noun} {bounds}, got {text!r}"
+            )
+        return value
+
+    return convert
+
+
+def _fleet_size(text: str) -> int:
+    """``--procs``: one process up to the fleet's worker cap."""
+    from repro.service.fleet import MAX_FLEET_WORKERS
+
+    return _bounded(int, 1, MAX_FLEET_WORKERS)(text)
 
 
 def _objective_list(text: str) -> List[str]:
@@ -676,15 +680,10 @@ def _objective_list(text: str) -> List[str]:
 def _add_engine_arguments(command: argparse.ArgumentParser) -> None:
     """The engine/cache flags shared by ``check`` and ``search``."""
     command.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_bounded(int, 1), default=1,
         help="worker processes for the enumeration walk; 1 runs "
-        "serially (default 1)",
-    )
-    command.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method (default: platform default, "
-        "or $CHOP_START_METHOD)",
+        "serially, and so does a space too small to repay the pool "
+        "(--dry-run shows which; default 1)",
     )
     command.add_argument(
         "--disk-cache", default=None, metavar="DIR",
@@ -714,8 +713,8 @@ def _add_engine_arguments(command: argparse.ArgumentParser) -> None:
         "hottest frames",
     )
     command.add_argument(
-        "--soft-deadline", type=_soft_deadline, default=None,
-        metavar="SECONDS",
+        "--soft-deadline", type=_bounded(float, 0, low_open=True),
+        default=None, metavar="SECONDS",
         help="stop the search gracefully after SECONDS and report the "
         "partial (degraded) verdict instead of failing; forces the "
         "serial path",
@@ -823,14 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the partitioned session as a project JSON file",
     )
     auto.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_bounded(int, 1), default=1,
         help="worker processes for the feasibility search (enumeration "
         "heuristic only; default 1)",
-    )
-    auto.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for --workers",
     )
     auto.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -892,14 +886,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="search heuristic for each candidate's check",
     )
     explore_.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_bounded(int, 1), default=1,
         help="worker processes for each candidate's enumeration walk "
         "(default 1)",
-    )
-    explore_.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for --workers",
     )
     explore_.add_argument(
         "--disk-cache", default=None, metavar="DIR",
@@ -992,26 +981,26 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the HTTP/JSON partitioning server"
     )
     serve_.add_argument("--host", default="127.0.0.1")
-    serve_.add_argument("--port", type=int, default=8080)
+    serve_.add_argument("--port", type=_bounded(int, 0, 65535), default=8080)
     serve_.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=_bounded(int, 1), default=4,
         help="background job worker threads (default 4)",
     )
     serve_.add_argument(
-        "--cache-size", type=int, default=256,
+        "--cache-size", type=_bounded(int, 1), default=256,
         help="check-verdict cache entries (default 256)",
     )
     serve_.add_argument(
-        "--max-sessions", type=int, default=32,
+        "--max-sessions", type=_bounded(int, 1), default=32,
         help="resident designer sessions before LRU eviction",
     )
     serve_.add_argument(
-        "--job-timeout", type=float, default=300.0,
+        "--job-timeout", type=_bounded(float, 0), default=300.0,
         help="default wall-clock budget per background job in seconds; "
         "0 disables (default 300)",
     )
     serve_.add_argument(
-        "--search-workers", type=int, default=0,
+        "--search-workers", type=_bounded(int, 0), default=0,
         help="worker processes sharding each enumeration's combination "
         "walk; 0 or 1 keeps searches in-process (default 0)",
     )
@@ -1028,50 +1017,46 @@ def build_parser() -> argparse.ArgumentParser:
         "otherwise",
     )
     serve_.add_argument(
-        "--procs", type=int, default=1,
+        "--procs", type=_fleet_size, default=1,
         help="worker processes sharing the bound port (SO_REUSEPORT "
         "where available); requests route stickily by project "
         "fingerprint, /metrics aggregates the fleet, SIGTERM drains "
         "every worker (default 1: classic single process)",
     )
     serve_.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for search workers "
-        "(default: platform default, or $CHOP_START_METHOD)",
-    )
-    serve_.add_argument(
-        "--max-queued", type=int, default=64,
+        "--max-queued", type=_bounded(int, 1), default=64,
         help="queued background jobs before new submissions get 429 "
         "with Retry-After (default 64)",
     )
     serve_.add_argument(
-        "--max-session-jobs", type=int, default=4,
+        "--max-session-jobs", type=_bounded(int, 1), default=4,
         help="concurrent (queued+running) jobs per project before 429 "
         "(default 4)",
     )
     serve_.add_argument(
-        "--max-body-kb", type=int, default=1024,
+        "--max-body-kb", type=_bounded(int, 1), default=1024,
         help="request body size cap in KiB; larger bodies get 413 "
         "(default 1024)",
     )
     serve_.add_argument(
-        "--drain-timeout", type=float, default=10.0,
+        "--drain-timeout", type=_bounded(float, 0), default=10.0,
         help="seconds SIGTERM waits for running jobs before cancelling "
         "them cooperatively (default 10)",
     )
     serve_.add_argument(
-        "--slo-latency-ms", type=float, default=500.0,
+        "--slo-latency-ms", type=_bounded(float, 0, low_open=True),
+        default=500.0,
         help="p95 request-latency objective in milliseconds, exposed "
         "as slo_burn_ratio gauges and GET /slo (default 500)",
     )
     serve_.add_argument(
-        "--slo-error-rate", type=float, default=0.01,
+        "--slo-error-rate", type=_bounded(float, 0, 1, low_open=True),
+        default=0.01,
         help="maximum 5xx share of responses before the error-rate "
         "SLO burns (default 0.01)",
     )
     serve_.add_argument(
-        "--flight-capacity", type=int, default=256,
+        "--flight-capacity", type=_bounded(int, 1), default=256,
         help="flight-recorder ring-buffer size: recent request/job "
         "summaries kept for GET /debug/recent (default 256)",
     )

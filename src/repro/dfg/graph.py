@@ -20,6 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.dfg.ops import MEMORY_OP_TYPES, OpType
 from repro.errors import SpecificationError
+from repro.units import MAX_BIT_WIDTH
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,9 +37,10 @@ class Value:
     is_output: bool = False
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
+        if not 0 < self.width <= MAX_BIT_WIDTH:
             raise SpecificationError(
-                f"value {self.id!r} must have positive width, got {self.width}"
+                f"value {self.id!r} must have a width in 1..{MAX_BIT_WIDTH}"
+                f" bits, got {self.width}"
             )
 
 

@@ -25,6 +25,10 @@ parentheses, and names.  Operator precedence is conventional
 target becomes a named value; reassigning a name shadows it for later
 lines (SSA renaming happens internally), exactly how loop-carried
 accumulators behave after unrolling.
+
+Hostile text ends in a :class:`~repro.errors.SpecificationError`, never
+in unbounded work: see :data:`MAX_NESTING`, :data:`MAX_UNROLLED` and
+:data:`repro.units.MAX_BIT_WIDTH`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,14 @@ from repro.dfg.graph import DataFlowGraph
 from repro.dfg.ops import OpType
 from repro.errors import SpecificationError
 from repro.units import DEFAULT_BIT_WIDTH
+
+#: Deepest nesting of parentheses and ``read`` brackets within one
+#: expression, and of ``repeat`` blocks.
+MAX_NESTING = 64
+
+#: Most unrolling steps a specification may take: every statement run,
+#: ``repeat`` iteration and operation built counts one.
+MAX_UNROLLED = 20_000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9$]*)"
@@ -87,6 +99,7 @@ class _ExprParser:
         self.tokens = tokens
         self.position = 0
         self.line = line
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         if self.position < len(self.tokens):
@@ -121,18 +134,27 @@ class _ExprParser:
             left = ("op", _OP_TYPES[token], left, right)
         return left
 
+    def _nested(self, close: str):
+        """Parse a bracketed sub-expression, at most MAX_NESTING deep."""
+        if self.depth >= MAX_NESTING:
+            raise SpecificationError(
+                f"line {self.line}: expression nests deeper than "
+                f"{MAX_NESTING} levels"
+            )
+        self.depth += 1
+        inner = self.parse()
+        self.expect(close)
+        self.depth -= 1
+        return inner
+
     def _primary(self):
         token = self.advance()
         if token == "(":
-            inner = self.parse()
-            self.expect(")")
-            return inner
+            return self._nested(")")
         if token == "read":
             block = self.advance()
             self.expect("[")
-            address = self.parse()
-            self.expect("]")
-            return ("read", block, address)
+            return ("read", block, self._nested("]"))
         if re.fullmatch(r"\d+", token):
             return ("num", int(token))
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9$]*", token):
@@ -155,6 +177,8 @@ class _Compiler:
         self.outputs: List[str] = []
         self._constants: Dict[int, str] = {}
         self._header_done = False
+        self._steps = 0
+        self._repeat_depth = 0
 
     # ------------------------------------------------------------------
     def ensure_builder(self) -> GraphBuilder:
@@ -199,12 +223,21 @@ class _Compiler:
             return self.ensure_builder().mem_read(
                 address_vid, block, name=self._fresh(name)
             )
-        _k, op_type, left, right = node
-        left_vid = self.emit(left, line)
-        right_vid = self.emit(right, line)
-        return self.ensure_builder().op(
-            op_type, left_vid, right_vid, name=self._fresh(name)
-        )
+        # A left-associative chain nests down its left operands: walk
+        # that spine in a loop so a long chain costs no recursion depth.
+        spine = []
+        while node[0] == "op":
+            spine.append(node)
+            node = node[2]
+        vid = self.emit(node, line)
+        for op_node in reversed(spine):
+            _k, op_type, _left, right = op_node
+            right_vid = self.emit(right, line)
+            vid = self.ensure_builder().op(
+                op_type, vid, right_vid,
+                name=self._fresh(name) if op_node is spine[0] else None,
+            )
+        return vid
 
     def _fresh(self, name: Optional[str]) -> Optional[str]:
         """A source name is usable as a value id only once (SSA)."""
@@ -232,6 +265,7 @@ class _Compiler:
     def _statement(self, lines: List[_Line], index: int) -> int:
         line = lines[index]
         text = line.text
+        self._step(line)
         if text.startswith("graph "):
             self._header(line)
             return index + 1
@@ -344,6 +378,11 @@ class _Compiler:
             raise SpecificationError(
                 f"line {header.number}: malformed repeat header"
             )
+        if self._repeat_depth >= MAX_NESTING:
+            raise SpecificationError(
+                f"line {header.number}: 'repeat' blocks nest deeper than "
+                f"{MAX_NESTING} levels"
+            )
         count = int(match.group(1))
         variable = match.group(2)
         body: List[_Line] = []
@@ -363,7 +402,9 @@ class _Compiler:
             raise SpecificationError(
                 f"line {header.number}: 'repeat' without 'end'"
             )
+        self._repeat_depth += 1
         for iteration in range(count):
+            self._step(header)
             substituted = [
                 _Line(
                     b.number,
@@ -374,7 +415,19 @@ class _Compiler:
             inner = 0
             while inner < len(substituted):
                 inner = self._statement(substituted, inner)
+        self._repeat_depth -= 1
         return cursor + 1
+
+    def _step(self, line: _Line) -> None:
+        """Count one statement or iteration, plus the operations built
+        so far, against :data:`MAX_UNROLLED`."""
+        self._steps += 1
+        built = len(self.builder._operations) if self.builder else 0
+        if self._steps + built > MAX_UNROLLED:
+            raise SpecificationError(
+                f"line {line.number}: the specification unrolls to more "
+                f"than {MAX_UNROLLED} statements, iterations and operations"
+            )
 
     def _expression(
         self, text: str, line_number: int, name: Optional[str] = None

@@ -3,9 +3,9 @@
 Every combination-search path in the system funnels through this
 package: :mod:`~repro.engine.sharding` addresses the cross-product space
 by flat index, :mod:`~repro.engine.workers` evaluates index ranges in a
-process pool (degrading gracefully to in-process serial execution),
-and :mod:`~repro.engine.merge` recombines shard results
-deterministically.  See ``docs/engine.md`` for the architecture and the
+process pool when the space repays it (degrading gracefully to
+in-process serial execution), and :mod:`~repro.engine.merge`
+recombines shard results deterministically.  See ``docs/engine.md`` for the architecture and the
 failure/degradation matrix.
 """
 
@@ -17,6 +17,7 @@ from repro.engine.sharding import (
     plan_shards,
 )
 from repro.engine.workers import (
+    EnginePlan,
     EngineRun,
     EvaluationEngine,
     EvaluationProblem,
@@ -24,6 +25,7 @@ from repro.engine.workers import (
 )
 
 __all__ = [
+    "EnginePlan",
     "EngineRun",
     "EvaluationEngine",
     "EvaluationProblem",

@@ -28,8 +28,6 @@ class ShardResult:
     feasible: List[FeasibleDesign]
     trials: int
     elapsed_s: float = 0.0
-    #: Set when the shard was re-run serially after a worker death.
-    retried: bool = field(default=False)
     #: Finished span records built inside the worker process (traced
     #: runs only); the engine re-parents and replays them on merge.
     spans: List[Dict[str, Any]] = field(default_factory=list)

@@ -12,17 +12,20 @@ pure-Python integration pipeline, so the engine fans shards out to a
   byte-identical :class:`~repro.search.results.SearchResult`;
 * cancellation is cooperative through a shared ``Event`` polled between
   combinations, mirroring the serving layer's ``should_stop`` contract;
-* the engine degrades gracefully: ``workers=1``, an unsupported start
-  method, a pool that cannot be created, or a worker death all fall back
-  to in-process serial evaluation (a dead worker's shard is retried
-  serially and counted in the stats) — callers always get an answer or a
-  :class:`~repro.errors.SearchCancelled`, never a crash.
+* one method, :meth:`EvaluationEngine.plan`, decides between the pool
+  and the in-process walk: ``workers=1``, a space below
+  :data:`MIN_COMBINATIONS` or a degraded engine stay in process;
+* the engine degrades gracefully: a pool that cannot be created falls
+  back to in-process evaluation and a dead worker's shard is re-run
+  once in process (counted in the stats) — callers always get an answer
+  or a :class:`~repro.errors.SearchCancelled`, never a crash.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -63,21 +66,34 @@ from repro.obs.tracing import (
     span as trace_span,
 )
 from repro.resilience.faults import maybe_inject
-from repro.resilience.retry import RetryPolicy
 from repro.search.results import FeasibleDesign
 from repro.search.space import DesignPoint, DesignSpace
 
-#: Environment override for the pool start method (CI runs the suite
-#: under both ``fork`` and ``spawn`` through this knob).
-START_METHOD_ENV = "CHOP_START_METHOD"
+#: Below this many combinations the walk runs in process.  On a 2-vCPU
+#: host two forked workers ran the paper's 240-600 combination cells at
+#: 0.41-0.77x the serial walk and its 5,376 combination cells at
+#: 1.5-1.8x (docs/performance.md, "Where the pool pays").
+MIN_COMBINATIONS = 4096
 
 #: Shards per worker: more shards than workers so a slow shard cannot
 #: leave the rest of the pool idle at the tail of a search.
-DEFAULT_SHARDS_PER_WORKER = 4
+SHARDS_PER_WORKER = 4
 
-#: Below this many combinations the pool startup cost dominates; the
-#: engine evaluates in process instead.
-DEFAULT_MIN_COMBINATIONS = 64
+#: How often the parent wakes to poll ``cancel()`` while shards run.
+POLL_INTERVAL_S = 0.05
+
+#: After this many consecutive pool failures (the pool cannot be
+#: created, or a run loses a worker) the engine runs in process for
+#: ``DEGRADE_COOLDOWN_S`` seconds without trying a pool.
+DEGRADE_AFTER = 3
+DEGRADE_COOLDOWN_S = 60.0
+
+#: The pool's start method: ``fork`` on Linux, where forkserver and
+#: spawn only ever measured slower; the platform default elsewhere,
+#: because Python documents fork as unsafe on macOS.
+START_METHOD: Optional[str] = (
+    "fork" if sys.platform.startswith("linux") else None
+)
 
 # ----------------------------------------------------------------------
 # the immutable problem and its (shared) evaluation loop
@@ -362,8 +378,7 @@ def _evaluate_shard(
     no channel to the parent's tracer, so the record travels home inside
     the :class:`ShardResult` and is re-parented under the engine's run
     span at merge time.  The span id is a pure function of the trace id
-    and shard index, so retries collide deliberately and the merged tree
-    is deterministic.
+    and shard index, so the merged tree is deterministic.
     """
     if _WORKER_PROBLEM is None:
         raise RuntimeError("worker used before initialization")
@@ -415,6 +430,17 @@ def _evaluate_shard(
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, slots=True)
+class EnginePlan:
+    """How :meth:`EvaluationEngine.run` walks one combination space."""
+
+    mode: str  # "parallel" | "serial" | "serial-degraded"
+    #: Why the walk stays in process (empty for a parallel plan).
+    reason: str
+    #: The pool's shards; one whole-space shard for an in-process walk.
+    shards: Tuple[Shard, ...]
+
+
 @dataclass(slots=True)
 class EngineRun:
     """Outcome and accounting of one :meth:`EvaluationEngine.run`."""
@@ -422,16 +448,12 @@ class EngineRun:
     feasible: List[FeasibleDesign]
     trials: int
     mode: str  # "parallel" | "serial" | "serial-fallback" | "serial-degraded"
-    workers: int
     shard_count: int
-    retried_shards: int
     wall_s: float
+    retried_shards: int = 0
     #: Sum of per-shard evaluation time over (wall * workers); 1.0 means
     #: every worker was busy the whole run.  None for serial runs.
     utilization: Optional[float] = None
-    #: Serial re-run attempts spent on dead shards beyond the original
-    #: worker try (the retry policy's backoff/attempt accounting).
-    retry_attempts: int = 0
 
 
 class EvaluationEngine:
@@ -439,51 +461,17 @@ class EvaluationEngine:
 
     One engine can serve many concurrent searches (the HTTP service holds
     a single instance); each :meth:`run` gets its own pool so cancellation
-    and crash recovery never leak between searches.
+    and crash recovery never leak between searches.  ``workers`` is the
+    pool size (default: the CPU count); the module constants above are
+    the rest of its configuration, and tests monkeypatch them.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-        min_combinations: int = DEFAULT_MIN_COMBINATIONS,
-        poll_interval_s: float = 0.05,
-        retry_policy: Optional[RetryPolicy] = None,
-        degrade_after: int = 3,
-        degrade_cooldown_s: float = 60.0,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if shards_per_worker < 1:
-            raise ValueError(
-                f"shards_per_worker must be >= 1, got {shards_per_worker}"
-            )
-        if start_method is None:
-            start_method = os.environ.get(START_METHOD_ENV) or None
         self.workers = workers
-        self.start_method = start_method
-        if degrade_after < 0:
-            raise ValueError(
-                f"degrade_after must be >= 0, got {degrade_after}"
-            )
-        self.shards_per_worker = shards_per_worker
-        self.min_combinations = min_combinations
-        self.poll_interval_s = poll_interval_s
-        #: Backoff schedule for dead-shard serial re-runs.  The worker's
-        #: own try counts as attempt 1, so the policy's first delay is
-        #: slept before the serial retry.
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=3, base_delay_s=0.05, max_delay_s=1.0
-        )
-        #: After this many *consecutive* pool failures (pool cannot be
-        #: created, or a run loses workers) the engine stops trying and
-        #: runs serial for ``degrade_cooldown_s``; 0 disables.
-        self.degrade_after = degrade_after
-        self.degrade_cooldown_s = degrade_cooldown_s
-        self._pool_failures = 0
         self._degraded_until = 0.0
         self._lock = threading.Lock()
         # Worker processes never see the parent registry, so shard wall
@@ -499,20 +487,14 @@ class EvaluationEngine:
             "Per-shard evaluation wall time by execution mode",
             labelnames=("mode",),
         )
-        self._shard_retries = registry.counter(
-            "engine_shard_retries_total",
-            "Serial re-run attempts spent on shards whose worker died",
-        )
         self._stats: Dict[str, Any] = {
             "workers": workers,
-            "start_method": start_method or "default",
             "searches_parallel": 0,
             "searches_serial": 0,
             "searches_degraded": 0,
             "fallbacks": 0,
             "shards_completed": 0,
             "shards_retried": 0,
-            "shard_retry_attempts": 0,
             "pool_failures_consecutive": 0,
             "combinations_evaluated": 0,
             "last_utilization": None,
@@ -521,6 +503,25 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
+    def plan(self, total: int) -> EnginePlan:
+        """Decide between the pool and the in-process walk for a space
+        of ``total`` combinations, and plan the pool's shards.
+
+        :meth:`run` follows this plan and ``--dry-run`` prints it.
+        """
+        whole = tuple(plan_shards(total, 1))
+        if self.workers <= 1:
+            return EnginePlan("serial", "one worker requested", whole)
+        if total < MIN_COMBINATIONS:
+            reason = f"below the pool threshold of {MIN_COMBINATIONS}"
+            return EnginePlan("serial", reason, whole)
+        if self.is_degraded():
+            # Repeated pool failures: stop fighting the platform and
+            # answer in process until the cooldown passes.
+            return EnginePlan("serial-degraded", "pool cooldown", whole)
+        shards = plan_shards(total, self.workers * SHARDS_PER_WORKER)
+        return EnginePlan("parallel", "", tuple(shards))
+
     def run(
         self,
         problem: EvaluationProblem,
@@ -543,18 +544,15 @@ class EvaluationEngine:
         with trace_span(
             "engine.run", workers=self.workers, space=total,
         ) as sp:
-            if self.workers <= 1 or total < self.min_combinations:
-                run = self._run_serial(problem, total, started, cancel,
-                                       progress, mode="serial")
-            elif self.is_degraded():
-                # Repeated pool failures: stop fighting the platform
-                # and answer serially until the cooldown passes.
-                run = self._run_serial(problem, total, started, cancel,
-                                       progress, mode="serial-degraded")
-            else:
+            plan = self.plan(total)
+            if plan.mode == "parallel":
                 run = self._run_parallel(
-                    problem, total, started, cancel, progress, run_span=sp,
+                    problem, plan.shards, started, cancel, progress,
+                    run_span=sp,
                 )
+            else:
+                run = self._run_serial(problem, total, started, cancel,
+                                       progress, mode=plan.mode)
             sp.put("mode", run.mode)
             sp.put("shards", run.shard_count)
             if run.utilization is not None:
@@ -562,7 +560,6 @@ class EvaluationEngine:
             sp.add("combinations", run.trials)
             sp.add("feasible", len(run.feasible))
             sp.add("retried_shards", run.retried_shards)
-            sp.add("retry_attempts", run.retry_attempts)
         self._account(run)
         return run
 
@@ -570,9 +567,7 @@ class EvaluationEngine:
         """Cumulative counters for ``/metrics`` (a snapshot copy)."""
         with self._lock:
             snapshot = dict(self._stats)
-            snapshot["degraded"] = (
-                time.monotonic() < self._degraded_until
-            )
+            snapshot["degraded"] = time.monotonic() < self._degraded_until
             return snapshot
 
     def is_degraded(self) -> bool:
@@ -583,19 +578,13 @@ class EvaluationEngine:
     def _note_pool_failure(self) -> None:
         """One more consecutive pool failure; maybe enter degraded mode."""
         with self._lock:
-            self._pool_failures += 1
-            self._stats["pool_failures_consecutive"] = self._pool_failures
-            if self.degrade_after and (
-                self._pool_failures >= self.degrade_after
-            ):
-                self._degraded_until = (
-                    time.monotonic() + self.degrade_cooldown_s
-                )
+            self._stats["pool_failures_consecutive"] += 1
+            if self._stats["pool_failures_consecutive"] >= DEGRADE_AFTER:
+                self._degraded_until = time.monotonic() + DEGRADE_COOLDOWN_S
 
     def _note_pool_ok(self) -> None:
         """A clean parallel run resets the failure streak."""
         with self._lock:
-            self._pool_failures = 0
             self._stats["pool_failures_consecutive"] = 0
 
     # ------------------------------------------------------------------
@@ -609,7 +598,6 @@ class EvaluationEngine:
         cancel: Optional[Callable[[], bool]],
         progress: Optional[Callable[[int, int], None]],
         mode: str,
-        retried_shards: int = 0,
     ) -> EngineRun:
         with trace_span(
             "engine.serial", start=0, stop=total, mode=mode,
@@ -623,9 +611,7 @@ class EvaluationEngine:
             feasible=feasible,
             trials=trials,
             mode=mode,
-            workers=1,
             shard_count=1,
-            retried_shards=retried_shards,
             wall_s=time.perf_counter() - started,
         )
 
@@ -633,7 +619,7 @@ class EvaluationEngine:
         self, problem: EvaluationProblem
     ) -> Tuple[ProcessPoolExecutor, Any]:
         """Create the pool (separated out so tests can inject failure)."""
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(START_METHOD)
         cancel_event = context.Event()
         executor = ProcessPoolExecutor(
             max_workers=self.workers,
@@ -646,20 +632,18 @@ class EvaluationEngine:
     def _run_parallel(
         self,
         problem: EvaluationProblem,
-        total: int,
+        shards: Sequence[Shard],
         started: float,
         cancel: Optional[Callable[[], bool]],
         progress: Optional[Callable[[int, int], None]],
         run_span: Any = None,
     ) -> EngineRun:
-        shards = plan_shards(
-            total, self.workers * self.shards_per_worker
-        )
+        total = problem.combination_count()
         try:
             executor, cancel_event = self._make_executor(problem)
         except (ValueError, OSError, ImportError):
-            # Unsupported start method or a platform that cannot spawn
-            # processes at all: stay correct, run in process.
+            # A platform that cannot start processes at all: stay
+            # correct, run in process.
             with self._lock:
                 self._stats["fallbacks"] += 1
             self._note_pool_failure()
@@ -678,7 +662,7 @@ class EvaluationEngine:
             while pending:
                 done, _ = wait(
                     pending,
-                    timeout=self.poll_interval_s,
+                    timeout=POLL_INTERVAL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 if cancel is not None and cancel():
@@ -703,7 +687,7 @@ class EvaluationEngine:
                             )
                     elif isinstance(error, (BrokenProcessPool, OSError)):
                         # The worker died (or the pool broke with it);
-                        # remember the shard for a serial retry.
+                        # remember the shard for an in-process re-run.
                         dead_shards.append(shard)
                     elif isinstance(error, SearchCancelled):
                         raise SearchCancelled(str(error))
@@ -713,20 +697,8 @@ class EvaluationEngine:
             cancel_event.set()
             executor.shutdown(wait=True, cancel_futures=True)
 
-        retry_attempts = 0
         for shard in sorted(dead_shards, key=lambda s: s.start):
-            feasible, trials, attempts = self._retry_shard(
-                problem, shard, cancel
-            )
-            retry_attempts += attempts
-            results.append(
-                ShardResult(
-                    shard=shard,
-                    feasible=feasible,
-                    trials=trials,
-                    retried=True,
-                )
-            )
+            results.append(self._rerun_shard(problem, shard, cancel))
             if progress is not None:
                 progress(len(results), len(shards))
         if dead_shards:
@@ -757,58 +729,41 @@ class EvaluationEngine:
             feasible=feasible,
             trials=trials,
             mode="parallel",
-            workers=self.workers,
             shard_count=len(shards),
-            retried_shards=len(dead_shards),
             wall_s=wall,
+            retried_shards=len(dead_shards),
             utilization=(
                 round(busy / (wall * self.workers), 4) if wall > 0
                 else None
             ),
-            retry_attempts=retry_attempts,
         )
 
-    def _retry_shard(
+    def _rerun_shard(
         self,
         problem: EvaluationProblem,
         shard: Shard,
         cancel: Optional[Callable[[], bool]],
-    ) -> Tuple[List[FeasibleDesign], int, int]:
-        """Serially re-run a shard whose worker died, with backoff.
+    ) -> ShardResult:
+        """Re-run a dead worker's shard once, in process.
 
-        The dead worker's try counts as attempt 1 of the retry policy,
-        so the first serial re-run already backs off.  Returns
-        ``(feasible, trials, retries)`` where ``retries`` is the number
-        of re-run attempts spent (>= 1).
+        :func:`evaluate_range` opens no file and passes no fault site,
+        so a second in-process attempt could only repeat the first.
         """
-        policy = self.retry_policy
-        attempt = 1
-        while True:
-            time.sleep(policy.delay_for(attempt))
-            attempt += 1
-            self._shard_retries.inc()
-            retry_started = time.perf_counter()
-            # Retried in-process, so the span lands on the parent
-            # tracer directly (parented under engine.run by context).
-            with trace_span(
-                "engine.shard", shard=shard.index, start=shard.start,
-                stop=shard.stop, retried=True, attempt=attempt,
-            ) as sp:
-                try:
-                    feasible, trials = evaluate_range(
-                        problem, shard.start, shard.stop,
-                        cancel=cancel, counters=sp.counters,
-                    )
-                except SearchCancelled:
-                    raise
-                except policy.retryable:
-                    if attempt >= policy.max_attempts:
-                        raise
-                    continue
-            self._shard_seconds.labels(mode="retry").observe(
-                time.perf_counter() - retry_started
+        rerun_started = time.perf_counter()
+        # Run in process, so the span lands on the parent tracer
+        # directly (parented under engine.run by context).
+        with trace_span(
+            "engine.shard", shard=shard.index, start=shard.start,
+            stop=shard.stop, retried=True,
+        ) as sp:
+            feasible, trials = evaluate_range(
+                problem, shard.start, shard.stop,
+                cancel=cancel, counters=sp.counters,
             )
-            return feasible, trials, attempt - 1
+        self._shard_seconds.labels(mode="retry").observe(
+            time.perf_counter() - rerun_started
+        )
+        return ShardResult(shard=shard, feasible=feasible, trials=trials)
 
     # ------------------------------------------------------------------
     # accounting
@@ -827,7 +782,6 @@ class EvaluationEngine:
                 self._stats["searches_degraded"] += 1
             self._stats["shards_completed"] += run.shard_count
             self._stats["shards_retried"] += run.retried_shards
-            self._stats["shard_retry_attempts"] += run.retry_attempts
             self._stats["combinations_evaluated"] += run.trials
             if run.utilization is not None:
                 self._stats["last_utilization"] = run.utilization

@@ -7,8 +7,7 @@ active ``trace_id``/``span_id`` (when a tracer is installed via
 :func:`repro.obs.tracing.activate`), so a service log line correlates
 with the span tree of the job that produced it.
 
-Configuration is environment-first, matching ``$CHOP_FAULTS`` and
-``$CHOP_START_METHOD``:
+Configuration is environment-first, matching ``$CHOP_FAULTS``:
 
 * ``$CHOP_LOG`` — minimum level: ``debug``, ``info``, ``warning``,
   ``error`` or ``off``.  Unset means ``off``: logging costs one integer

@@ -270,7 +270,6 @@ class ChopService:
         search_workers: int = 0,
         disk_cache_dir: Optional[str] = None,
         cache_backend: str = "auto",
-        start_method: Optional[str] = None,
         max_queued: Optional[int] = 64,
         max_jobs_per_session: Optional[int] = 4,
         max_body_bytes: int = 1_000_000,
@@ -315,9 +314,7 @@ class ChopService:
         # ``workers`` threads drain the job queue; ``search_workers``
         # processes shard each enumeration's combination walk.
         self.engine: Optional[EvaluationEngine] = (
-            EvaluationEngine(
-                workers=search_workers, start_method=start_method
-            )
+            EvaluationEngine(workers=search_workers)
             if search_workers > 1
             else None
         )

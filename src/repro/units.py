@@ -22,6 +22,10 @@ MILS_PER_INCH = 1000.0
 #: Bit width used throughout the paper's experiments.
 DEFAULT_BIT_WIDTH = 16
 
+#: Widest value a data-flow graph may carry, whether it comes from a
+#: specification, graph JSON or a project document.
+MAX_BIT_WIDTH = 1024
+
 
 def ceil_div(numerator: int, denominator: int) -> int:
     """Integer ceiling division for non-negative operands.

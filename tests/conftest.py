@@ -117,3 +117,13 @@ def exp1_predictor(library, exp1_clocks, exp1_style):
 @pytest.fixture(scope="session")
 def exp2_predictor(library, exp2_clocks, exp2_style):
     return BADPredictor(library, exp2_clocks, exp2_style)
+
+
+@pytest.fixture()
+def pool_always(monkeypatch):
+    """Send every engine walk to the process pool, however small its
+    space (the engine otherwise keeps spaces below
+    ``MIN_COMBINATIONS`` in process)."""
+    import repro.engine.workers as workers_module
+
+    monkeypatch.setattr(workers_module, "MIN_COMBINATIONS", 1)

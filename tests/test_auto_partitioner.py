@@ -63,14 +63,14 @@ def test_auto_is_deterministic():
     assert first.to_dict() == second.to_dict()
 
 
-def test_auto_matches_serial_under_process_pool_engine():
+def test_auto_matches_serial_under_process_pool_engine(pool_always):
     graph = generate_dfg("chain", 90, seed=6)
     config = AutoPartitionConfig(
         chips=2, clusters_per_part=6, refine_passes=4,
         heuristic="enumeration",
     )
     serial = auto_partition(graph, config)
-    engine = EvaluationEngine(workers=2, min_combinations=1)
+    engine = EvaluationEngine(workers=2)
     pooled = auto_partition(graph, config, engine=engine)
     assert pooled.assignment == serial.assignment
     assert pooled.cut_bits == serial.cut_bits

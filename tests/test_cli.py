@@ -159,6 +159,44 @@ class TestCompile:
         assert main(["compile", str(spec)]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        (
+            "input a\ny = " + "(" * 3000 + "a" + ")" * 3000
+            + "\noutput y\n",
+            "nests deeper",
+        ),
+        (
+            "graph g width 99999999999999999999999\ninput a\n"
+            "y = a + a\noutput y\n",
+            "width in 1..",
+        ),
+        (
+            "input a\nacc = a\nrepeat 200000 as i:\nacc = acc + a\n"
+            "end\noutput acc\n",
+            "unrolls to more than",
+        ),
+        (
+            "input a\nacc = a\n" + "repeat 1000 as i:\n" * 3
+            + "acc = acc + a\n" + "end\n" * 3 + "output acc\n",
+            "unrolls to more than",
+        ),
+        (
+            "input a\nrepeat 10000000 as i:\nend\noutput a\n",
+            "unrolls to more than",
+        ),
+    ], ids=[
+        "deep-parentheses", "huge-width", "long-repeat", "nested-repeat",
+        "empty-repeat",
+    ])
+    def test_hostile_spec_is_a_specification_error(
+        self, tmp_path, capsys, text, message
+    ):
+        spec = tmp_path / "hostile.chop"
+        spec.write_text(text)
+        assert main(["compile", str(spec)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
 
 class TestSearchCommand:
     @pytest.fixture(scope="class")
@@ -185,7 +223,8 @@ class TestSearchCommand:
         assert "mode: serial" in out
         assert "Initiation interval" not in out  # nothing was searched
 
-    def test_dry_run_prints_shard_plan(self, big_project_file, capsys):
+    def test_dry_run_prints_shard_plan(self, big_project_file, capsys,
+                                       pool_always):
         assert main(
             ["search", str(big_project_file), "--workers", "2",
              "--dry-run"]
@@ -195,7 +234,7 @@ class TestSearchCommand:
         assert "shard   0: [0," in out
 
     def test_workers_flag_matches_serial_result(self, big_project_file,
-                                                capsys):
+                                                capsys, pool_always):
         assert main(["search", str(big_project_file)]) == 0
         serial_out = capsys.readouterr().out
         assert main(
@@ -238,6 +277,67 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert "Initiation interval" in out
 
+    def test_small_paper_cell_runs_in_process(self, tmp_path, capsys):
+        # Experiment 1, package 1, k=3: 240 combinations, which two
+        # workers walk slower than one process.
+        _mode, _shards, run, _spans = _dry_run_and_traced_run(
+            _exp1_pkg1_k3(tmp_path), tmp_path, capsys
+        )
+        assert run["attrs"]["mode"] == "serial"
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_dry_run_reports_the_plan_the_run_uses(
+        self, tmp_path, capsys, monkeypatch, pooled
+    ):
+        if pooled:
+            import repro.engine.workers as workers_module
+
+            monkeypatch.setattr(workers_module, "MIN_COMBINATIONS", 1)
+        mode, shards, run, spans = _dry_run_and_traced_run(
+            _exp1_pkg1_k3(tmp_path), tmp_path, capsys
+        )
+        assert mode == run["attrs"]["mode"]
+        assert mode == ("parallel" if pooled else "serial")
+        assert len(shards) == run["attrs"]["shards"]
+        walked = sorted(
+            (s["attrs"]["start"], s["attrs"]["stop"]) for s in spans
+            if s["name"] in ("engine.shard", "engine.serial")
+        )
+        assert walked == shards
+
+
+def _exp1_pkg1_k3(tmp_path):
+    from repro.experiments import experiment1_session
+    from repro.io.project import save_project_file
+
+    path = tmp_path / "exp1_pkg1_k3.json"
+    save_project_file(
+        experiment1_session(package_number=1, partition_count=3), str(path)
+    )
+    return path
+
+
+def _dry_run_and_traced_run(project, tmp_path, capsys):
+    """``search --workers 2 --dry-run``'s mode and shard ranges, then
+    the ``engine.run`` span and all spans of the same search run."""
+    assert main(
+        ["search", str(project), "--workers", "2", "--dry-run"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    mode = next(
+        line.split()[1] for line in lines if line.startswith("mode:")
+    )
+    shards = [
+        tuple(int(n) for n in line.split("[")[1].split(")")[0].split(","))
+        for line in lines if line.lstrip().startswith("shard ")
+    ]
+    trace = tmp_path / "run.jsonl"
+    main(["search", str(project), "--workers", "2", "--trace", str(trace)])
+    capsys.readouterr()
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    run = next(s for s in spans if s["name"] == "engine.run")
+    return mode, shards, run, spans
+
 
 class TestObservabilityCommands:
     @pytest.fixture(scope="class")
@@ -252,7 +352,7 @@ class TestObservabilityCommands:
         return path
 
     def test_trace_flag_writes_valid_renderable_trace(
-        self, big_project_file, tmp_path, capsys
+        self, big_project_file, tmp_path, capsys, pool_always
     ):
         from repro.obs import load_trace_file, validate_trace
 
@@ -384,3 +484,76 @@ class TestSoftDeadlineOption:
         assert main([
             "check", str(project_file), "--soft-deadline", "300",
         ]) == 0
+
+
+#: Out-of-range option values by command.  Each must end in an argparse
+#: usage error (exit 2) before the command starts, binds or searches;
+#: some used to raise a traceback (exit 1, the "infeasible" status) and
+#: others were silently accepted.
+BAD_OPTIONS = [
+    ("serve", "--workers", "0"),
+    ("serve", "--cache-size", "-1"),
+    ("serve", "--max-sessions", "0"),
+    ("serve", "--max-queued", "0"),
+    ("serve", "--max-session-jobs", "0"),
+    ("serve", "--flight-capacity", "0"),
+    ("serve", "--max-body-kb", "-1"),
+    ("serve", "--slo-latency-ms", "0"),
+    ("serve", "--slo-latency-ms", "nan"),
+    ("serve", "--slo-error-rate", "2"),
+    ("serve", "--port", "70000"),
+    ("serve", "--procs", "0"),
+    ("serve", "--procs", "1000"),
+    ("serve", "--search-workers", "-3"),
+    ("serve", "--job-timeout", "nan"),
+    ("serve", "--drain-timeout", "nan"),
+    ("serve", "--workers", "two"),
+    ("check", "--workers", "-3"),
+    ("search", "--workers", "0"),
+    ("auto", "--workers", "0"),
+    ("explore", "--workers", "0"),
+]
+
+_COMMANDS = {
+    "serve": "_cmd_serve", "check": "_cmd_check", "search": "_cmd_check",
+    "auto": "_cmd_auto", "explore": "_cmd_explore",
+}
+
+
+@pytest.mark.parametrize(
+    "command,option,value", BAD_OPTIONS,
+    ids=[f"{c}{o}={v}" for c, o, v in BAD_OPTIONS],
+)
+def test_out_of_range_option_is_a_usage_error(
+    command, option, value, monkeypatch, capsys
+):
+    import repro.cli as cli
+
+    # Were the option accepted, the command must not run (a server
+    # would bind and block).
+    monkeypatch.setattr(
+        cli, _COMMANDS[command],
+        lambda _args: pytest.fail(f"{command} ran with {option}={value}"),
+    )
+    argv = [command] + (["p.json"] if command in ("check", "search") else [])
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + [f"{option}={value}"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err
+    assert "Traceback" not in err
+
+
+def test_boundary_option_values_are_accepted(monkeypatch):
+    import repro.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_serve", lambda args: seen.append(args))
+    main([
+        "serve", "--port=0", "--job-timeout=0", "--drain-timeout=0",
+        "--search-workers=0", "--slo-error-rate=1", "--procs=32",
+        "--max-body-kb=1",
+    ])
+    (args,) = seen
+    assert (args.port, args.job_timeout, args.search_workers) == (0, 0, 0)
+    assert (args.slo_error_rate, args.procs, args.max_body_kb) == (1, 32, 1)

@@ -14,6 +14,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.engine.workers as workers_module
 from repro.cache import DiskPredictionCache
 from repro.engine import EvaluationEngine
 from repro.experiments import experiment1_session, experiment2_session
@@ -125,13 +126,12 @@ class TestKilledShardProperty:
         """Property: whichever shard dies, the merged result is the
         serial result — recovery is invisible in the output."""
         session = experiment2_session(partition_count=3)
-        os.environ[FAULTS_ENV] = f"shard={shard_index}"
-        try:
-            engine = EvaluationEngine(workers=2, min_combinations=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(workers_module, "MIN_COMBINATIONS", 1)
+            patch.setenv(FAULTS_ENV, f"shard={shard_index}")
+            engine = EvaluationEngine(workers=2)
             survived = session.check(
                 heuristic="enumeration", engine=engine
             )
-        finally:
-            os.environ.pop(FAULTS_ENV, None)
         assert result_doc(survived) == serial_baseline
         assert engine.stats()["shards_retried"] >= 1

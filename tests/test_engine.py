@@ -3,8 +3,10 @@
 The load-bearing property is *equivalence*: an engine-sharded
 enumeration must return byte-identical results to the serial walk, on
 every project shape, under every degradation path (serial fallback,
-worker death, cancellation).  CI runs this module under both ``fork``
-and ``spawn`` via ``$CHOP_START_METHOD``.
+worker death, cancellation).  The pool starts with ``fork`` on Linux;
+one test runs it under ``spawn`` so pickling stays covered for the
+platforms that start workers that way.  Tests that need the pool on a
+small space use the ``pool_always`` fixture.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.engine import (
     merge_shard_results,
     plan_shards,
 )
-from repro.engine.workers import DEFAULT_MIN_COMBINATIONS
+import repro.engine.workers as workers_module
 from repro.errors import (
     CombinationExplosionError,
     EngineError,
@@ -223,7 +225,7 @@ EQUIVALENCE_STATES = {
 
 class TestEquivalence:
     @pytest.mark.parametrize("state", sorted(EQUIVALENCE_STATES))
-    def test_experiment_session_byte_identical(self, state):
+    def test_experiment_session_byte_identical(self, state, pool_always):
         session = EQUIVALENCE_STATES[state]()
         serial = session.check(heuristic="enumeration")
         engine = EvaluationEngine(workers=2)
@@ -231,20 +233,43 @@ class TestEquivalence:
         assert result_doc(parallel) == result_doc(serial)
         assert parallel.trials == serial.trials
         stats = engine.stats()
-        assert stats["searches_parallel"] + stats["searches_serial"] == 1
+        assert stats["searches_parallel"] == 1
         assert stats["combinations_evaluated"] == serial.trials
 
     @pytest.mark.parametrize("spec", ["biquad.chop", "moving_average.chop"])
-    def test_spec_projects_byte_identical(self, spec):
+    def test_spec_projects_byte_identical(self, spec, pool_always):
         session = spec_session(spec, partitions=2)
         serial = session.check(heuristic="enumeration")
-        engine = EvaluationEngine(workers=2, min_combinations=1)
+        engine = EvaluationEngine(workers=2)
         parallel = session.check(heuristic="enumeration", engine=engine)
         assert result_doc(parallel) == result_doc(serial)
 
-    def test_progress_reports_monotonically(self):
+    def test_spawn_pool_byte_identical(self, monkeypatch, pool_always):
+        # Workers that re-import everything and receive the problem by
+        # pickle, as on macOS and Windows.
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no spawn start method on this platform")
+        monkeypatch.setattr(workers_module, "START_METHOD", "spawn")
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context",
+            lambda method=None: contexts.append(method) or get_context(method),
+        )
         session = experiment2_session(partition_count=3)
-        engine = EvaluationEngine(workers=2, min_combinations=1)
+        serial = session.check(heuristic="enumeration")
+        engine = EvaluationEngine(workers=2)
+        spawned = session.check(heuristic="enumeration", engine=engine)
+        assert result_doc(spawned) == result_doc(serial)
+        assert contexts == ["spawn"]
+        stats = engine.stats()
+        assert stats["searches_parallel"] == 1
+        assert stats["fallbacks"] == stats["shards_retried"] == 0
+        assert no_live_workers()
+
+    def test_progress_reports_monotonically(self, pool_always):
+        session = experiment2_session(partition_count=3)
+        engine = EvaluationEngine(workers=2)
         reports = []
         session.check(
             heuristic="enumeration",
@@ -280,10 +305,32 @@ class TestEquivalence:
             session.library,
             session.criteria,
         )
-        assert problem.combination_count() < DEFAULT_MIN_COMBINATIONS
+        assert (
+            problem.combination_count() < workers_module.MIN_COMBINATIONS
+        )
         engine = EvaluationEngine(workers=4)
         run = engine.run(problem)
         assert run.mode == "serial"
+
+
+# ----------------------------------------------------------------------
+# the pool decision
+# ----------------------------------------------------------------------
+class TestPlan:
+    def test_one_worker_walks_in_process(self):
+        plan = EvaluationEngine(workers=1).plan(10_000)
+        assert plan.mode == "serial"
+        assert plan.shards == (Shard(index=0, start=0, stop=10_000),)
+
+    def test_threshold_decides_and_shards_per_worker(self):
+        engine = EvaluationEngine(workers=2)
+        threshold = workers_module.MIN_COMBINATIONS
+        assert engine.plan(threshold - 1).mode == "serial"
+        plan = engine.plan(threshold)
+        assert plan.mode == "parallel"
+        assert plan.shards == tuple(
+            plan_shards(threshold, 2 * workers_module.SHARDS_PER_WORKER)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -297,17 +344,19 @@ class _UnpoolableEngine(EvaluationEngine):
 
 
 class TestDegradation:
-    def test_pool_failure_falls_back_to_serial(self):
+    def test_pool_failure_falls_back_to_serial(self, pool_always):
         session = experiment2_session(partition_count=3)
         serial = session.check(heuristic="enumeration")
-        engine = _UnpoolableEngine(workers=2, min_combinations=1)
+        engine = _UnpoolableEngine(workers=2)
         fallback = session.check(heuristic="enumeration", engine=engine)
         assert result_doc(fallback) == result_doc(serial)
         stats = engine.stats()
         assert stats["fallbacks"] == 1
         assert stats["searches_serial"] == 1
 
-    def test_cancellation_leaves_no_workers(self):
+    def test_cancellation_leaves_no_workers(self, monkeypatch,
+                                            pool_always):
+        monkeypatch.setattr(workers_module, "POLL_INTERVAL_S", 0.01)
         session = experiment2_session(partition_count=3)
         problem = EvaluationProblem.build(
             session.partitioning(),
@@ -316,26 +365,23 @@ class TestDegradation:
             session.library,
             session.criteria,
         )
-        engine = EvaluationEngine(
-            workers=2, min_combinations=1, poll_interval_s=0.01
-        )
+        engine = EvaluationEngine(workers=2)
         with pytest.raises(SearchCancelled):
             engine.run(problem, cancel=lambda: True)
         assert no_live_workers()
 
-    def test_worker_crash_retries_shard_serially(self, monkeypatch):
+    def test_worker_crash_retries_shard_serially(self, monkeypatch,
+                                                 pool_always):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("crash injection needs the fork start method")
-        import repro.engine.workers as workers_module
-
+        # The patched task body reaches the workers only through fork.
+        monkeypatch.setattr(workers_module, "START_METHOD", "fork")
         monkeypatch.setattr(
             workers_module, "_evaluate_shard", _crash_first_shard
         )
         session = experiment2_session(partition_count=3)
         serial = session.check(heuristic="enumeration")
-        engine = EvaluationEngine(
-            workers=2, min_combinations=1, start_method="fork"
-        )
+        engine = EvaluationEngine(workers=2)
         survived = session.check(heuristic="enumeration", engine=engine)
         assert result_doc(survived) == result_doc(serial)
         assert engine.stats()["shards_retried"] >= 1

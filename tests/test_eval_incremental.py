@@ -5,8 +5,7 @@ section-2.7 modifications, ``check()`` on the long-lived session (warm
 caches, incremental task graph) returns a ``SearchResult`` whose
 ``to_dict()`` is byte-identical — modulo ``cpu_seconds`` — to a fresh
 session evaluating the same partitioning from scratch.  Verified under
-both heuristics, and under the process-pool engine (fork and spawn via
-``$CHOP_START_METHOD``, exercised by the CI engine matrix).
+both heuristics, and under the process-pool engine.
 """
 
 from __future__ import annotations
@@ -99,11 +98,11 @@ class TestWarmCheckIdentity:
 
 class TestEngineIdentity:
     @pytest.mark.parametrize("seed", [1, 17])
-    def test_pool_matches_fresh_serial(self, seed):
+    def test_pool_matches_fresh_serial(self, seed, pool_always):
         """Warm incremental context + process pool == fresh serial."""
         rng = random.Random(seed)
         warm = experiment1_session(partition_count=3)
-        engine = EvaluationEngine(workers=2, min_combinations=1)
+        engine = EvaluationEngine(workers=2)
         warm.check(heuristic="enumeration", engine=engine)
         mutate_randomly(warm, rng, steps=2)
         warm_result = warm.check(heuristic="enumeration", engine=engine)

@@ -120,7 +120,7 @@ class TestSweep:
         assert [p.to_dict(objectives) for p in reversed_sweep.front] \
             == [p.to_dict(objectives) for p in swept.front]
 
-    def test_serial_and_engine_byte_identical(self, graph):
+    def test_serial_and_engine_byte_identical(self, graph, pool_always):
         from repro.engine import EvaluationEngine
 
         config = ExploreConfig(

@@ -127,6 +127,7 @@ class TestJsonlSink:
             load_trace_file(str(path))
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestEngineReparenting:
     @pytest.fixture(scope="class")
     def session(self):

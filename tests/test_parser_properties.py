@@ -3,7 +3,8 @@
 Random expression trees are printed as specification text, parsed, and
 evaluated; the result must match direct evaluation of the same tree with
 16-bit two's-complement masking.  This exercises tokenizer, precedence,
-parenthesisation and the graph/interpreter stack in one loop.
+parenthesisation and the graph/interpreter stack in one loop.  Random
+text, mostly malformed, must compile or end in a SpecificationError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.dfg.evaluate import evaluate_outputs
+from repro.dfg.graph import DataFlowGraph
 from repro.dfg.parser import parse_spec
+from repro.errors import SpecificationError
 
 _MASK = (1 << 16) - 1
 
@@ -92,3 +95,45 @@ def test_parsed_graphs_are_valid(tree):
         if "never produced nor consumed" not in p  # unused inputs ok
     ]
     assert problems == []
+
+
+#: Random specifications: statement-shaped lines with random operands
+#: and expressions, junk lines, and arbitrary text.  Some compile, most
+#: are malformed, a few nest or unroll without bound.
+_NUMBERS = st.sampled_from(["0", "3", "64", "99999999999999999999999"])
+_NAMES = st.sampled_from(["a", "b", "y", "x$i"])
+_EXPRESSIONS = st.lists(
+    st.sampled_from([
+        "a", "b", "y", "x$i", "3", "(", ")", "read M[", "]", " + ",
+        " * ", " << ", " < ", " | ", " / ",
+    ]),
+    min_size=1, max_size=8,
+).map("".join)
+_LINES = st.one_of(
+    st.builds("graph g width {}".format, _NUMBERS),
+    st.just("input a, b"),
+    st.just("memory M"),
+    st.builds("{} = {}".format, _NAMES, _EXPRESSIONS),
+    st.builds("repeat {} as i:".format, _NUMBERS),
+    st.just("end"),
+    st.builds("output {}".format, _NAMES),
+    st.builds("write M, {}".format, _EXPRESSIONS),
+    st.text(alphabet="graphinpumoywte $#=,()[]<+*09", max_size=20),
+)
+_SPEC_TEXTS = st.one_of(
+    st.lists(_LINES, max_size=12).map(
+        lambda body: "\n".join(["input a, b", "memory M", *body, "output a"])
+    ),
+    st.lists(_LINES, max_size=14).map("\n".join),
+    st.text(max_size=200),
+)
+
+
+@given(_SPEC_TEXTS)
+@settings(max_examples=400, deadline=None)
+def test_every_text_yields_a_graph_or_a_specification_error(text):
+    try:
+        graph = parse_spec(text)
+    except SpecificationError:
+        return
+    assert isinstance(graph, DataFlowGraph)

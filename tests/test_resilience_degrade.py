@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+import repro.engine.workers as workers_module
 from repro.engine import EvaluationEngine, EvaluationProblem
 from repro.experiments import experiment1_session, experiment2_session
 from repro.io.project import session_to_dict
@@ -74,8 +75,8 @@ class TestSearchSoftDeadline:
         )
         assert not result.degraded
 
-    def test_soft_deadline_forces_serial_path(self, session):
-        engine = EvaluationEngine(workers=2, min_combinations=1)
+    def test_soft_deadline_forces_serial_path(self, session, pool_always):
+        engine = EvaluationEngine(workers=2)
         session.check(
             heuristic="enumeration", engine=engine, soft_deadline_s=1e-6
         )
@@ -93,6 +94,7 @@ class _UnpoolableEngine(EvaluationEngine):
         raise OSError("no processes on this platform")
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestEngineDegradedMode:
     def _problem(self):
         session = experiment2_session(partition_count=3)
@@ -104,12 +106,10 @@ class TestEngineDegradedMode:
             session.criteria,
         )
 
-    def test_repeated_pool_failures_enter_degraded_mode(self):
+    def test_repeated_pool_failures_enter_degraded_mode(self, monkeypatch):
+        monkeypatch.setattr(workers_module, "DEGRADE_AFTER", 2)
         problem = self._problem()
-        engine = _UnpoolableEngine(
-            workers=2, min_combinations=1,
-            degrade_after=2, degrade_cooldown_s=60.0,
-        )
+        engine = _UnpoolableEngine(workers=2)
         # Two consecutive pool failures: both fall back serially.
         for _ in range(2):
             run = engine.run(problem)
@@ -123,12 +123,11 @@ class TestEngineDegradedMode:
         assert stats["searches_degraded"] == 1
         assert stats["degraded"] is True
 
-    def test_cooldown_expiry_restores_parallel_attempts(self):
+    def test_cooldown_expiry_restores_parallel_attempts(self, monkeypatch):
+        monkeypatch.setattr(workers_module, "DEGRADE_AFTER", 1)
+        monkeypatch.setattr(workers_module, "DEGRADE_COOLDOWN_S", 0.05)
         problem = self._problem()
-        engine = _UnpoolableEngine(
-            workers=2, min_combinations=1,
-            degrade_after=1, degrade_cooldown_s=0.05,
-        )
+        engine = _UnpoolableEngine(workers=2)
         engine._note_pool_failure()
         assert engine.is_degraded()
         time.sleep(0.08)
@@ -137,32 +136,15 @@ class TestEngineDegradedMode:
         run = engine.run(problem)
         assert run.mode == "serial-fallback"
 
-    def test_degrade_after_zero_disables(self):
-        problem = self._problem()
-        engine = _UnpoolableEngine(
-            workers=2, min_combinations=1, degrade_after=0
-        )
-        for _ in range(4):
-            assert engine.run(problem).mode == "serial-fallback"
-        assert not engine.is_degraded()
-
     def test_clean_run_resets_failure_streak(self):
         problem = self._problem()
-        broken = _UnpoolableEngine(
-            workers=2, min_combinations=1, degrade_after=3
-        )
+        broken = _UnpoolableEngine(workers=2)
         broken.run(problem)
         assert broken.stats()["pool_failures_consecutive"] == 1
-        healthy = EvaluationEngine(
-            workers=2, min_combinations=1, degrade_after=3
-        )
+        healthy = EvaluationEngine(workers=2)
         healthy._note_pool_failure()
         healthy._note_pool_ok()
         assert healthy.stats()["pool_failures_consecutive"] == 0
-
-    def test_negative_degrade_after_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationEngine(workers=2, degrade_after=-1)
 
 
 class TestServiceSoftDeadline:

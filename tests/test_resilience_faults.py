@@ -3,7 +3,7 @@
 The point of ``$CHOP_FAULTS`` is that an injected fault travels the
 *same* code path as the real failure it mimics (``InjectedFault`` is an
 ``OSError``), so these tests assert end-to-end recovery — a killed shard
-is retried with backoff and the merged result is byte-identical to the
+is re-run in process and the merged result is byte-identical to the
 serial run; a failing cache write is retried and then succeeds; a
 failing job body is re-attempted by the queue.
 """
@@ -14,6 +14,7 @@ import multiprocessing
 
 import pytest
 
+import repro.engine.workers as workers_module
 from repro.engine import EvaluationEngine
 from repro.experiments import experiment1_session, experiment2_session
 from repro.resilience import (
@@ -119,8 +120,9 @@ class TestMaybeInject:
 
 
 # ----------------------------------------------------------------------
-# engine: a killed shard is retried with backoff, merge is identical
+# engine: a killed shard is re-run in process, merge is identical
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("pool_always")
 class TestEngineShardRecovery:
     def test_injected_shard_fault_retried_to_identical_result(
         self, monkeypatch
@@ -129,13 +131,11 @@ class TestEngineShardRecovery:
         serial = session.check(heuristic="enumeration")
 
         monkeypatch.setenv(FAULTS_ENV, "shard=0")
-        engine = EvaluationEngine(workers=2, min_combinations=1)
+        engine = EvaluationEngine(workers=2)
         survived = session.check(heuristic="enumeration", engine=engine)
 
         assert result_doc(survived) == result_doc(serial)
-        stats = engine.stats()
-        assert stats["shards_retried"] >= 1
-        assert stats["shard_retry_attempts"] >= 1
+        assert engine.stats()["shards_retried"] >= 1
 
     def test_hard_worker_exit_retried_to_identical_result(
         self, monkeypatch
@@ -145,31 +145,13 @@ class TestEngineShardRecovery:
         session = experiment2_session(partition_count=3)
         serial = session.check(heuristic="enumeration")
 
+        monkeypatch.setattr(workers_module, "START_METHOD", "fork")
         monkeypatch.setenv(FAULTS_ENV, "shard_exit=0")
-        engine = EvaluationEngine(
-            workers=2, min_combinations=1, start_method="fork"
-        )
+        engine = EvaluationEngine(workers=2)
         survived = session.check(heuristic="enumeration", engine=engine)
 
         assert result_doc(survived) == result_doc(serial)
         assert engine.stats()["shards_retried"] >= 1
-
-    def test_backoff_sleeps_before_serial_rerun(self, monkeypatch):
-        slept = []
-        import repro.engine.workers as workers_module
-
-        monkeypatch.setattr(
-            workers_module.time, "sleep", slept.append
-        )
-        monkeypatch.setenv(FAULTS_ENV, "shard=0")
-        session = experiment2_session(partition_count=3)
-        engine = EvaluationEngine(workers=2, min_combinations=1)
-        session.check(heuristic="enumeration", engine=engine)
-        # The dead-worker try counts as attempt 1, so the serial re-run
-        # waits out the policy's first backoff delay.
-        assert any(
-            delay >= engine.retry_policy.base_delay_s for delay in slept
-        )
 
 
 # ----------------------------------------------------------------------
