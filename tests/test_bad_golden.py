@@ -5,7 +5,11 @@ sha256 (the digest the benchmark verifies, too).  The cases are every
 partition of the paper's nine cells (experiment 1 at packages 1 and 2
 with k = 1..3, experiment 2 with k = 3..5) plus predictor paths the
 paper cells never take: port-capped memory classes, scan design, input
-arrival times, single-style architectures and chaining turned off.
+arrival times, single-style architectures and chaining turned off.  Two
+whole-graph predictions of generated 250-op graphs under the
+auto-partitioner's library, clocks and style pin the large chained
+partitions ``repro.auto`` schedules, where one timing key meets dozens of
+allocations.
 
 A refactor of ``repro.bad`` must leave every digest unchanged.  A
 deliberate model change rewrites the file, and its diff is reviewed like
@@ -25,10 +29,11 @@ from typing import Callable, Dict, List
 
 import pytest
 
+from repro.auto.partitioner import default_auto_session
 from repro.bad.predictor import BADPredictor, PredictorParameters
 from repro.bad.styles import ArchitectureStyle, OperationTiming
 from repro.dfg.benchmarks import ar_lattice_filter, differential_equation
-from repro.dfg.builders import GraphBuilder
+from repro.dfg.builders import GraphBuilder, generate_dfg
 from repro.experiments.setups import (
     experiment1_clocks,
     experiment1_session,
@@ -85,6 +90,20 @@ MEMORIES = {
 }
 
 
+def _auto_graph(kind: str, seed: int = 0):
+    """Whole-graph prediction of a generated 250-op graph with the
+    library, clocks and style ``default_auto_session`` gives it."""
+
+    def run():
+        graph = generate_dfg(kind, 250, seed=seed)
+        session = default_auto_session(graph, chips=1)
+        return BADPredictor(
+            session.library, session.clocks, session.style
+        ).predict_partition(graph)
+
+    return run
+
+
 def _predictor(library, clocks, timing, params=None, memories=None,
                **style):
     return BADPredictor(
@@ -133,6 +152,8 @@ def cases() -> Dict[str, Callable[[], List[object]]]:
         "no_chaining": lambda: _predictor(
             table1, exp1, single, PredictorParameters(enable_chaining=False)
         ).predict_partition(ar),
+        "auto_layered250_s7": _auto_graph("layered", seed=7),
+        "auto_chain250": _auto_graph("chain"),
     })
     return out
 
