@@ -14,6 +14,7 @@ allocation" and "considers serial-parallel tradeoffs" (section 2.4).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -111,11 +112,13 @@ def value_lifetimes(
     schedule, where the output-side transfer module takes over.
     """
     lifetimes: Dict[str, Tuple[int, int]] = {}
+    # A value's consumers are its producer's successors.
+    successors = graph.successor_index
     for value in graph.values.values():
         if value.producer is None:
             continue  # held in the input DTM buffer, not PU registers
         birth = schedule.finish(value.producer)
-        consumers = graph.consumers(value.id)
+        consumers = successors[value.producer]
         if consumers:
             death = max(schedule.start[c] + 1 for c in consumers)
         else:
@@ -213,6 +216,40 @@ def _check_interval(initiation_interval: int) -> None:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class MuxFacts:
+    """What :func:`mux_requirement` reads from a partition, whatever the
+    design: derived once per partition by :func:`mux_facts`."""
+
+    #: Operations per resource class.
+    ops_per_class: Dict[str, int]
+    #: The widest input-port count among each class's operations.
+    input_ports: Dict[str, int]
+    #: Primary inputs of the partition.
+    input_count: int
+    #: Internally produced values, the writers of the PU registers.
+    writers: int
+
+
+def mux_facts(graph: DataFlowGraph, op_class: Mapping[str, str]) -> MuxFacts:
+    """The partition-only inputs of :func:`mux_requirement`."""
+    ops_per_class: Dict[str, int] = {}
+    input_ports: Dict[str, int] = {}
+    for op_id, cls in op_class.items():
+        op = graph.operation(op_id)
+        ops_per_class[cls] = ops_per_class.get(cls, 0) + 1
+        ports = max(1, len(op.inputs))
+        input_ports[cls] = max(input_ports.get(cls, 0), ports)
+    return MuxFacts(
+        ops_per_class=ops_per_class,
+        input_ports=input_ports,
+        input_count=len(graph.primary_inputs()),
+        writers=sum(
+            1 for v in graph.values.values() if v.producer is not None
+        ),
+    )
+
+
 def mux_requirement(
     graph: DataFlowGraph,
     allocation: Mapping[str, int],
@@ -220,6 +257,7 @@ def mux_requirement(
     register_words: int,
     value_width: int,
     sharing_factor: float = 0.55,
+    facts: Optional[MuxFacts] = None,
 ) -> int:
     """Estimate of 1-bit 2:1 multiplexers implied by resource sharing.
 
@@ -233,15 +271,11 @@ def mux_requirement(
     sharing a binder exploits (values feeding several shared units reuse
     the same selected bus): register-transfer binders of the ADAM family
     report roughly half the naive steering, which the default reflects.
+    ``facts`` is the partition's :func:`mux_facts`, for callers that
+    already hold it; the estimate is then per-design arithmetic only.
     """
-    # Operations per resource class, and input port counts.
-    ops_per_class: Dict[str, int] = {}
-    input_ports: Dict[str, int] = {}
-    for op_id, cls in op_class.items():
-        op = graph.operation(op_id)
-        ops_per_class[cls] = ops_per_class.get(cls, 0) + 1
-        ports = max(1, len(op.inputs))
-        input_ports[cls] = max(input_ports.get(cls, 0), ports)
+    if facts is None:
+        facts = mux_facts(graph, op_class)
 
     # A port's selector cannot be wider than the number of distinct
     # physical sources it can see: registers, the share of primary-input
@@ -249,10 +283,10 @@ def mux_requirement(
     # designs route many operations through few sources, so the naive
     # ops-per-unit fan-in over-counts badly without this cap.
     total_units = sum(max(0, u) for u in allocation.values())
-    input_count = len(graph.primary_inputs())
+    input_count = facts.input_count
 
     muxes = 0
-    for cls, op_count in ops_per_class.items():
+    for cls, op_count in facts.ops_per_class.items():
         units = allocation.get(cls, 0)
         if units <= 0:
             raise PredictionError(
@@ -260,7 +294,7 @@ def mux_requirement(
             )
         if op_count <= units:
             continue  # no sharing, no steering
-        ports = input_ports[cls]
+        ports = facts.input_ports[cls]
         source_cap = max(
             2,
             register_words
@@ -275,9 +309,7 @@ def mux_requirement(
     # produced values write the PU registers — and a register cannot see
     # more distinct writers than there are unit outputs, which caps the
     # steering in deeply serial designs.
-    writers = sum(
-        1 for v in graph.values.values() if v.producer is not None
-    )
+    writers = facts.writers
     if register_words > 0 and writers > register_words:
         sharing = min(
             writers - register_words,

@@ -21,8 +21,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.bad.allocation import (
     LiveProfile,
+    MuxFacts,
     allocation_candidates,
     live_profile,
+    mux_facts,
     mux_requirement,
     partition_resource_model,
     register_bits,
@@ -31,7 +33,7 @@ from repro.bad.allocation import (
 from repro.bad.controller import PlaParameters, datapath_controller
 from repro.bad.power import PowerParameters, power_estimate
 from repro.bad.prediction import AreaBreakdown, DesignPrediction
-from repro.bad.scheduling import Schedule, list_schedule
+from repro.bad.scheduling import Schedule, SchedulePlan, list_schedule
 from repro.bad.styles import ArchitectureStyle, ClockScheme, OperationTiming
 from repro.bad.wiring import WiringParameters, wiring_estimate
 from repro.dfg.graph import DataFlowGraph
@@ -96,6 +98,9 @@ class _Partition:
     memory_bandwidth_bits: Dict[str, int]
     input_bits: int
     output_bits: int
+    #: Ops and widest port per class, primary inputs and internal
+    #: writers: the mux estimate's partition-only inputs.
+    mux: MuxFacts
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,6 +178,7 @@ class BADPredictor:
             ),
             input_bits=sum(v.width for v in sub.primary_inputs()),
             output_bits=sum(v.width for v in sub.primary_outputs()),
+            mux=mux_facts(sub, op_class),
         )
 
         predictions: Dict[Tuple, DesignPrediction] = {}
@@ -182,6 +188,11 @@ class BADPredictor:
         # module set; analyse each distinct schedule once, so a rich
         # library does not re-run the scheduler or the II probe.
         schedule_cache: Dict[Tuple, List[_Design]] = {}
+        # What the scheduler derives from the timing alone (checks,
+        # urgency, horizon) is planned once per timing, and the
+        # allocation frontier with its capacities once per busy vector.
+        plans: Dict[Tuple, SchedulePlan] = {}
+        frontiers: Dict[Tuple, List[Tuple[Dict[str, int], Tuple]]] = {}
         for module_set in module_sets:
             duration = self._durations(sub, module_set, memory_cycles)
             delay_ns, cycle_ns = self._chaining_model(sub, module_set)
@@ -203,19 +214,31 @@ class BADPredictor:
                 tuple(sorted(duration.items())),
                 tuple(sorted(delay_ns.items())) if delay_ns else None,
             )
-            for allocation in allocation_candidates(
-                counts, self.params.max_total_units, busy_cycles=busy_cycles
-            ):
-                capacities = self._capacities(allocation)
-                cache_key = (
-                    timing_key, tuple(sorted(capacities.items()))
+            busy_key = tuple(sorted(busy_cycles.items()))
+            frontier = frontiers.get(busy_key)
+            if frontier is None:
+                allocations = allocation_candidates(
+                    counts, self.params.max_total_units,
+                    busy_cycles=busy_cycles,
                 )
+                frontier = frontiers[busy_key] = [
+                    (capacities, tuple(sorted(capacities.items())))
+                    for capacities in map(self._capacities, allocations)
+                ]
+            for capacities, capacities_key in frontier:
+                cache_key = (timing_key, capacities_key)
                 designs = schedule_cache.get(cache_key)
                 if designs is None:
+                    plan = plans.get(timing_key)
+                    if plan is None:
+                        plan = plans[timing_key] = SchedulePlan.build(
+                            sub, duration, op_class, delay_ns, cycle_ns,
+                            ready,
+                        )
                     schedule = list_schedule(
                         sub, duration, op_class, capacities,
                         delay_ns=delay_ns, cycle_ns=cycle_ns,
-                        ready=ready,
+                        ready=ready, plan=plan,
                     )
                     designs = self._designs_for_schedule(part, schedule)
                     schedule_cache[cache_key] = designs
@@ -406,7 +429,7 @@ class BADPredictor:
         reg_bits = register_bits(sub, schedule, ii_dp, live)
         muxes = mux_requirement(
             sub, operators, part.op_class, reg_words, part.width,
-            sharing_factor=self.params.mux_sharing_factor,
+            sharing_factor=self.params.mux_sharing_factor, facts=part.mux,
         )
         if self.params.scan_design:
             # Design-for-test: a scan path threads every register bit

@@ -101,9 +101,9 @@ class DataFlowGraph:
         self.name = name
         self._operations = dict(operations)
         self._values = dict(values)
-        self._consumers: Dict[str, Tuple[str, ...]] = {}
         self._check_integrity()
-        self._index_consumers()
+        self._index_structure()
+        self._order: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
     # construction-time checks
@@ -139,12 +139,31 @@ class DataFlowGraph:
                         f"{value.id!r}"
                     )
 
-    def _index_consumers(self) -> None:
+    def _index_structure(self) -> None:
+        """Consumers per value, predecessors and successors per operation.
+
+        The graph never changes after construction, so these tuples are
+        built once and every schedule of it reads them uncopied.
+        """
         consumers: Dict[str, List[str]] = {vid: [] for vid in self._values}
         for op in self._operations.values():
             for vid in op.inputs:
                 consumers[vid].append(op.id)
-        self._consumers = {vid: tuple(ops) for vid, ops in consumers.items()}
+        self._consumers: Dict[str, Tuple[str, ...]] = {
+            vid: tuple(ops) for vid, ops in consumers.items()
+        }
+        values = self._values
+        self._preds: Dict[str, Tuple[str, ...]] = {}
+        self._succs: Dict[str, Tuple[str, ...]] = {}
+        for op_id, op in self._operations.items():
+            # Deduplicated, in input order.
+            producers = (values[vid].producer for vid in op.inputs)
+            self._preds[op_id] = tuple(
+                dict.fromkeys(p for p in producers if p is not None)
+            )
+            self._succs[op_id] = (
+                () if op.output is None else self._consumers[op.output]
+            )
 
     # ------------------------------------------------------------------
     # accessors
@@ -203,24 +222,28 @@ class DataFlowGraph:
     # ------------------------------------------------------------------
     # structure queries
     # ------------------------------------------------------------------
+    @property
+    def predecessor_index(self) -> Dict[str, Tuple[str, ...]]:
+        """Every operation's :meth:`predecessors`, as tuples built once
+        (do not mutate)."""
+        return self._preds
+
+    @property
+    def successor_index(self) -> Dict[str, Tuple[str, ...]]:
+        """Every operation's :meth:`successors`, as tuples built once: an
+        operation reading one value twice is listed twice (do not
+        mutate)."""
+        return self._succs
+
     def predecessors(self, op_id: str) -> List[str]:
         """Operations producing the inputs of ``op_id`` (deduplicated)."""
-        op = self.operation(op_id)
-        seen: Set[str] = set()
-        result: List[str] = []
-        for vid in op.inputs:
-            producer = self._values[vid].producer
-            if producer is not None and producer not in seen:
-                seen.add(producer)
-                result.append(producer)
-        return result
+        self.operation(op_id)
+        return list(self._preds[op_id])
 
     def successors(self, op_id: str) -> List[str]:
         """Operations consuming the output of ``op_id``."""
-        op = self.operation(op_id)
-        if op.output is None:
-            return []
-        return list(self._consumers.get(op.output, ()))
+        self.operation(op_id)
+        return list(self._succs[op_id])
 
     def topological_order(self) -> List[str]:
         """Operation ids in a dependency-respecting order.
@@ -228,10 +251,18 @@ class DataFlowGraph:
         Raises :class:`SpecificationError` when the graph is cyclic — the
         paper requires inner loops to be unrolled before partitioning.
         Ties are broken by operation id so the order is deterministic.
+        The order is derived once and kept; each call returns a fresh
+        list.
         """
+        if self._order is None:
+            self._order = tuple(self._derive_order())
+        return list(self._order)
+
+    def _derive_order(self) -> List[str]:
+        succs = self._succs
         indegree = {op_id: 0 for op_id in self._operations}
         for op_id in self._operations:
-            for succ in self.successors(op_id):
+            for succ in succs[op_id]:
                 indegree[succ] += 1
         ready = deque(sorted(op_id for op_id, d in indegree.items() if d == 0))
         order: List[str] = []
@@ -239,7 +270,7 @@ class DataFlowGraph:
             op_id = ready.popleft()
             order.append(op_id)
             newly_ready = []
-            for succ in self.successors(op_id):
+            for succ in succs[op_id]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     newly_ready.append(succ)
@@ -254,10 +285,12 @@ class DataFlowGraph:
 
     def depth(self) -> int:
         """Length of the longest operation chain (critical path in ops)."""
+        preds = self._preds
         levels: Dict[str, int] = {}
         for op_id in self.topological_order():
-            preds = self.predecessors(op_id)
-            levels[op_id] = 1 + max((levels[p] for p in preds), default=0)
+            levels[op_id] = 1 + max(
+                (levels[p] for p in preds[op_id]), default=0
+            )
         return max(levels.values(), default=0)
 
     def subgraph_ops(self, op_ids: Iterable[str]) -> "DataFlowGraph":

@@ -10,7 +10,11 @@ from repro.bad.allocation import (
     register_requirement,
     value_lifetimes,
 )
-from repro.bad.scheduling import critical_path_cycles, list_schedule
+from repro.bad.scheduling import (
+    SchedulePlan,
+    critical_path_cycles,
+    list_schedule,
+)
 from tests.strategies import dags
 
 
@@ -139,3 +143,115 @@ def test_folds_match_per_op_accumulation(drawn):
             register_requirement(graph, schedule, ii),
             register_bits(graph, schedule, ii),
         ) == naive_registers(graph, schedule, ii)
+
+
+@st.composite
+def timings(draw):
+    """A random graph with the arguments of one scheduling plan:
+    multi-cycle operations, or single-cycle ones chained within a cycle,
+    with or without per-operation arrival times."""
+    graph = draw(dags())
+    op_class, counts = partition_resource_model(graph)
+    ops = sorted(graph.operations)
+    delays = cycle = None
+    if draw(st.booleans()):
+        duration = {op_id: 1 for op_id in ops}
+        delays = {
+            op_id: draw(st.sampled_from([0.0, 40.0, 120.0, 300.0]))
+            for op_id in ops
+        }
+        cycle = 300.0
+    else:
+        duration = {
+            op_id: draw(st.integers(min_value=1, max_value=4))
+            for op_id in ops
+        }
+    ready = None
+    if draw(st.booleans()):
+        late = draw(st.sets(st.sampled_from(ops)))
+        ready = {
+            op_id: draw(st.integers(min_value=0, max_value=6))
+            for op_id in sorted(late)
+        }
+    return graph, op_class, counts, duration, delays, cycle, ready
+
+
+@given(timings(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_plan_places_like_a_fresh_schedule_per_allocation(timing, data):
+    """A plan reused over a sequence of capacity vectors must not carry
+    state (predecessor counts, ready list, events, occupancy) from one
+    placement into the next."""
+    graph, op_class, counts, duration, delays, cycle, ready = timing
+    vectors = data.draw(st.lists(
+        st.fixed_dictionaries({
+            cls: st.integers(min_value=1, max_value=count)
+            for cls, count in counts.items()
+        }),
+        min_size=2, max_size=5,
+    ))
+    plan = SchedulePlan.build(graph, duration, op_class, delays, cycle, ready)
+    for capacities in vectors:
+        reused = list_schedule(
+            graph, duration, op_class, capacities,
+            delay_ns=delays, cycle_ns=cycle, ready=ready, plan=plan,
+        )
+        fresh = list_schedule(
+            graph, duration, op_class, capacities,
+            delay_ns=delays, cycle_ns=cycle, ready=ready,
+        )
+        assert reused.start == fresh.start
+        assert reused.offset_ns == fresh.offset_ns
+        assert reused.occupancy == fresh.occupancy
+        assert reused.latency == fresh.latency
+
+
+def derived_structure(graph):
+    """Reference oracle: order, predecessors and successors derived from
+    the operations and values alone, with nothing cached."""
+    preds, succs = {}, {}
+    for op_id, op in graph.operations.items():
+        producers = [graph.values[vid].producer for vid in op.inputs]
+        preds[op_id] = []
+        for producer in producers:
+            if producer is not None and producer not in preds[op_id]:
+                preds[op_id].append(producer)
+        # One entry per input that reads the value: an op reading it
+        # twice is a successor twice.
+        succs[op_id] = [
+            reader.id
+            for reader in graph
+            for vid in reader.inputs
+            if op.output is not None and vid == op.output
+        ]
+    indegree = {op_id: 0 for op_id in graph.operations}
+    for op_id in graph.operations:
+        for succ in succs[op_id]:
+            indegree[succ] += 1
+    ready = sorted(op_id for op_id, n in indegree.items() if n == 0)
+    order = []
+    while ready:
+        op_id = ready.pop(0)
+        order.append(op_id)
+        fresh = []
+        for succ in succs[op_id]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                fresh.append(succ)
+        ready.extend(sorted(fresh))
+    return order, preds, succs
+
+
+@given(dags())
+@settings(max_examples=60, deadline=None)
+def test_graph_index_matches_a_from_scratch_derivation(graph):
+    order, preds, succs = derived_structure(graph)
+    handed_out = graph.topological_order()
+    assert handed_out == order
+    handed_out.reverse()  # a caller's copy, not the cached order
+    assert graph.topological_order() == order
+    for op_id in graph.operations:
+        assert graph.predecessors(op_id) == preds[op_id]
+        assert graph.successors(op_id) == succs[op_id]
+        assert graph.predecessor_index[op_id] == tuple(preds[op_id])
+        assert graph.successor_index[op_id] == tuple(succs[op_id])
