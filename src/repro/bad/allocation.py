@@ -112,29 +112,33 @@ def value_lifetimes(
     schedule, where the output-side transfer module takes over.
     """
     lifetimes: Dict[str, Tuple[int, int]] = {}
+    start = schedule.start
+    duration = schedule.duration
+    chaining = bool(schedule.offset_ns)
+    # Outputs stay live *through* the last cycle: the transfer module
+    # reads them after the schedule completes.
+    output_death = schedule.latency + 1
     # A value's consumers are its producer's successors.
     successors = graph.successor_index
     for value in graph.values.values():
-        if value.producer is None:
+        producer = value.producer
+        if producer is None:
             continue  # held in the input DTM buffer, not PU registers
-        birth = schedule.finish(value.producer)
-        consumers = successors[value.producer]
+        produced_in = start[producer]
+        birth = produced_in + duration[producer]
+        consumers = successors[producer]
         if consumers:
-            death = max(schedule.start[c] + 1 for c in consumers)
+            death = max(map(start.__getitem__, consumers)) + 1
         else:
             death = birth
         if value.is_output:
-            # Outputs stay live *through* the last cycle: the transfer
-            # module reads them after the schedule completes.
-            death = max(death, schedule.latency + 1)
+            death = max(death, output_death)
         if death <= birth:
             if (
-                consumers
+                chaining
+                and consumers
                 and not value.is_output
-                and value.producer is not None
-                and all(
-                    schedule.chained(value.producer, c) for c in consumers
-                )
+                and all(start[c] == produced_in for c in consumers)
             ):
                 # Every consumer reads the value combinationally within
                 # the producing cycle; no register is ever written.
@@ -163,8 +167,9 @@ def live_profile(graph: DataFlowGraph, schedule: Schedule) -> LiveProfile:
     end = max((death for _birth, death in lifetimes.values()), default=0)
     words = [0] * (end + 1)
     bits = [0] * (end + 1)
+    values = graph.values
     for value_id, (birth, death) in lifetimes.items():
-        width = graph.values[value_id].width
+        width = values[value_id].width
         words[birth] += 1
         words[death] -= 1
         bits[birth] += width

@@ -103,6 +103,21 @@ class _Partition:
     mux: MuxFacts
 
 
+@dataclass(slots=True)
+class _Timing:
+    """One timing key's scheduling state within a
+    :meth:`BADPredictor.predict_partition` call."""
+
+    plan: SchedulePlan
+    #: Schedules placed under this timing that left a unit idle, each
+    #: with its peak usage and live profile: by the reuse rule each is
+    #: also the schedule of any allocation between its peak and its own
+    #: capacities.
+    idle: List[Tuple[Dict[str, int], Schedule, LiveProfile]] = field(
+        default_factory=list
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class _Design:
     """One design a schedule supports, whatever the module set: the
@@ -191,7 +206,7 @@ class BADPredictor:
         # What the scheduler derives from the timing alone (checks,
         # urgency, horizon) is planned once per timing, and the
         # allocation frontier with its capacities once per busy vector.
-        plans: Dict[Tuple, SchedulePlan] = {}
+        timings: Dict[Tuple, _Timing] = {}
         frontiers: Dict[Tuple, List[Tuple[Dict[str, int], Tuple]]] = {}
         for module_set in module_sets:
             duration = self._durations(sub, module_set, memory_cycles)
@@ -229,18 +244,17 @@ class BADPredictor:
                 cache_key = (timing_key, capacities_key)
                 designs = schedule_cache.get(cache_key)
                 if designs is None:
-                    plan = plans.get(timing_key)
-                    if plan is None:
-                        plan = plans[timing_key] = SchedulePlan.build(
-                            sub, duration, op_class, delay_ns, cycle_ns,
-                            ready,
+                    timing = timings.get(timing_key)
+                    if timing is None:
+                        timing = timings[timing_key] = _Timing(
+                            SchedulePlan.build(
+                                sub, duration, op_class, delay_ns,
+                                cycle_ns, ready,
+                            )
                         )
-                    schedule = list_schedule(
-                        sub, duration, op_class, capacities,
-                        delay_ns=delay_ns, cycle_ns=cycle_ns,
-                        ready=ready, plan=plan,
+                    designs = self._designs_for_schedule(
+                        part, *self._schedule(sub, timing, capacities)
                     )
-                    designs = self._designs_for_schedule(part, schedule)
                     schedule_cache[cache_key] = designs
                 for design in designs:
                     prediction = self._build_prediction(
@@ -382,25 +396,54 @@ class BADPredictor:
                 capacities[cls] = units
         return capacities
 
+    @staticmethod
+    def _schedule(
+        sub: DataFlowGraph, timing: _Timing, capacities: Dict[str, int]
+    ) -> Tuple[Schedule, LiveProfile]:
+        """The schedule of one allocation, with its live profile.
+
+        A retained schedule whose peak usage and capacities bracket
+        ``capacities`` is, by the reuse rule (``docs/MODEL.md`` section
+        4), what a placement would give; it is verified again against
+        ``capacities``.  Otherwise the plan is placed afresh, and the
+        schedule is retained when it leaves a unit idle.
+        """
+        for peak, placed, live in timing.idle:
+            if all(
+                peak[cls] <= units <= placed.capacities[cls]
+                for cls, units in capacities.items()
+            ):
+                return placed.reallocated(capacities, sub), live
+        plan = timing.plan
+        schedule = list_schedule(
+            sub, plan.duration, plan.resource_class, capacities,
+            delay_ns=plan.delay_ns, cycle_ns=plan.cycle_ns,
+            ready=plan.ready, plan=plan,
+        )
+        live = live_profile(sub, schedule)
+        peak = schedule.peak_usage()
+        if peak != schedule.capacities:
+            timing.idle.append((peak, schedule, live))
+        return schedule, live
+
     def _designs_for_schedule(
-        self, part: _Partition, schedule: Schedule
+        self, part: _Partition, schedule: Schedule, live: LiveProfile
     ) -> List[_Design]:
         """The nonpipelined and tightest pipelined design of a schedule.
 
         Everything here depends on the schedule alone, not on the module
-        set.  Value lifetimes are walked once, for both intervals.
+        set.  ``live`` is the schedule's live profile, for both intervals.
         """
         designs: List[_Design] = []
         latency = max(schedule.latency, 1)
-        live = live_profile(part.graph, schedule)
         if self.style.allow_nonpipelined:
             # Charge the units the schedule actually needs, not the raw
             # allocation: chaining and slack often leave allocated units
             # never used concurrently, and synthesis instantiates only
             # the peak.
             peak = {
-                cls: max(units) or 1
-                for cls, units in schedule.occupancy.items()
+                cls: units or 1
+                for cls, units in schedule.peak_usage().items()
             }
             designs.append(self._make_design(
                 part, schedule, live, peak, latency, pipelined=False

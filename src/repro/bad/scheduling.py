@@ -13,7 +13,8 @@ happens in the predictor.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -140,34 +141,71 @@ class Schedule:
         return self.start[op_id] + self.duration[op_id]
 
     def chained(self, pred: str, succ: str) -> bool:
-        """Whether ``succ`` consumes ``pred`` within the same cycle."""
+        """Whether ``succ`` consumes ``pred`` within the same cycle.
+
+        Raises ``KeyError`` for an operation the schedule never placed,
+        as :meth:`finish` does.
+        """
         return (
             bool(self.offset_ns)
-            and self.start.get(pred) == self.start.get(succ)
+            and self.start[pred] == self.start[succ]
         )
 
     def usage_profile(self) -> Dict[str, List[int]]:
         """Per-class unit usage in each cycle of the schedule."""
         return {cls: list(units) for cls, units in self.occupancy.items()}
 
+    def peak_usage(self) -> Dict[str, int]:
+        """The most units of each class busy in any one cycle."""
+        return {
+            cls: max(units, default=0)
+            for cls, units in self.occupancy.items()
+        }
+
+    def reallocated(
+        self, capacities: Mapping[str, int], graph: DataFlowGraph
+    ) -> "Schedule":
+        """This schedule charged to ``capacities``, verified against them.
+
+        When every class's capacity lies between this schedule's
+        :meth:`peak_usage` and its own capacity, this is exactly what
+        :func:`list_schedule` places under ``capacities`` (the reuse
+        rule of ``docs/MODEL.md`` section 4); the caller checks that.
+        """
+        moved = replace(
+            self,
+            capacities=dict(capacities),
+            occupancy={cls: self.occupancy[cls] for cls in capacities},
+        )
+        moved.verify(graph)
+        return moved
+
     def verify(self, graph: DataFlowGraph) -> None:
         """Raise :class:`PredictionError` on any violated constraint."""
         self._verify(graph.predecessor_index)
 
     def _verify(self, preds: Mapping[str, Sequence[str]]) -> None:
-        for op_id, begin in self.start.items():
+        start = self.start
+        duration = self.duration
+        offset = self.offset_ns
+        delay = self.delay_ns
+        for op_id, begin in start.items():
             for pred in preds[op_id]:
-                if self.finish(pred) <= begin:
+                pred_start = start[pred]
+                if pred_start + duration[pred] <= begin:
                     continue
-                if self.chained(pred, op_id):
-                    # Same-cycle chaining: the successor must start after
-                    # the predecessor's combinational delay settles.
-                    pred_end = self.offset_ns[pred] + self.delay_ns[pred]
-                    if self.offset_ns[op_id] + 1e-9 >= pred_end:
-                        continue
+                # Same-cycle chaining: the successor must start after the
+                # predecessor's combinational delay settles.
+                if (
+                    offset
+                    and pred_start == begin
+                    and offset[op_id] + 1e-9 >= offset[pred] + delay[pred]
+                ):
+                    continue
                 raise PredictionError(
                     f"precedence violated: {pred} finishes at "
-                    f"{self.finish(pred)} but {op_id} starts at {begin}"
+                    f"{pred_start + duration[pred]} but {op_id} starts at "
+                    f"{begin}"
                 )
         for cls, units in self.occupancy.items():
             peak = max(units, default=0)
@@ -228,9 +266,11 @@ class SchedulePlan:
 
     It runs every argument check but the capacity one, and holds the
     predecessor and successor tuples, the ALAP urgency against the
-    critical path, each operation's predecessor count, the operations
-    ready at the start, the horizon and the arrival events.  A placement copies the state it consumes, so one
-    plan serves any number of placements.
+    critical path, each operation's count of inputs from other
+    operations, the operations ready at the start, the horizon and the
+    arrival events.  A placement
+    copies the state it consumes, so one plan serves any number of
+    placements.
     """
 
     duration: Dict[str, int]
@@ -246,6 +286,7 @@ class SchedulePlan:
     succs: Mapping[str, Tuple[str, ...]]
     #: Placement priority: (ALAP start, op id), smaller is more urgent.
     urgency: Dict[str, Tuple[int, str]]
+    #: Inputs each operation reads from other operations.
     pred_counts: Dict[str, int]
     initially_ready: Tuple[str, ...]
     #: Latest cycle a placement may start in, and the cycles an
@@ -303,7 +344,14 @@ class SchedulePlan:
         cp = _finish_time(_asap(order, preds, duration, ready), duration)
         alap = _alap(order, succs, duration, cp)
         urgency = {op_id: (alap[op_id], op_id) for op_id in order}
-        pred_counts = {op_id: len(preds[op_id]) for op_id in order}
+        # A placement counts down once per successor entry, and an
+        # operation reading one value twice is its producer's successor
+        # twice, so count entries: an operation is ready only once every
+        # one of its producers is placed.
+        pred_counts = dict.fromkeys(order, 0)
+        for op_id in order:
+            for succ in succs[op_id]:
+                pred_counts[succ] += 1
         # Upper bound on schedule length: every op serialized, after the
         # latest arrival.
         horizon = sum(duration[o] for o in order) + 1
@@ -362,6 +410,19 @@ def list_schedule(
     these same arguments, for callers that place one timing under many
     capacity vectors; without it one is built here.  Either way the
     capacities are the one argument checked per placement.
+
+    The placement contract: time advances from cycle 0 to each operation
+    finish and input arrival.  At each such cycle a first pass tries every
+    ready operation, most urgent first; one starts when its class has a
+    free unit in every cycle it occupies and each predecessor has
+    finished (or, chaining, started this cycle early enough for both
+    delays to fit).  With chaining, each further pass tries only the
+    operations the previous pass readied.  An operation that does not fit
+    waits for the next such cycle: within a cycle units only fill up and
+    its predecessors stay where they are.  Placements of one class never
+    change whether another class's ready operations fit, so the first
+    pass scans class by class, and a class whose units are all busy in
+    the current cycle ends its scan there.
     """
     if plan is None:
         plan = SchedulePlan.build(
@@ -380,82 +441,105 @@ def list_schedule(
     chaining = delay_ns is not None
     preds = plan.preds
     succs = plan.succs
-    urgency = plan.urgency.__getitem__
+    urgency = plan.urgency
     remaining_preds = dict(plan.pred_counts)
-    ready_list: List[str] = list(plan.initially_ready)
+    # Each class's ready operations as urgency keys, most urgent first.
+    waiting: Dict[str, List[Tuple[int, str]]] = {
+        cls: [] for cls in plan.classes
+    }
+    for op_id in plan.initially_ready:
+        waiting[resource_class[op_id]].append(urgency[op_id])
     start: Dict[str, int] = {}
     offset: Dict[str, float] = {}
-
-    def chain_offset_at(op_id: str, time: int) -> Optional[float]:
-        """Start offset of ``op_id`` within cycle ``time``, or None if a
-        predecessor blocks placement in this cycle."""
-        if ready and ready.get(op_id, 0) > time:
-            return None
-        begin = 0.0
-        for pred in preds[op_id]:
-            if pred not in start:
-                return None
-            pred_finish = start[pred] + duration[pred]
-            if pred_finish <= time:
-                continue
-            if chaining and start[pred] == time:
-                begin = max(begin, offset[pred] + delay_ns[pred])
-                continue
-            return None
-        if chaining:
-            if begin + delay_ns[op_id] > cycle_ns + 1e-9:
-                return None
-        elif begin > 0.0:
-            return None
-        return begin
-
-    time = 0
-    scheduled = 0
-    total = len(plan.pred_counts)
-    horizon = plan.horizon
     # Units busy per class and absolute cycle.
     occupancy = {cls: [0] * plan.cycles for cls in capacities}
     # Event-driven time advance: placements can only become possible at
     # operation-finish boundaries (resources free, dependencies settle)
     # or at input arrival times, so the clock jumps between those.
     events: List[int] = list(plan.events)
-    while scheduled < total:
+
+    def chain_offset_at(op_id: str, time: int) -> Optional[float]:
+        """Start offset of ``op_id`` within cycle ``time``, or None if its
+        arrival or a predecessor (all placed) blocks this cycle."""
+        if ready and ready.get(op_id, 0) > time:
+            return None
+        begin = 0.0
+        for pred in preds[op_id]:
+            pred_start = start[pred]
+            if pred_start + duration[pred] <= time:
+                continue
+            if not chaining or pred_start != time:
+                return None
+            begin = max(begin, offset[pred] + delay_ns[pred])
+        if chaining and begin + delay_ns[op_id] > cycle_ns + 1e-9:
+            return None
+        return begin
+
+    def place(
+        op_id: str, time: int, begin: float, readied: List[str]
+    ) -> None:
+        """Start ``op_id`` at ``time`` and note the successors it readies."""
+        start[op_id] = time
+        offset[op_id] = begin
+        end = time + duration[op_id]
+        units = occupancy[resource_class[op_id]]
+        for c in range(time, end):
+            units[c] += 1
+        heapq.heappush(events, end)
+        for succ in succs[op_id]:
+            remaining_preds[succ] -= 1
+            if remaining_preds[succ] == 0:
+                readied.append(succ)
+
+    time = 0
+    total = len(plan.pred_counts)
+    horizon = plan.horizon
+    # One slot decides whether a class has a unit for an op of any
+    # duration: every op placed so far started at or before ``time`` and
+    # occupies a contiguous run of cycles, so from ``time`` on a class's
+    # occupancy never rises.
+    while len(start) < total:
         if time > horizon:
             raise PredictionError(
                 "list scheduler failed to converge; inconsistent resources"
             )
-        # An op readied by a placement in this cycle can start in it only
-        # by chaining, and an op that did not fit stays unplaceable for
-        # the rest of the cycle (units only fill up, its predecessors are
-        # fixed).  So one pass over the ready list places everything that
-        # fits, and each further pass, with chaining, tries only the ops
-        # the previous pass readied.
-        candidates = ready_list
-        while candidates:
-            readied: List[str] = []
+        readied: List[str] = []
+        for cls, keys in waiting.items():
+            units = occupancy[cls]
+            cap = capacities[cls]
+            if not keys or units[time] >= cap:
+                continue
+            kept: List[Tuple[int, str]] = []
+            for index, key in enumerate(keys):
+                if units[time] >= cap:
+                    # Full in this cycle, which every op of it occupies.
+                    kept += keys[index:]
+                    break
+                op_id = key[1]
+                begin = chain_offset_at(op_id, time)
+                if begin is None:
+                    kept.append(key)
+                else:
+                    place(op_id, time, begin, readied)
+            waiting[cls] = kept
+        while chaining and readied:
+            # Ops readied this cycle start in it only by chaining, tried
+            # in a further pass.
+            readied.sort(key=urgency.__getitem__)
+            candidates, readied = readied, []
             for op_id in candidates:
                 cls = resource_class[op_id]
-                units = occupancy[cls]
-                end = time + duration[op_id]
-                if max(units[time:end]) >= capacities[cls]:
-                    continue
-                begin_offset = chain_offset_at(op_id, time)
-                if begin_offset is None:
-                    continue
-                start[op_id] = time
-                offset[op_id] = begin_offset
-                for c in range(time, end):
-                    units[c] += 1
-                scheduled += 1
-                heapq.heappush(events, end)
-                for succ in succs[op_id]:
-                    remaining_preds[succ] -= 1
-                    if remaining_preds[succ] == 0:
-                        readied.append(succ)
-            ready_list = [o for o in ready_list if o not in start] + readied
-            readied.sort(key=urgency)
-            candidates = readied if chaining else []
-        ready_list.sort(key=urgency)
+                begin = (
+                    chain_offset_at(op_id, time)
+                    if occupancy[cls][time] < capacities[cls]
+                    else None
+                )
+                if begin is None:
+                    insort(waiting[cls], urgency[op_id])
+                else:
+                    place(op_id, time, begin, readied)
+        for op_id in readied:
+            insort(waiting[resource_class[op_id]], urgency[op_id])
         while events and events[0] <= time:
             heapq.heappop(events)
         time = events[0] if events else time + 1

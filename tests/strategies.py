@@ -32,13 +32,18 @@ def triplet_parts(draw):
 
 @st.composite
 def dags(
-    draw, max_ops: int = 24, max_inputs: int = 5, mixed_widths: bool = False
+    draw,
+    max_ops: int = 24,
+    max_inputs: int = 5,
+    mixed_widths: bool = False,
+    max_arity: int = 2,
 ):
     """A random acyclic data-flow graph built through GraphBuilder.
 
-    Every operation consumes two previously available values, so the
-    graph is acyclic by construction; leaf values become outputs.  With
-    ``mixed_widths`` every value draws its own bit width.
+    Every operation consumes two previously available values (up to
+    ``max_arity`` of them, repeats allowed), so the graph is acyclic by
+    construction; leaf values become outputs.  With ``mixed_widths``
+    every value draws its own bit width.
     """
     n_inputs = draw(st.integers(min_value=1, max_value=max_inputs))
     n_ops = draw(st.integers(min_value=1, max_value=max_ops))
@@ -58,7 +63,14 @@ def dags(
         right = available[
             draw(st.integers(min_value=0, max_value=len(available) - 1))
         ]
-        available.append(builder.op(op_type, left, right, width=width()))
+        more = []
+        if max_arity > 2:
+            more = draw(st.lists(
+                st.sampled_from(available), max_size=max_arity - 2
+            ))
+        available.append(
+            builder.op(op_type, left, right, *more, width=width())
+        )
     graph_values = set(available[n_inputs:])
     graph = _finish(builder, graph_values)
     return graph

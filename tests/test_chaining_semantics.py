@@ -16,6 +16,7 @@ from repro.bad.allocation import (
 )
 from repro.bad.scheduling import list_schedule
 from repro.dfg.builders import GraphBuilder
+from repro.dfg.ops import OpType
 from repro.errors import PredictionError
 
 
@@ -112,6 +113,24 @@ class TestUnitOccupancy:
         assert schedule.latency == 2
 
 
+class TestReadiness:
+    def test_an_operation_waits_for_every_producer(self):
+        """``w`` reads ``p`` twice and the end of a three-op chain once.
+        It becomes ready only once both producers are placed, and then
+        chains behind the chain within the same cycle."""
+        b = GraphBuilder("wide")
+        x = b.input("x")
+        k = b.input("k")
+        p = b.add(x, k)
+        q = b.add(b.add(b.add(x, k), x), x)
+        b.output(b.op(OpType.ADD, p, p, q))
+        graph = b.build()
+        delays = {op_id: 0.0 for op_id in graph.operations}
+        schedule = _sched(graph, delays, 300.0)
+        assert schedule.latency == 1
+        schedule.verify(graph)
+
+
 class TestRegisterInteraction:
     def test_fully_chained_values_need_no_registers(self):
         graph = _chain(4)
@@ -134,6 +153,18 @@ class TestRegisterInteraction:
 
 
 class TestValidation:
+    def test_chained_raises_for_an_unplaced_operation(self):
+        graph = _chain(2)
+        delays = {op_id: 100.0 for op_id in graph.operations}
+        schedule = _sched(graph, delays, 3000.0)
+        placed = sorted(schedule.start)
+        assert schedule.chained(placed[0], placed[1])
+        # Neither id was placed; their two missing starts are not one cycle.
+        with pytest.raises(KeyError):
+            schedule.chained("ghost1", "ghost2")
+        with pytest.raises(KeyError):
+            schedule.chained(placed[0], "ghost1")
+
     def test_verify_accepts_chained_schedule(self):
         graph = _chain(5)
         delays = {op_id: 300.0 for op_id in graph.operations}

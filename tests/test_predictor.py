@@ -177,3 +177,48 @@ class TestParameters:
         lean_pred = lean.predict_partition(ar_graph)[0]
         fat_pred = fat.predict_partition(ar_graph)[0]
         assert lean_pred.mux_count < fat_pred.mux_count
+
+
+class TestScheduleReuse:
+    def test_chain_places_fewer_schedules_than_it_has_allocations(
+        self, monkeypatch
+    ):
+        """A schedule that leaves a unit idle serves every allocation
+        between its peak usage and its capacities, so a 250-op chain under
+        the auto-partitioner's library (one module set, one timing) is
+        placed fewer times than it has allocations.  Every schedule handed
+        to design assembly, placed or reused, passes verification against
+        its own capacities."""
+        import repro.bad.predictor as predictor
+        from repro.auto.partitioner import default_auto_session
+        from repro.dfg.builders import generate_dfg
+
+        graph = generate_dfg("chain", 250)
+        session = default_auto_session(graph, chips=1)
+        placed, assembled = [], []
+        place = predictor.list_schedule
+        assemble = BADPredictor._designs_for_schedule
+
+        def placing(*args, **kwargs):
+            placed.append(place(*args, **kwargs))
+            return placed[-1]
+
+        def assembling(self, part, schedule, live):
+            assembled.append(schedule)
+            return assemble(self, part, schedule, live)
+
+        monkeypatch.setattr(predictor, "list_schedule", placing)
+        monkeypatch.setattr(
+            BADPredictor, "_designs_for_schedule", assembling
+        )
+        BADPredictor(
+            session.library, session.clocks, session.style
+        ).predict_partition(graph)
+        allocations = {
+            tuple(sorted(schedule.capacities.items()))
+            for schedule in assembled
+        }
+        assert len(allocations) == len(assembled)
+        assert 0 < len(placed) < len(allocations)
+        for schedule in assembled:
+            schedule.verify(graph)
