@@ -108,6 +108,12 @@ class AutoPartitionConfig:
                 "balance_tolerance must be a finite non-negative number, "
                 f"got {self.balance_tolerance}"
             )
+        # Negative bounds would silently mean "no clones" and "no repair".
+        for name in ("max_clones", "feasibility_moves"):
+            if getattr(self, name) < 0:
+                raise PartitioningError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
 
 
 @dataclass

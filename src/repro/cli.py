@@ -65,7 +65,7 @@ from typing import List, Optional
 import json as _json
 
 from repro.chips.presets import mosis_packages
-from repro.dfg.parser import parse_spec
+from repro.dfg.parser import MAX_UNROLLED, parse_spec
 from repro.errors import ChopError, SpecificationError
 from repro.io.graphs import graph_to_dict
 from repro.experiments import experiment1_session, experiment2_session
@@ -367,12 +367,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         )
         return 3
 
-    if args.k_min > args.k_max:
-        print(
-            f"error: --k-min {args.k_min} exceeds --k-max {args.k_max}",
-            file=sys.stderr,
-        )
-        return 3
     config = ExploreConfig(
         chip_counts=tuple(range(args.k_min, args.k_max + 1)),
         package_scales=tuple(args.scales),
@@ -785,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(layered | chain | butterfly)",
     )
     auto.add_argument(
-        "--ops", type=int, default=1000,
+        "--ops", type=_bounded(int, 1, MAX_UNROLLED), default=1000,
         help="target operation count for --generate (default 1000)",
     )
     auto.add_argument(
@@ -793,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generator seed for --generate layered (default 0)",
     )
     auto.add_argument(
-        "--chips", type=int, default=4,
+        "--chips", type=_bounded(int, 1), default=4,
         help="number of chips / partitions (default 4)",
     )
     auto.add_argument(
@@ -801,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the logic-replication pass on cut operations",
     )
     auto.add_argument(
-        "--max-clones", type=int, default=0,
+        "--max-clones", type=_bounded(int, 0), default=0,
         help="cap on applied replications (default 0: unbounded)",
     )
     auto.add_argument(
@@ -809,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-chip size tolerance for refinement (default 0.3)",
     )
     auto.add_argument(
-        "--feasibility-moves", type=int, default=32,
+        "--feasibility-moves", type=_bounded(int, 0), default=32,
         help="bound on repair migrations in the feasibility stage "
         "(default 32)",
     )
@@ -848,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep a generated workload instead of a project",
     )
     explore_.add_argument(
-        "--ops", type=int, default=200,
+        "--ops", type=_bounded(int, 1, MAX_UNROLLED), default=200,
         help="target operation count for --generate (default 200)",
     )
     explore_.add_argument(
@@ -856,11 +850,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="generator seed for --generate layered (default 0)",
     )
     explore_.add_argument(
-        "--k-min", type=int, default=1,
+        "--k-min", type=_bounded(int, 1), default=1,
         help="smallest chip count to try (default 1)",
     )
     explore_.add_argument(
-        "--k-max", type=int, default=4,
+        "--k-max", type=_bounded(int, 1), default=4,
         help="largest chip count to try (default 4)",
     )
     explore_.add_argument(
@@ -1073,6 +1067,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "explore" and args.k_min > args.k_max:
+        parser.error(
+            f"argument --k-min: {args.k_min} exceeds --k-max {args.k_max}"
+        )
     try:
         return args.func(args)
     except SpecificationError as exc:

@@ -92,6 +92,11 @@ def test_auto_config_validation():
         AutoPartitionConfig(chips=0).validate()
     with pytest.raises(PartitioningError):
         AutoPartitionConfig(chips=4, balance_tolerance=-0.5).validate()
+    with pytest.raises(PartitioningError, match="max_clones"):
+        AutoPartitionConfig(max_clones=-1).validate()
+    with pytest.raises(PartitioningError, match="feasibility_moves"):
+        AutoPartitionConfig(feasibility_moves=-1).validate()
+    AutoPartitionConfig(max_clones=0, feasibility_moves=0).validate()
 
 
 def test_auto_rejects_more_chips_than_ops():

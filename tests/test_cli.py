@@ -512,6 +512,17 @@ BAD_OPTIONS = [
     ("search", "--workers", "0"),
     ("auto", "--workers", "0"),
     ("explore", "--workers", "0"),
+    ("auto", "--ops", "0"),
+    ("auto", "--ops", "100000000"),
+    ("auto", "--chips", "0"),
+    ("auto", "--max-clones", "-1"),
+    ("auto", "--feasibility-moves", "-1"),
+    ("explore", "--ops", "-5"),
+    ("explore", "--ops", "100000000"),
+    ("explore", "--k-min", "0"),
+    ("explore", "--k-max", "0"),
+    # Above the default --k-max of 4.
+    ("explore", "--k-min", "5"),
 ]
 
 _COMMANDS = {
@@ -557,3 +568,21 @@ def test_boundary_option_values_are_accepted(monkeypatch):
     (args,) = seen
     assert (args.port, args.job_timeout, args.search_workers) == (0, 0, 0)
     assert (args.slo_error_rate, args.procs, args.max_body_kb) == (1, 32, 1)
+
+
+def test_boundary_auto_and_explore_values_are_accepted(monkeypatch):
+    import repro.cli as cli
+    from repro.dfg.parser import MAX_UNROLLED
+
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_auto", lambda args: seen.append(args))
+    monkeypatch.setattr(cli, "_cmd_explore", lambda args: seen.append(args))
+    main([
+        "auto", f"--ops={MAX_UNROLLED}", "--chips=1", "--max-clones=0",
+        "--feasibility-moves=0",
+    ])
+    main(["explore", "--ops=1", "--k-min=3", "--k-max=3"])
+    auto, explore = seen
+    assert (auto.ops, auto.chips) == (MAX_UNROLLED, 1)
+    assert (auto.max_clones, auto.feasibility_moves) == (0, 0)
+    assert (explore.ops, explore.k_min, explore.k_max) == (1, 3, 3)

@@ -57,11 +57,13 @@ class TestAutoRoute:
         _, project = request(port, "POST", "/projects", project_doc)
         pid = project["project_id"]
 
-        status, err = request(
-            port, "POST", f"/projects/{pid}/auto", {"chips": 0}
-        )
-        assert status == 400
-        assert "invalid auto option" in err["error"]
+        for bad in ({"chips": 0}, {"max_clones": -1},
+                    {"feasibility_moves": -1}):
+            status, err = request(
+                port, "POST", f"/projects/{pid}/auto", bad
+            )
+            assert status == 400
+            assert "invalid auto option" in err["error"]
 
         status, err = request(
             port, "POST", f"/projects/{pid}/auto",
