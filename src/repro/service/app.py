@@ -1132,13 +1132,8 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             data = json.dumps(payload).encode("utf-8")
             content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in extra.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        # Account the request before answering it: a client that has
+        # read the response must find it in its next /metrics scrape.
         self.service.note_request(
             route,
             time.perf_counter() - started,
@@ -1146,6 +1141,13 @@ class _Handler(BaseHTTPRequestHandler):
             trace_id=self.headers.get("X-Trace-Id"),
             path=self.path,
         )
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in extra.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
 
     def log_message(self, format: str, *args: Any) -> None:
         if not self.quiet:
