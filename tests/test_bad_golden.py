@@ -9,7 +9,10 @@ arrival times, single-style architectures and chaining turned off.  Two
 whole-graph predictions of generated 250-op graphs under the
 auto-partitioner's library, clocks and style pin the large chained
 partitions ``repro.auto`` schedules, where one timing key meets dozens of
-allocations.
+allocations.  A whole-graph fft4 under the extended library and the
+multi-cycle style pins many module sets sharing a few timing keys (27
+module sets over 3 timings), where half the (module set, design) builds
+repeat one that another allocation of the same timing already gave.
 
 A refactor of ``repro.bad`` must leave every digest unchanged.  A
 deliberate model change rewrites the file, and its diff is reviewed like
@@ -31,8 +34,9 @@ import pytest
 
 from repro.auto.partitioner import default_auto_session
 from repro.bad.predictor import BADPredictor, PredictorParameters
-from repro.bad.styles import ArchitectureStyle, OperationTiming
+from repro.bad.styles import ArchitectureStyle, ClockScheme, OperationTiming
 from repro.dfg.benchmarks import ar_lattice_filter, differential_equation
+from repro.dfg.benchmarks_ext import fft_graph
 from repro.dfg.builders import GraphBuilder, generate_dfg
 from repro.experiments.setups import (
     experiment1_clocks,
@@ -154,6 +158,9 @@ def cases() -> Dict[str, Callable[[], List[object]]]:
         ).predict_partition(ar),
         "auto_layered250_s7": _auto_graph("layered", seed=7),
         "auto_chain250": _auto_graph("chain"),
+        "fft4_multi": lambda: _predictor(
+            extended, ClockScheme(300.0), multi
+        ).predict_partition(fft_graph(4)),
     })
     return out
 
