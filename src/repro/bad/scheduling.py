@@ -167,10 +167,11 @@ class Schedule:
     ) -> "Schedule":
         """This schedule charged to ``capacities``, verified against them.
 
-        When every class's capacity lies between this schedule's
-        :meth:`peak_usage` and its own capacity, this is exactly what
-        :func:`list_schedule` places under ``capacities`` (the reuse
-        rule of ``docs/MODEL.md`` section 4); the caller checks that.
+        When every class whose units were all busy at its peak keeps its
+        capacity, and every other class gets at least its
+        :meth:`peak_usage`, this is exactly what :func:`list_schedule`
+        places under ``capacities`` (the reuse rule of ``docs/MODEL.md``
+        section 4); the caller checks that.
         """
         moved = replace(
             self,
@@ -222,11 +223,7 @@ class Schedule:
         modulo the initiation interval across overlapped iterations — the
         standard pipeline resource model, folded from the occupancy.
         """
-        if initiation_interval <= 0:
-            raise PredictionError(
-                f"initiation interval must be positive, got "
-                f"{initiation_interval}"
-            )
+        check_interval(initiation_interval)
         return {
             cls: fold(units, initiation_interval)
             for cls, units in self.occupancy.items()
@@ -242,10 +239,24 @@ class Schedule:
         }
 
     def pipeline_feasible(self, initiation_interval: int) -> bool:
-        """Whether the allocated capacities sustain the interval."""
-        needed = self.pipeline_capacities(initiation_interval)
-        return all(
-            needed[cls] <= self.capacities[cls] for cls in self.capacities
+        """Whether the allocated capacities sustain the interval.
+
+        Folds one class at a time and answers at the first class the
+        interval oversubscribes.
+        """
+        check_interval(initiation_interval)
+        occupancy = self.occupancy
+        for cls, units in self.capacities.items():
+            if max(fold(occupancy[cls], initiation_interval)) > units:
+                return False
+        return True
+
+
+def check_interval(initiation_interval: int) -> None:
+    """Raise :class:`PredictionError` unless the interval is positive."""
+    if initiation_interval <= 0:
+        raise PredictionError(
+            f"initiation interval must be positive, got {initiation_interval}"
         )
 
 
