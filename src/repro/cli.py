@@ -918,7 +918,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     predict.add_argument("project")
     predict.add_argument("--partition", required=True)
-    predict.add_argument("--limit", type=int, default=20)
+    predict.add_argument(
+        "--limit", type=_bounded(int, 0), default=20,
+        help="predictions to list (default 20; 0 lists all)",
+    )
     predict.set_defaults(func=_cmd_predict)
 
     explain = sub.add_parser(

@@ -66,6 +66,15 @@ class TestProjectCommands:
         assert "predicted implementations" in out
         assert "mW" in out
 
+    def test_predict_limit_zero_lists_all(self, project_file, capsys):
+        assert main(
+            ["predict", str(project_file), "--partition", "P1",
+             "--limit", "0"]
+        ) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.startswith(f"{len(rows)} predicted implementations")
+        assert not any("more" in row for row in rows)
+
     def test_predict_unknown_partition_errors(self, project_file,
                                               capsys):
         assert main(
@@ -523,11 +532,19 @@ BAD_OPTIONS = [
     ("explore", "--k-max", "0"),
     # Above the default --k-max of 4.
     ("explore", "--k-min", "5"),
+    ("predict", "--limit", "-3"),
 ]
 
 _COMMANDS = {
     "serve": "_cmd_serve", "check": "_cmd_check", "search": "_cmd_check",
     "auto": "_cmd_auto", "explore": "_cmd_explore",
+    "predict": "_cmd_predict",
+}
+
+#: The arguments a command needs besides the option under test.
+_REQUIRED = {
+    "check": ["p.json"], "search": ["p.json"],
+    "predict": ["p.json", "--partition=P1"],
 }
 
 
@@ -546,9 +563,9 @@ def test_out_of_range_option_is_a_usage_error(
         cli, _COMMANDS[command],
         lambda _args: pytest.fail(f"{command} ran with {option}={value}"),
     )
-    argv = [command] + (["p.json"] if command in ("check", "search") else [])
+    argv = [command, *_REQUIRED.get(command, []), f"{option}={value}"]
     with pytest.raises(SystemExit) as exit_:
-        main(argv + [f"{option}={value}"])
+        main(argv)
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}" in err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.bad.predictor import BADPredictor, PredictorParameters
@@ -222,3 +224,63 @@ class TestScheduleReuse:
         assert 0 < len(placed) < len(allocations)
         for schedule in assembled:
             schedule.verify(graph)
+
+
+class TestAssemblyCounts:
+    @staticmethod
+    def _counting(monkeypatch, calls, owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    def _predict(self, monkeypatch, predictor, graph):
+        import repro.bad.predictor as module
+
+        calls: Counter = Counter()
+        for owner, name in (
+            (BADPredictor, "_build_prediction"),
+            (BADPredictor, "_designs"),
+            (module, "allocation_candidates"),
+        ):
+            self._counting(monkeypatch, calls, owner, name)
+        return predictor.predict_partition(graph), calls
+
+    def test_fft4_assembles_each_distinct_design_once(
+        self, monkeypatch, big_library
+    ):
+        """fft4 under the extended library and the multi-cycle style: 27
+        module sets over 3 timing keys.  Each timing's distinct designs
+        are derived once, and each module set assembles one prediction
+        per design of its timing, so every assembly is a returned
+        prediction (assembling per allocation took 1,584)."""
+        from repro.dfg.benchmarks_ext import fft_graph
+
+        predictor = BADPredictor(
+            big_library, ClockScheme(300.0),
+            ArchitectureStyle(OperationTiming.MULTI_CYCLE),
+        )
+        predictions, calls = self._predict(
+            monkeypatch, predictor, fft_graph(4)
+        )
+        assert len(predictions) == 792
+        assert calls["_build_prediction"] == 792
+        assert calls["_designs"] == 3
+        assert calls["allocation_candidates"] == 3
+
+    def test_timings_sharing_busy_cycles_share_one_frontier(
+        self, monkeypatch, big_library, exp1_clocks, ar_graph
+    ):
+        """Chained module sets differ in their delays, not their busy
+        cycles: six timing keys, one allocation frontier."""
+        predictor = BADPredictor(
+            big_library, exp1_clocks,
+            ArchitectureStyle(OperationTiming.SINGLE_CYCLE),
+        )
+        predictions, calls = self._predict(monkeypatch, predictor, ar_graph)
+        assert calls["_designs"] == 6
+        assert calls["allocation_candidates"] == 1
+        assert calls["_build_prediction"] == len(predictions)
