@@ -1,66 +1,18 @@
-"""Pluggable prediction-cache backends (see :mod:`repro.cache.backend`).
-
-Call sites select a backend by name through :func:`create_backend`; the
-``"auto"`` kind picks the shared multi-writer backend whenever more than
-one process will write the directory (the fleet front passes its worker
-count) and the classic single-writer disk backend otherwise.
-"""
+"""The on-disk prediction cache (see :mod:`repro.cache.disk`)."""
 
 from __future__ import annotations
 
-import pathlib
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
-from repro.cache.backend import (
+from repro.cache.disk import (
     CACHE_VERSION,
-    CacheBackend,
-    PredictionCacheBase,
+    DiskPredictionCache,
     library_clock_digest,
 )
-from repro.cache.disk import DiskPredictionCache
-from repro.cache.shared import SharedPredictionCache, default_writer_id
-from repro.resilience.retry import RetryPolicy
-
-#: Backend names accepted by ``--cache-backend`` and the service option.
-BACKEND_KINDS = ("auto", "disk", "shared")
-
-
-def resolve_backend_kind(kind: str, writers: int = 1) -> str:
-    """Resolve ``"auto"`` to a concrete backend for ``writers`` processes."""
-    if kind not in BACKEND_KINDS:
-        raise ValueError(
-            f"unknown cache backend {kind!r}; expected one of "
-            f"{', '.join(BACKEND_KINDS)}"
-        )
-    if kind == "auto":
-        return "shared" if writers > 1 else "disk"
-    return kind
-
-
-def create_backend(
-    kind: str,
-    directory: Union[str, pathlib.Path],
-    version: int = CACHE_VERSION,
-    retry_policy: Optional[RetryPolicy] = None,
-    writers: int = 1,
-    writer_id: Optional[str] = None,
-) -> PredictionCacheBase:
-    """Build the named prediction-cache backend over ``directory``."""
-    resolved = resolve_backend_kind(kind, writers=writers)
-    if resolved == "shared":
-        return SharedPredictionCache(
-            directory,
-            version=version,
-            retry_policy=retry_policy,
-            writer_id=writer_id,
-        )
-    return DiskPredictionCache(
-        directory, version=version, retry_policy=retry_policy
-    )
 
 
 def warm_from_disk(
-    session, cache: PredictionCacheBase
+    session, cache: DiskPredictionCache
 ) -> Tuple[Optional[str], int]:
     """Seed ``session`` from ``cache``; returns ``(store key, seeded)``.
 
@@ -86,15 +38,8 @@ def warm_from_disk(
 
 
 __all__ = [
-    "BACKEND_KINDS",
     "CACHE_VERSION",
-    "CacheBackend",
     "DiskPredictionCache",
-    "PredictionCacheBase",
-    "SharedPredictionCache",
-    "create_backend",
-    "default_writer_id",
     "library_clock_digest",
-    "resolve_backend_kind",
     "warm_from_disk",
 ]

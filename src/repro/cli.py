@@ -135,11 +135,9 @@ def _checked(session, heuristic: str, args):
         return session.check(
             heuristic=heuristic, engine=engine, soft_deadline_s=soft_deadline,
         )
-    from repro.cache import create_backend, warm_from_disk
+    from repro.cache import DiskPredictionCache, warm_from_disk
 
-    cache = create_backend(
-        getattr(args, "cache_backend", None) or "auto", cache_dir
-    )
+    cache = DiskPredictionCache(cache_dir)
     store_key, seeded = warm_from_disk(session, cache)
     if store_key is None:
         print(
@@ -377,12 +375,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     disk_cache = None
     if args.disk_cache:
-        from repro.cache import create_backend
+        from repro.cache import DiskPredictionCache
 
-        disk_cache = create_backend(
-            getattr(args, "cache_backend", None) or "auto",
-            args.disk_cache,
-        )
+        disk_cache = DiskPredictionCache(args.disk_cache)
 
     trace_path = getattr(args, "trace", None)
     tracer = None
@@ -574,44 +569,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # $CHOP_LOG / $CHOP_LOG_FILE select level and sink; unset stays off.
     configure_logging()
 
-    def _make_service(fleet=None) -> "ChopService":
-        return ChopService(
-            cache_size=args.cache_size,
-            max_sessions=args.max_sessions,
-            workers=args.workers,
-            job_timeout_s=args.job_timeout,
-            search_workers=args.search_workers,
-            disk_cache_dir=args.disk_cache,
-            cache_backend=args.cache_backend,
-            max_queued=args.max_queued,
-            max_jobs_per_session=args.max_session_jobs,
-            max_body_bytes=args.max_body_kb * 1024,
-            drain_timeout_s=args.drain_timeout,
-            slo_latency_ms=args.slo_latency_ms,
-            slo_error_rate=args.slo_error_rate,
-            flight_capacity=args.flight_capacity,
-            flight_dir=args.flight_dir,
-            fleet=fleet,
-        )
+    service = ChopService(
+        cache_size=args.cache_size,
+        max_sessions=args.max_sessions,
+        workers=args.workers,
+        job_timeout_s=args.job_timeout,
+        search_workers=args.search_workers,
+        disk_cache_dir=args.disk_cache,
+        max_queued=args.max_queued,
+        max_jobs_per_session=args.max_session_jobs,
+        max_body_bytes=args.max_body_kb * 1024,
+        drain_timeout_s=args.drain_timeout,
+        slo_latency_ms=args.slo_latency_ms,
+        slo_error_rate=args.slo_error_rate,
+        flight_capacity=args.flight_capacity,
+        flight_dir=args.flight_dir,
+    )
 
     def _announce(line: str) -> None:
         print(line, flush=True)
 
-    if args.procs > 1:
-        # Multi-process front: the parent binds once and forks workers;
-        # each worker builds its own shared-nothing service after the
-        # fork (see repro.service.fleet).  The parent relays SIGTERM to
-        # the fleet and exits 0 only when every worker drained cleanly.
-        from repro.service.fleet import serve_fleet
-
-        return serve_fleet(
-            _make_service,
-            host=args.host,
-            port=args.port,
-            procs=args.procs,
-            announce=_announce,
-        )
-    serve(_make_service(), host=args.host, port=args.port, announce=_announce)
+    serve(service, host=args.host, port=args.port, announce=_announce)
     return 0
 
 
@@ -654,13 +632,6 @@ def _bounded(kind, low, high=None, low_open=False):
     return convert
 
 
-def _fleet_size(text: str) -> int:
-    """``--procs``: one process up to the fleet's worker cap."""
-    from repro.service.fleet import MAX_FLEET_WORKERS
-
-    return _bounded(int, 1, MAX_FLEET_WORKERS)(text)
-
-
 def _objective_list(text: str) -> List[str]:
     """``"cost,delay"`` -> ``["cost", "delay"]`` (validated lazily)."""
     names = [part.strip() for part in text.split(",") if part.strip()]
@@ -683,13 +654,6 @@ def _add_engine_arguments(command: argparse.ArgumentParser) -> None:
         "--disk-cache", default=None, metavar="DIR",
         help="persist BAD prediction lists under DIR and reuse them on "
         "identical reruns",
-    )
-    command.add_argument(
-        "--cache-backend", choices=("auto", "disk", "shared"),
-        default="auto",
-        help="prediction-cache backend for --disk-cache: 'disk' "
-        "(single writer), 'shared' (safe under concurrent writer "
-        "processes), or 'auto' (default)",
     )
     command.add_argument(
         "--dry-run", action="store_true",
@@ -890,11 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repeated sweeps are warm",
     )
     explore_.add_argument(
-        "--cache-backend", choices=("auto", "disk", "shared"),
-        default="auto",
-        help="prediction-cache backend for --disk-cache (default auto)",
-    )
-    explore_.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write the explore.* span tree as JSONL to PATH",
     )
@@ -1005,20 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--disk-cache", default=None, metavar="DIR",
         help="persist BAD prediction lists under DIR so identical "
         "projects skip prediction across restarts",
-    )
-    serve_.add_argument(
-        "--cache-backend", choices=("auto", "disk", "shared"),
-        default="auto",
-        help="prediction-cache backend for --disk-cache: 'auto' picks "
-        "'shared' (multi-writer safe) when --procs > 1 and 'disk' "
-        "otherwise",
-    )
-    serve_.add_argument(
-        "--procs", type=_fleet_size, default=1,
-        help="worker processes sharing the bound port (SO_REUSEPORT "
-        "where available); requests route stickily by project "
-        "fingerprint, /metrics aggregates the fleet, SIGTERM drains "
-        "every worker (default 1: classic single process)",
     )
     serve_.add_argument(
         "--max-queued", type=_bounded(int, 1), default=64,

@@ -52,7 +52,7 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.obs.profiling import SamplingProfiler, peak_rss_bytes
-from repro.obs.prometheus import render_prometheus, render_registry
+from repro.obs.prometheus import render_registry
 from repro.obs.render import render_trace
 from repro.obs.slo import (
     ErrorRateObjective,
@@ -107,7 +107,6 @@ __all__ = [
     "make_span_record",
     "new_trace_id",
     "peak_rss_bytes",
-    "render_prometheus",
     "render_registry",
     "render_trace",
     "span",

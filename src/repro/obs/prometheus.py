@@ -128,93 +128,3 @@ def render_registry(registry: MetricsRegistry) -> str:
     for doc in registry.collect():
         _render_family(lines, doc, registry.prefix)
     return "\n".join(lines) + "\n"
-
-
-#: Back-compatible alias: the service maps
-#: ``GET /metrics?format=prometheus`` onto this.
-render_prometheus = render_registry
-
-
-#: Ceiling on distinct sources in one merged exposition — keeps the
-#: injected label's cardinality bounded no matter what a caller does.
-MAX_MERGE_SOURCES = 64
-
-_SAMPLE_RE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+.*)$"
-)
-
-
-def _inject_label(line: str, key: str, value: str) -> str:
-    """Prepend ``key="value"`` to a sample line's label set."""
-    match = _SAMPLE_RE.match(line)
-    if match is None:  # not a sample — keep verbatim
-        return line
-    name, labels, rest = match.groups()
-    injected = f'{key}="{escape_label_value(value)}"'
-    if labels:
-        return f"{name}{{{injected},{labels}}} {rest}"
-    return f"{name}{{{injected}}} {rest}"
-
-
-def merge_expositions(
-    expositions: List[Any],
-    label: str = "worker",
-    max_sources: int = MAX_MERGE_SOURCES,
-) -> str:
-    """Merge per-worker expositions into one lintable scrape.
-
-    ``expositions`` is a list of ``(source, text)`` pairs — one
-    Prometheus text exposition per fleet worker.  Naive concatenation
-    would repeat ``# TYPE`` for every family once per worker, which the
-    format (and ``check_prometheus.py``) forbids; instead the merge
-    keeps one ``# HELP``/``# TYPE`` header per family (first occurrence
-    wins — workers run the same code, so headers agree) and re-emits
-    every sample with a ``label="source"`` pair injected so identical
-    series from different workers stay distinct.  Families are sorted
-    by name and samples keep source order, so the merge is
-    deterministic for a deterministic input.
-    """
-    if len(expositions) > max_sources:
-        raise ValueError(
-            f"refusing to merge {len(expositions)} expositions; the "
-            f"{label!r} label is capped at {max_sources} values"
-        )
-    helps: Dict[str, str] = {}
-    types: Dict[str, str] = {}
-    samples: Dict[str, List[str]] = {}
-    for source, text in expositions:
-        family = None
-        for line in text.splitlines():
-            if line.startswith("# HELP "):
-                parts = line.split(" ", 3)
-                if len(parts) >= 3:
-                    helps.setdefault(parts[2], line)
-                continue
-            if line.startswith("# TYPE "):
-                parts = line.split(" ", 3)
-                if len(parts) >= 3:
-                    family = parts[2]
-                    types.setdefault(family, line)
-                continue
-            if not line.strip() or line.startswith("#"):
-                continue
-            if family is None:  # untyped stray sample: family by name
-                match = _SAMPLE_RE.match(line)
-                if match is None:
-                    continue
-                family = match.group(1)
-                for suffix in ("_bucket", "_sum", "_count"):
-                    if family.endswith(suffix):
-                        family = family[: -len(suffix)]
-                        break
-                types.setdefault(family, f"# TYPE {family} untyped")
-            samples.setdefault(family, []).append(
-                _inject_label(line, label, str(source))
-            )
-    lines: List[str] = []
-    for family in sorted(types):
-        if family in helps:
-            lines.append(helps[family])
-        lines.append(types[family])
-        lines.extend(samples.get(family, []))
-    return "\n".join(lines) + "\n"

@@ -20,13 +20,10 @@ Site semantics:
 ``shard_exit=N``      hard ``os._exit(13)`` of the worker holding shard
                       ``N`` — a true process death, breaks the pool
 ``cache_store=K``     ``InjectedFault`` on the first ``K`` prediction-
-                      cache writes of this process — the site sits in
-                      the :class:`repro.cache.CacheBackend` interface
-                      layer, so it fires for every backend (disk,
-                      shared multi-writer)
+                      cache writes of this process
+                      (:meth:`repro.cache.DiskPredictionCache.store`)
 ``cache_load=K``      ``InjectedFault`` on the first ``K`` prediction-
-                      cache reads of this process (observed as a miss),
-                      likewise backend-agnostic
+                      cache reads of this process (observed as a miss)
 ``cache_store_delay=S``  sleep ``S`` seconds before every cache write
 ``job=K``             ``InjectedFault`` in the first ``K`` service job
                       bodies of this process

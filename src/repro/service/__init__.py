@@ -7,8 +7,8 @@ long-running, stdlib-only HTTP/JSON service so many designer sessions can
 share one process:
 
 * :mod:`repro.service.app` — the route table, the JSON endpoints, the
-  one background-job path and the one serve loop (SIGTERM/SIGINT drain,
-  SIGUSR2 flight dump) shared with every fleet worker;
+  one background-job path and the serve loop (SIGTERM/SIGINT drain,
+  SIGUSR2 flight dump);
 * :mod:`repro.service.sessions` — fingerprint-addressed LRU registry of
   loaded :class:`~repro.core.chop.ChopSession` state;
 * :mod:`repro.service.cache` — single-flight LRU memoization of check

@@ -72,11 +72,10 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
-from repro.cache import PredictionCacheBase, create_backend, warm_from_disk
+from repro.cache import DiskPredictionCache, warm_from_disk
 from repro.engine import EvaluationEngine
 from repro.errors import (
     ChopError,
@@ -172,7 +171,6 @@ class _Request(NamedTuple):
     query: str
     body: Optional[bytes]
     trace_id: Optional[str]
-    internal: bool
 
 
 class ServiceError(Exception):
@@ -269,7 +267,6 @@ class ChopService:
         job_timeout_s: Optional[float] = 300.0,
         search_workers: int = 0,
         disk_cache_dir: Optional[str] = None,
-        cache_backend: str = "auto",
         max_queued: Optional[int] = 64,
         max_jobs_per_session: Optional[int] = 4,
         max_body_bytes: int = 1_000_000,
@@ -280,7 +277,6 @@ class ChopService:
         flight_capacity: int = 256,
         flight_dir: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
-        fleet: Optional[Any] = None,
     ) -> None:
         if max_body_bytes < 1:
             raise ValueError(
@@ -292,10 +288,6 @@ class ChopService:
         self.log = get_logger("service")
         self.retry_stats = RetryStats()
         self._draining = threading.Event()
-        #: The fleet router when this service is one worker of a
-        #: multi-process front (see :mod:`repro.service.fleet`); None
-        #: in the classic single-process deployment.
-        self.fleet = fleet
         self.sessions = SessionRegistry(capacity=max_sessions)
         self.cache = LRUCache(capacity=cache_size)
         self.jobs = JobQueue(
@@ -303,7 +295,6 @@ class ChopService:
             default_timeout_s=job_timeout_s,
             max_queued=max_queued,
             max_per_session=max_jobs_per_session,
-            id_prefix=(fleet.job_prefix if fleet is not None else ""),
             retry_policy=(
                 job_retry
                 if job_retry is not None
@@ -318,15 +309,8 @@ class ChopService:
             if search_workers > 1
             else None
         )
-        # The prediction cache is backend-pluggable (repro.cache):
-        # "auto" resolves to the multi-writer shared backend whenever
-        # this service is one worker of a fleet, the single-writer disk
-        # backend otherwise.
-        writers = fleet.workers if fleet is not None else 1
-        self.disk_cache: Optional[PredictionCacheBase] = (
-            create_backend(cache_backend, disk_cache_dir, writers=writers)
-            if disk_cache_dir
-            else None
+        self.disk_cache: Optional[DiskPredictionCache] = (
+            DiskPredictionCache(disk_cache_dir) if disk_cache_dir else None
         )
         self.metrics = Metrics(registry=self.registry)
         self.slo = SLOTracker(
@@ -370,8 +354,6 @@ class ChopService:
             self._suppliers["engine"] = self.engine.stats
         if self.disk_cache is not None:
             self._suppliers["disk_cache"] = self.disk_cache.stats
-        if fleet is not None:
-            self._suppliers["fleet"] = fleet.stats
         for label, supplier in self._suppliers.items():
             self.registry.register_stats(label, supplier)
 
@@ -410,7 +392,6 @@ class ChopService:
         path: str,
         body: Optional[bytes],
         trace_id: Optional[str] = None,
-        internal: bool = False,
     ) -> Response:
         """Serve one request; returns (status, payload, route, headers).
 
@@ -422,11 +403,6 @@ class ChopService:
         own trace with the server-side span tree.  The headers dict
         carries backpressure hints — ``Retry-After`` on 429 (queue or
         session quota) and 503 (draining).
-
-        In a fleet, a sticky request owned by another worker is
-        forwarded to that worker's internal listener; ``internal``
-        marks requests arriving *on* the internal listener, which are
-        always served locally (forwarding never chains).
         """
         route, ident = _resolve_route(method, path)
         try:
@@ -440,12 +416,6 @@ class ChopService:
                     f"{self.max_body_bytes}-byte cap",
                     kind="body_too_large",
                 )
-            if self.fleet is not None and not internal:
-                owner = self.fleet.owner_for(method, path, body)
-                if owner is not None and owner != self.fleet.index:
-                    return self.fleet.forward(
-                        owner, method, path, body, trace_id
-                    )
             path, _, query = path.partition("?")
             if (
                 method == "POST"
@@ -462,7 +432,7 @@ class ChopService:
                 raise ServiceError(404, f"no route for {method} {path}")
             handler = getattr(self, ROUTES[route])
             status, payload = handler(
-                _Request(ident, query, body, trace_id, internal)
+                _Request(ident, query, body, trace_id)
             )
             return status, payload, route, {}
         except ServiceError as exc:
@@ -525,24 +495,9 @@ class ChopService:
         # Refresh the SLO burn gauges so every scrape (either format)
         # carries the current objective state.
         self.slo.evaluate()
-        # In a fleet, any worker serves the whole fleet's metrics by
-        # scraping its peers' internal listeners and merging; the
-        # internal scrape itself (and an explicit ?scope=local) stays
-        # single-worker so the recursion bottoms out.
-        aggregate = (
-            self.fleet is not None
-            and not req.internal
-            and "scope=local" not in req.query
-        )
         if "format=prometheus" in req.query:
-            text = render_registry(self.registry)
-            if aggregate:
-                return 200, self.fleet.aggregate_prometheus(text)
-            return 200, text
-        snapshot = self.metrics.snapshot()
-        if aggregate:
-            return 200, self.fleet.aggregate_json(snapshot)
-        return 200, snapshot
+            return 200, render_registry(self.registry)
+        return 200, self.metrics.snapshot()
 
     def _slo(self, req: _Request) -> _Reply:
         return 200, self.slo.evaluate()
@@ -552,7 +507,13 @@ class ChopService:
         limit: Optional[int] = None
         match = re.search(r"(?:^|&)limit=(\d+)", req.query)
         if match:
-            limit = int(match.group(1))
+            try:
+                limit = int(match.group(1))
+            except ValueError:  # past the interpreter's digit limit
+                raise _invalid(
+                    f"limit must be a record count, got a "
+                    f"{len(match.group(1))}-digit number"
+                ) from None
         records = self.flight.recent(limit=limit)
         return 200, {
             "stats": self.flight.stats(),
@@ -648,8 +609,7 @@ class ChopService:
 
         Returns the path written, or None when neither is set or the
         write failed (logged, never raised).  The file name carries the
-        process id: fleet workers share one directory, and one signal
-        to the process group dumps them all in the same second.
+        process id, so servers sharing one directory never collide.
         """
         directory = directory or self.flight_dir
         if not directory:
@@ -1081,9 +1041,6 @@ class _Handler(BaseHTTPRequestHandler):
     service: ChopService  # injected by make_server
     quiet = True
     protocol_version = "HTTP/1.1"
-    #: True on a fleet worker's internal (forwarding) listener — those
-    #: requests are always served locally, never re-forwarded.
-    internal = False
 
     # Route through one dispatcher per method.
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
@@ -1092,38 +1049,52 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         self._dispatch("POST")
 
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, read only once its declared length is sane.
+
+        The ``Content-Length`` header alone decides: a malformed or
+        negative length is a 400 and one over the cap a 413, so an
+        oversized body is never buffered into memory.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:  # not a number, or past the digit limit
+            length = -1
+        if length < 0:
+            raise ServiceError(
+                400,
+                f"Content-Length must be a non-negative integer, got "
+                f"{declared[:32]!r}",
+                kind="invalid_content_length",
+            )
+        if length > self.service.max_body_bytes:
+            raise ServiceError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{self.service.max_body_bytes} byte cap",
+                kind="body_too_large",
+            )
+        return self.rfile.read(length) if length else None
+
     def _dispatch(self, method: str) -> None:
         started = time.perf_counter()
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > self.service.max_body_bytes:
-            # Reject from the declared length alone — never buffer an
-            # oversized body into memory.  The unread body makes the
-            # connection unusable for keep-alive, so close it.
+        trace_id = self.headers.get("X-Trace-Id")
+        try:
+            body = self._read_body()
+        except ServiceError as exc:
+            # The unread body makes the connection unusable for
+            # keep-alive, so close it after answering.
+            self.close_connection = True
             status, payload, route, extra = (
-                413,
-                {
-                    "error": (
-                        f"request body of {length} bytes exceeds the "
-                        f"{self.service.max_body_bytes} byte cap"
-                    ),
-                    "type": "body_too_large",
-                },
-                "(oversized)",
+                exc.status,
+                {"error": str(exc), "type": exc.kind},
+                _resolve_route(method, self.path)[0],
                 {},
             )
-            self.close_connection = True
         else:
-            body = self.rfile.read(length) if length else None
             status, payload, route, extra = self.service.handle(
-                method, self.path, body,
-                trace_id=self.headers.get("X-Trace-Id"),
-                internal=self.internal,
-            )
-        if self.service.fleet is not None:
-            # Which worker *answered* — forwarded responses keep the
-            # owner's stamp; locally served ones get this worker's.
-            extra.setdefault(
-                "X-Chop-Worker", str(self.service.fleet.index)
+                method, self.path, body, trace_id=trace_id
             )
         if isinstance(payload, str):
             # Pre-rendered text (the Prometheus exposition format).
@@ -1138,7 +1109,7 @@ class _Handler(BaseHTTPRequestHandler):
             route,
             time.perf_counter() - started,
             status,
-            trace_id=self.headers.get("X-Trace-Id"),
+            trace_id=trace_id,
             path=self.path,
         )
         self.send_response(status)
@@ -1185,27 +1156,29 @@ def _dump_on_signal(
     return path
 
 
-def serve_until_drained(
+def serve(
     service: ChopService,
-    servers: Sequence[ThreadingHTTPServer],
-    ready: Callable[[], None] = lambda: None,
+    host: str = "127.0.0.1",
+    port: int = 8080,
     announce: Callable[[str], None] = _quiet,
 ) -> None:
-    """The one serve loop, for ``chop serve`` and every fleet worker.
+    """Run one server process until a signal drains it (``chop serve``).
+
+    The first line passed to ``announce`` is the banner
+    ``chop-repro serving on http://HOST:PORT (...)`` naming the port
+    actually bound — ``port=0`` binds an ephemeral one, which wrappers
+    parse from that line.  The drain progress lines follow it.
 
     ``SIGTERM`` and ``SIGINT`` start a graceful drain: admissions stop
     at once (``/readyz`` flips to 503, new ``POST`` s get the same),
     running jobs get the service's drain timeout to finish, stragglers
-    are cancelled cooperatively, and only then do the servers stop.
+    are cancelled cooperatively, and only then does the server stop.
     ``SIGUSR2`` dumps the flight recorder (:func:`_dump_on_signal`)
     without interrupting traffic.  Each handler does its work on a
     helper thread so the signal returns at once; off the main thread
     none can be installed and the embedder drains the service itself.
-
-    The first server runs on the calling thread, the others on daemon
-    threads; ``ready`` runs once the handlers are installed and those
-    threads started.  ``announce`` receives the drain progress lines.
     """
+    server = make_server(service, host, port)
     stop_once = threading.Lock()
 
     def drain_and_stop() -> None:
@@ -1216,8 +1189,7 @@ def serve_until_drained(
             f"running jobs"
         )
         announce(f"drained: {service.drain()}")
-        for server in servers:
-            server.shutdown()
+        server.shutdown()
 
     actions = {
         "SIGTERM": drain_and_stop,
@@ -1235,34 +1207,7 @@ def serve_until_drained(
                 )
     except ValueError:
         pass  # not the main thread; the embedder owns signal handling
-    for server in servers[1:]:
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        ready()
-        servers[0].serve_forever()
-    finally:
-        for server in servers[1:]:
-            server.shutdown()
-        for server in servers:
-            server.server_close()
-        service.close()
 
-
-def serve(
-    service: ChopService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    announce: Callable[[str], None] = _quiet,
-) -> None:
-    """Run one server process until a signal drains it (``chop serve``).
-
-    The first line passed to ``announce`` is the banner
-    ``chop-repro serving on http://HOST:PORT (...)`` naming the port
-    actually bound — ``port=0`` binds an ephemeral one, which wrappers
-    parse from that line.  The drain progress lines follow it; see
-    :func:`serve_until_drained` for the signal contract.
-    """
-    server = make_server(service, host, port)
     bound_port = server.server_address[1]
     search = (
         f"{service.engine.workers} search workers"
@@ -1274,24 +1219,25 @@ def serve(
         if service.disk_cache is not None
         else ""
     )
-
-    def ready() -> None:
-        announce(
-            f"chop-repro serving on http://{host}:{bound_port} "
-            f"({service.jobs.workers} job threads, {search}, "
-            f"cache {service.cache.capacity}, "
-            f"max {service.sessions.capacity} sessions, "
-            f"queue cap {service.jobs.max_queued}, "
-            f"drain {service.drain_timeout_s:g}s{disk})"
-        )
-        service.log.info(
-            "service_started",
-            host=host,
-            port=bound_port,
-            job_threads=service.jobs.workers,
-            search_workers=(
-                service.engine.workers if service.engine is not None else 0
-            ),
-        )
-
-    serve_until_drained(service, [server], ready, announce)
+    announce(
+        f"chop-repro serving on http://{host}:{bound_port} "
+        f"({service.jobs.workers} job threads, {search}, "
+        f"cache {service.cache.capacity}, "
+        f"max {service.sessions.capacity} sessions, "
+        f"queue cap {service.jobs.max_queued}, "
+        f"drain {service.drain_timeout_s:g}s{disk})"
+    )
+    service.log.info(
+        "service_started",
+        host=host,
+        port=bound_port,
+        job_threads=service.jobs.workers,
+        search_workers=(
+            service.engine.workers if service.engine is not None else 0
+        ),
+    )
+    try:
+        server.serve_forever()
+    finally:
+        server.server_close()
+        service.close()

@@ -126,7 +126,6 @@ class JobQueue:
         max_per_session: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         retry_stats: Optional[RetryStats] = None,
-        id_prefix: str = "",
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -147,10 +146,6 @@ class JobQueue:
         #: disables retries (first failure is terminal).
         self.retry_policy = retry_policy
         self.retry_stats = retry_stats
-        #: Prepended to every job id.  The fleet front gives each worker
-        #: process ``w{index}-`` so a job id names its owning worker and
-        #: ``GET /jobs/{id}`` can be routed without shared state.
-        self.id_prefix = id_prefix
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="chop-job"
         )
@@ -225,7 +220,7 @@ class JobQueue:
                     )
             self._counter += 1
             job = Job(
-                id=f"{self.id_prefix}job-{self._counter}",
+                id=f"job-{self._counter}",
                 kind=kind,
                 timeout_s=timeout_s,
                 session_key=session_key,

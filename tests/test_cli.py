@@ -511,8 +511,6 @@ BAD_OPTIONS = [
     ("serve", "--slo-latency-ms", "nan"),
     ("serve", "--slo-error-rate", "2"),
     ("serve", "--port", "70000"),
-    ("serve", "--procs", "0"),
-    ("serve", "--procs", "1000"),
     ("serve", "--search-workers", "-3"),
     ("serve", "--job-timeout", "nan"),
     ("serve", "--drain-timeout", "nan"),
@@ -579,12 +577,40 @@ def test_boundary_option_values_are_accepted(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_serve", lambda args: seen.append(args))
     main([
         "serve", "--port=0", "--job-timeout=0", "--drain-timeout=0",
-        "--search-workers=0", "--slo-error-rate=1", "--procs=32",
-        "--max-body-kb=1",
+        "--search-workers=0", "--slo-error-rate=1", "--max-body-kb=1",
     ])
     (args,) = seen
     assert (args.port, args.job_timeout, args.search_workers) == (0, 0, 0)
-    assert (args.slo_error_rate, args.procs, args.max_body_kb) == (1, 32, 1)
+    assert (args.slo_error_rate, args.max_body_kb) == (1, 1)
+
+
+#: Flags of the removed multi-process serving tier.
+REMOVED_FLAGS = [
+    ("serve", "--procs", "2"),
+    ("serve", "--cache-backend", "shared"),
+    ("check", "--cache-backend", "disk"),
+    ("search", "--cache-backend", "auto"),
+    ("explore", "--cache-backend", "disk"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,option,value", REMOVED_FLAGS,
+    ids=[f"{c}{o}" for c, o, _ in REMOVED_FLAGS],
+)
+def test_removed_flag_is_a_usage_error(
+    command, option, value, monkeypatch, capsys
+):
+    import repro.cli as cli
+
+    monkeypatch.setattr(
+        cli, _COMMANDS[command],
+        lambda _args: pytest.fail(f"{command} ran with {option}"),
+    )
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *_REQUIRED.get(command, []), option, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_boundary_auto_and_explore_values_are_accepted(monkeypatch):

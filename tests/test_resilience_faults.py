@@ -156,21 +156,14 @@ class TestEngineShardRecovery:
 
 # ----------------------------------------------------------------------
 # prediction cache: transient write errors retried, reads degrade to a
-# miss — the cache_store/cache_load fault sites live in the backend
-# interface (repro.cache.backend), so every backend shares the same
-# injection and recovery branches; parametrizing proves it.
+# miss — the cache_store/cache_load fault sites live in
+# DiskPredictionCache.store and .load.
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["disk", "shared"])
+@pytest.fixture(params=["disk"])
 def cache_cls(request):
-    from repro.cache import create_backend, resolve_backend_kind
+    from repro.cache import DiskPredictionCache
 
-    kind = request.param
-    assert resolve_backend_kind(kind) == kind
-
-    def build(directory, **kwargs):
-        return create_backend(kind, directory, **kwargs)
-
-    return build
+    return DiskPredictionCache
 
 
 class TestCacheBackendFaults:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
+import socket
 import threading
 import time
 import urllib.error
@@ -203,6 +205,45 @@ class TestRoundTrip:
                 assert status == 400, (route, bad)
                 assert err["type"] == "invalid_option"
                 assert option in err["error"]
+
+
+#: Requests whose framing or query the server cannot read, sent byte
+#: for byte: ``(request head, route label, error type)``.
+MALFORMED_REQUESTS = [
+    (
+        b"POST /projects HTTP/1.1\r\nContent-Length: abc\r\n",
+        "POST /projects",
+        "invalid_content_length",
+    ),
+    (
+        b"POST /projects HTTP/1.1\r\nContent-Length: -5\r\n",
+        "POST /projects",
+        "invalid_content_length",
+    ),
+    (
+        b"GET /debug/recent?limit=" + b"7" * 5000 + b" HTTP/1.1\r\n",
+        "GET /debug/recent",
+        "invalid_option",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "head,route,kind", MALFORMED_REQUESTS,
+    ids=["content-length-abc", "content-length-negative", "limit-digits"],
+)
+def test_malformed_request_is_an_accounted_400(server, head, route, kind):
+    service, port = server
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head + b"Connection: close\r\n\r\n")
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        status, err = response.status, json.loads(response.read())
+    assert status == 400
+    assert err["type"] == kind
+    _, metrics = request(port, "GET", "/metrics")
+    assert metrics["routes"][route]["count"] == 1
+    assert metrics["responses_by_status"]["400"] == 1
 
 
 #: The documented options of each option route and the JSON types each
