@@ -53,10 +53,6 @@ class PowerEstimate:
     static_mw: float
     total_mw: Triplet
 
-    @property
-    def most_likely_mw(self) -> float:
-        return self.total_mw.ml
-
 
 def power_estimate(
     functional_area_by_class: Mapping[str, float],

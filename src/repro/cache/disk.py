@@ -19,11 +19,12 @@ Guarantees of :class:`DiskPredictionCache`:
 * a reader that finds a corrupt or version-mismatched file treats it as
   a miss and *quarantines* it (renamed to ``*.corrupt`` for post-mortem,
   never read again);
-* transient write errors are retried under a
-  :class:`~repro.resilience.RetryPolicy` — a sick disk degrades the
-  cache to a no-op, it never fails a check (:meth:`store_safely`);
-* the ``$CHOP_FAULTS`` sites ``cache_store`` / ``cache_load`` /
-  ``cache_store_delay`` fire in :meth:`~DiskPredictionCache.store` and
+* a failed write is tried again on a fixed short schedule
+  (:data:`STORE_ATTEMPTS`, :data:`STORE_RETRY_DELAY_S`) — a sick disk
+  degrades the cache to a no-op, it never fails a check
+  (:meth:`store_safely`);
+* the ``$CHOP_FAULTS`` sites ``cache_store`` / ``cache_load`` fire in
+  :meth:`~DiskPredictionCache.store` and
   :meth:`~DiskPredictionCache.load`, so fault tests exercise the
   production recovery branches.
 """
@@ -45,11 +46,18 @@ from repro.library.library import ComponentLibrary
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as trace_span
 from repro.resilience.faults import maybe_inject
-from repro.resilience.retry import RetryPolicy
 
 #: Bump whenever the pickled payload layout or the prediction model's
 #: output semantics change; every older entry becomes a miss.
 CACHE_VERSION = 1
+
+#: Writes of one :meth:`DiskPredictionCache.store`, the first included;
+#: reads are never retried — a defective entry is a miss by contract.
+STORE_ATTEMPTS = 3
+
+#: Seconds slept after the first failed write; the wait doubles after
+#: each further failure (10 ms, then 20 ms).
+STORE_RETRY_DELAY_S = 0.01
 
 
 def library_clock_digest(
@@ -77,7 +85,7 @@ class DiskPredictionCache:
     """A directory of pickled per-project prediction lists.
 
     Key derivation, payload validation, atomic writes, corrupt-entry
-    quarantine, retry of transient write errors, fault-injection sites
+    quarantine, repeated writes after a failure, fault-injection sites
     and counters.
     """
 
@@ -85,16 +93,10 @@ class DiskPredictionCache:
         self,
         directory: Union[str, pathlib.Path],
         version: int = CACHE_VERSION,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.version = version
-        #: Backoff for transient write errors (``OSError``); reads are
-        #: never retried — a defective entry is a miss by contract.
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=3, base_delay_s=0.01, max_delay_s=0.2
-        )
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -194,10 +196,10 @@ class DiskPredictionCache:
     ) -> None:
         """Atomically persist the prediction lists under ``key``.
 
-        Transient ``OSError`` s are retried with backoff under the
-        cache's :class:`~repro.resilience.RetryPolicy`; the final
-        failure propagates (use :meth:`store_safely` at call sites
-        where a sick disk must not fail the check).
+        A write that raises ``OSError`` is tried again up to
+        :data:`STORE_ATTEMPTS` writes in all; the last failure
+        propagates (use :meth:`store_safely` at call sites where a sick
+        disk must not fail the check).
         """
         started = time.perf_counter()
 
@@ -218,15 +220,13 @@ class DiskPredictionCache:
                 },
             }
             sp.add("partitions", len(payload["predictions"]))
-            attempt = 0
-            while True:
-                attempt += 1
+            for attempt in range(1, STORE_ATTEMPTS + 1):
                 try:
-                    maybe_inject("cache_store_delay")
                     maybe_inject("cache_store")
                     self._write(key, payload)
+                    break
                 except OSError:
-                    if attempt >= self.retry_policy.max_attempts:
+                    if attempt == STORE_ATTEMPTS:
                         with self._lock:
                             self._store_failures += 1
                         timed("failed")
@@ -234,9 +234,7 @@ class DiskPredictionCache:
                     with self._lock:
                         self._store_retries += 1
                     sp.add("retries")
-                    time.sleep(self.retry_policy.delay_for(attempt))
-                    continue
-                break
+                    time.sleep(STORE_RETRY_DELAY_S * 2 ** (attempt - 1))
             with self._lock:
                 self._stores += 1
             timed("ok")

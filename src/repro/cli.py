@@ -537,7 +537,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     import pathlib
 
-    source = pathlib.Path(args.spec).read_text()
+    raw = pathlib.Path(args.spec).read_bytes()
+    try:
+        source = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecificationError(
+            f"specification is not UTF-8 text: {exc}"
+        ) from None
     graph = parse_spec(source)
     document = graph_to_dict(graph)
     if args.output:

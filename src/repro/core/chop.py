@@ -84,11 +84,6 @@ class ChopSession:
         self._predictor = self._eval.predictor
         self._partitioning_cache: Optional[Partitioning] = None
 
-    @property
-    def _prediction_cache(self):
-        """The raw per-content prediction store (compatibility alias)."""
-        return self._eval._raw
-
     def clear_prediction_caches(self) -> None:
         """Drop every cached prediction / task-graph artifact (cold path)."""
         self._eval.clear()

@@ -113,14 +113,6 @@ class SystemPrediction:
             usage.power_mw for usage in self.chip_usage.values()
         )
 
-    def summary_row(self) -> Dict[str, object]:
-        """The columns the paper's Tables 4 and 6 report per design."""
-        return {
-            "initiation_interval": self.ii_main,
-            "delay": self.delay_main,
-            "clock_cycle_ns": round(self.clock_cycle_ns.ml, 1),
-        }
-
 
 def integrate(
     partitioning: Partitioning,

@@ -124,10 +124,13 @@ class ExploreConfig:
         if not self.package_scales:
             raise PartitioningError("package_scales must not be empty")
         for scale in self.package_scales:
-            if not isinstance(scale, (int, float)) or not scale > 0:
+            if (
+                not isinstance(scale, (int, float))
+                or not 0 < scale < math.inf
+            ):
                 raise PartitioningError(
-                    f"package scales must be positive numbers, got "
-                    f"{scale!r}"
+                    f"package scales must be finite positive numbers, "
+                    f"got {scale!r}"
                 )
         if not self.objectives:
             raise PartitioningError("objectives must not be empty")

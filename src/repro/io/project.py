@@ -154,11 +154,16 @@ def _load_project_strict(data: Dict[str, Any]) -> ChopSession:
 
 
 def load_project_file(path: Union[str, pathlib.Path]) -> ChopSession:
-    """Load a project from a JSON file."""
-    text = pathlib.Path(path).read_text()
+    """Load a project from a JSON file.
+
+    Bytes that are not UTF-8, bad JSON, an integer past the
+    interpreter's digit limit (all ``ValueError`` s) and nesting deeper
+    than the parser's recursion limit raise :class:`SpecificationError`.
+    """
+    raw = pathlib.Path(path).read_bytes()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise SpecificationError(f"invalid project JSON: {exc}") from None
     return load_project(data)
 
@@ -171,20 +176,28 @@ def canonical_project_bytes(data: Dict[str, Any]) -> bytes:
 
     Key order, whitespace and (for partitions) operation-list order are
     normalized so that two documents describing the same session encode
-    identically regardless of how they were written.
+    identically regardless of how they were written.  Operation lists
+    that cannot be sorted and nesting past the encoder's recursion
+    limit raise :class:`SpecificationError`.
     """
     normalized = dict(data)
-    partitions = normalized.get("partitions")
-    if isinstance(partitions, list):
-        normalized["partitions"] = [
-            {**doc, "ops": sorted(doc["ops"])}
-            if isinstance(doc, dict) and isinstance(doc.get("ops"), list)
-            else doc
-            for doc in partitions
-        ]
-    return json.dumps(
-        normalized, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    try:
+        partitions = normalized.get("partitions")
+        if isinstance(partitions, list):
+            normalized["partitions"] = [
+                {**doc, "ops": sorted(doc["ops"])}
+                if isinstance(doc, dict)
+                and isinstance(doc.get("ops"), list)
+                else doc
+                for doc in partitions
+            ]
+        return json.dumps(
+            normalized, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+    except (TypeError, RecursionError) as exc:
+        raise SpecificationError(
+            f"malformed project document: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def project_fingerprint(data: Dict[str, Any]) -> str:

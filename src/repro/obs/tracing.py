@@ -386,7 +386,9 @@ def load_trace_file(path: str) -> List[Dict[str, Any]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # Bad JSON, an integer past the digit limit, or nesting
+                # past the parser's recursion limit.
                 raise ValueError(
                     f"{path}:{line_no}: not valid JSON: {exc}"
                 ) from None

@@ -1,13 +1,10 @@
-"""repro.resilience — retries, fault injection, graceful degradation.
+"""repro.resilience — fault injection and graceful degradation.
 
 The serving stack's answer to *what happens when things break*:
 
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy` (exponential
-  backoff + jitter + retryable-exception classification) and the
-  :class:`RetryStats` ledger behind the ``retries`` metrics block;
 * :mod:`~repro.resilience.faults` — the ``$CHOP_FAULTS`` deterministic
-  fault-injection harness wired into the engine workers, the disk
-  cache and service job bodies;
+  fault-injection harness wired into the engine workers and the disk
+  cache;
 * :mod:`~repro.resilience.degrade` — :class:`SoftDeadline`, the
   soft-stop hook behind ``check(soft_deadline_s=…)`` partial verdicts.
 
@@ -24,14 +21,11 @@ from repro.resilience.faults import (
     maybe_inject,
     reset_counters,
 )
-from repro.resilience.retry import RetryPolicy, RetryStats
 
 __all__ = [
     "FAULTS_ENV",
     "FaultPlan",
     "InjectedFault",
-    "RetryPolicy",
-    "RetryStats",
     "SoftDeadline",
     "active_plan",
     "maybe_inject",

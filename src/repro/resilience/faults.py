@@ -9,7 +9,7 @@ engine without any plumbing.
 
 Spec grammar (whitespace-free)::
 
-    CHOP_FAULTS="shard=2,cache_store=1,cache_store_delay=0.05"
+    CHOP_FAULTS="shard=2,cache_store=1"
 
 Site semantics:
 
@@ -24,9 +24,6 @@ Site semantics:
                       (:meth:`repro.cache.DiskPredictionCache.store`)
 ``cache_load=K``      ``InjectedFault`` on the first ``K`` prediction-
                       cache reads of this process (observed as a miss)
-``cache_store_delay=S``  sleep ``S`` seconds before every cache write
-``job=K``             ``InjectedFault`` in the first ``K`` service job
-                      bodies of this process
 ====================  =================================================
 
 :class:`InjectedFault` subclasses :class:`OSError` on purpose: the
@@ -42,7 +39,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Dict, Optional
 
 #: Environment variable carrying the active fault spec.
@@ -52,12 +48,9 @@ FAULTS_ENV = "CHOP_FAULTS"
 _INDEXED_SITES = frozenset({"shard", "shard_exit"})
 
 #: Sites where the value means "fire on the first value invocations".
-_COUNTED_SITES = frozenset({"cache_store", "cache_load", "job"})
+_COUNTED_SITES = frozenset({"cache_store", "cache_load"})
 
-#: Sites where the value means "sleep value seconds".
-_DELAY_SITES = frozenset({"cache_store_delay"})
-
-_KNOWN_SITES = _INDEXED_SITES | _COUNTED_SITES | _DELAY_SITES
+_KNOWN_SITES = _INDEXED_SITES | _COUNTED_SITES
 
 #: Exit status of a ``shard_exit`` worker death (mirrors the engine
 #: test-suite's hand-rolled ``os._exit(13)`` crash idiom).
@@ -127,17 +120,14 @@ def active_plan() -> Optional[FaultPlan]:
 def maybe_inject(site: str, index: Optional[int] = None) -> None:
     """Fire the configured fault for ``site``, if any.
 
-    Raises :class:`InjectedFault`, sleeps, or exits the process,
-    according to the site's semantics; returns silently otherwise.
+    Raises :class:`InjectedFault` or exits the process, according to
+    the site's semantics; returns silently otherwise.
     """
     plan = active_plan()
     if plan is None:
         return
     value = plan.value(site)
     if value is None:
-        return
-    if site in _DELAY_SITES:
-        time.sleep(value)
         return
     if site in _INDEXED_SITES:
         if index is None or index != int(value):

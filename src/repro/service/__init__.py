@@ -15,8 +15,7 @@ share one process:
   verdicts (the hot path: re-checking after small edits);
 * :mod:`repro.service.jobs` — bounded worker pool for long enumerations,
   with cooperative timeout/cancellation, admission control (queue and
-  per-session caps), retry of infrastructure failures and graceful
-  drain;
+  per-session caps) and graceful drain;
 * :mod:`repro.service.metrics` — the request families of the metrics
   registry and the JSON shape of ``GET /metrics``, read from that
   registry (route labels are route templates, so bounded by the table).

@@ -31,10 +31,11 @@ Endpoints (the route table, :data:`ROUTES`)::
 All request and response bodies are JSON (``/metrics`` can also render
 the Prometheus text exposition format).  Errors come back as
 ``{"error": msg, "type": kind}`` with 400 (malformed input), 404
-(unknown id), 409 (right route, wrong job state), 413 (body over the
-size cap), 422 (well-formed but un-servable, e.g. no feasible
-prediction survives pruning), 429 (queue or per-session quota full —
-with a ``Retry-After`` header) or 503 (draining; also ``Retry-After``).
+(unknown id), 408 (body stalled), 409 (right route, wrong job state),
+413 (body over the size cap), 422 (well-formed but un-servable, e.g.
+no feasible prediction survives pruning), 429 (queue or per-session
+quota full — with a ``Retry-After`` header), 500 (a defect:
+``type: "internal"``) or 503 (draining; also ``Retry-After``).
 The failure-mode contract — which fault produces which status, metric
 and recovery — is documented in ``docs/resilience.md``.  Every response
 is counted under its route template, so metric labels are bounded by
@@ -64,6 +65,7 @@ import re
 import signal
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     Any,
@@ -92,7 +94,6 @@ from repro.obs.profiling import peak_rss_bytes
 from repro.obs.prometheus import render_registry
 from repro.obs.slo import SLOTracker, default_objectives
 from repro.obs.tracing import Tracer, activate
-from repro.resilience.retry import RetryPolicy, RetryStats
 from repro.service.cache import LRUCache, check_cache_key
 from repro.service.jobs import DONE, FAILED, CANCELLED, Job, JobQueue
 from repro.service.metrics import Metrics
@@ -270,7 +271,6 @@ class ChopService:
         max_queued: Optional[int] = 64,
         max_jobs_per_session: Optional[int] = 4,
         max_body_bytes: int = 1_000_000,
-        job_retry: Optional[RetryPolicy] = None,
         drain_timeout_s: float = 10.0,
         slo_latency_ms: float = 500.0,
         slo_error_rate: float = 0.01,
@@ -286,7 +286,6 @@ class ChopService:
         self.drain_timeout_s = drain_timeout_s
         self.registry = registry if registry is not None else get_registry()
         self.log = get_logger("service")
-        self.retry_stats = RetryStats()
         self._draining = threading.Event()
         self.sessions = SessionRegistry(capacity=max_sessions)
         self.cache = LRUCache(capacity=cache_size)
@@ -295,12 +294,6 @@ class ChopService:
             default_timeout_s=job_timeout_s,
             max_queued=max_queued,
             max_per_session=max_jobs_per_session,
-            retry_policy=(
-                job_retry
-                if job_retry is not None
-                else RetryPolicy(max_attempts=3, base_delay_s=0.05)
-            ),
-            retry_stats=self.retry_stats,
         )
         # ``workers`` threads drain the job queue; ``search_workers``
         # processes shard each enumeration's combination walk.
@@ -348,7 +341,6 @@ class ChopService:
             "auto": functools.partial(self._tally_snapshot, "auto"),
             "explore": functools.partial(self._tally_snapshot, "explore"),
             "process": self._process_stats,
-            "retries": self.retry_stats.stats,
         }
         if self.engine is not None:
             self._suppliers["engine"] = self.engine.stats
@@ -474,6 +466,25 @@ class ChopService:
                 # carry actionable data — ship it with the 4xx.
                 payload["detail"] = detail()
             return 422, payload, route, {}
+        except Exception as exc:  # noqa: BLE001 — the request boundary
+            # A defect, not a client error: answer and count it as a
+            # 500 (which dumps the flight recorder) instead of letting
+            # http.server drop the connection unanswered.
+            self.log.error(
+                "unexpected route error",
+                route=route,
+                error=f"{type(exc).__name__}: {exc}",
+                traceback=traceback.format_exc(),
+            )
+            return (
+                500,
+                {
+                    "error": f"internal error ({type(exc).__name__})",
+                    "type": "internal",
+                },
+                route,
+                {},
+            )
 
     # ------------------------------------------------------------------
     # read-only routes
@@ -1026,9 +1037,10 @@ class ChopService:
             raise ServiceError(400, "request body required")
         try:
             return json.loads(body.decode("utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             # Bad UTF-8, bad JSON, or an integer past the interpreter's
-            # digit limit — all of them ValueErrors.
+            # digit limit — all of them ValueErrors — or nesting past
+            # the parser's recursion limit.
             raise ServiceError(
                 400, f"invalid JSON body: {exc}"
             ) from None
@@ -1041,6 +1053,9 @@ class _Handler(BaseHTTPRequestHandler):
     service: ChopService  # injected by make_server
     quiet = True
     protocol_version = "HTTP/1.1"
+    #: Seconds a connection may stall on any read or write; a body that
+    #: stalls this long is answered 408.
+    timeout = 30.0
 
     # Route through one dispatcher per method.
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
@@ -1054,7 +1069,9 @@ class _Handler(BaseHTTPRequestHandler):
 
         The ``Content-Length`` header alone decides: a malformed or
         negative length is a 400 and one over the cap a 413, so an
-        oversized body is never buffered into memory.
+        oversized body is never buffered into memory.  A body that ends
+        before its declared length is a 400, and one that stalls past
+        :attr:`timeout` a 408.
         """
         declared = self.headers.get("Content-Length") or "0"
         try:
@@ -1075,7 +1092,24 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{self.service.max_body_bytes} byte cap",
                 kind="body_too_large",
             )
-        return self.rfile.read(length) if length else None
+        if not length:
+            return None
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            raise ServiceError(
+                408,
+                f"request body not received within {self.timeout:g} s",
+                kind="body_timeout",
+            ) from None
+        if len(body) < length:
+            raise ServiceError(
+                400,
+                f"request body ended after {len(body)} of the "
+                f"{length} bytes its Content-Length declares",
+                kind="incomplete_body",
+            )
+        return body
 
     def _dispatch(self, method: str) -> None:
         started = time.perf_counter()
@@ -1083,8 +1117,8 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
         except ServiceError as exc:
-            # The unread body makes the connection unusable for
-            # keep-alive, so close it after answering.
+            # An unread or cut-short body makes the connection unusable
+            # for keep-alive, so close it after answering.
             self.close_connection = True
             status, payload, route, extra = (
                 exc.status,
@@ -1112,13 +1146,18 @@ class _Handler(BaseHTTPRequestHandler):
             trace_id=trace_id,
             path=self.path,
         )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in extra.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(data)))
+            for name, value in extra.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up before its answer; nobody is left to
+            # read one, so drop it (the request is already counted).
+            self.close_connection = True
 
     def log_message(self, format: str, *args: Any) -> None:
         if not self.quiet:

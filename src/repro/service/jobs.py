@@ -19,9 +19,6 @@ Resilience (see ``docs/resilience.md``):
 * **admission control** — ``max_queued`` bounds the backlog
   (:class:`~repro.errors.QueueFullError` → HTTP 429 + ``Retry-After``)
   and ``max_per_session`` bounds one tenant's concurrent jobs;
-* **retry** — a retryable job-body failure (``OSError``, notably
-  injected faults) is re-attempted under the queue's
-  :class:`~repro.resilience.RetryPolicy` with backoff;
 * **drain** — :meth:`JobQueue.drain` closes admissions
   (:class:`~repro.errors.DrainingError` → HTTP 503), waits for in-flight
   jobs up to a timeout, then cancels the stragglers cooperatively.
@@ -36,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import DrainingError, QueueFullError, SearchCancelled
-from repro.resilience.faults import maybe_inject
-from repro.resilience.retry import RetryPolicy, RetryStats
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -74,8 +69,6 @@ class Job:
     #: Admission-control scope (the project id for enumerations); jobs
     #: sharing a key count against ``max_per_session`` together.
     session_key: Optional[str] = None
-    #: Executions of the job body (> 1 after retried failures).
-    attempts: int = 0
     _deadline: Optional[float] = None
 
     def should_stop(self) -> bool:
@@ -102,7 +95,6 @@ class Job:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "timeout_s": self.timeout_s,
-            "attempts": self.attempts,
         }
         if self.progress is not None:
             doc["progress"] = self.progress
@@ -124,8 +116,6 @@ class JobQueue:
         default_timeout_s: Optional[float] = 300.0,
         max_queued: Optional[int] = None,
         max_per_session: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        retry_stats: Optional[RetryStats] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -142,10 +132,6 @@ class JobQueue:
         self.default_timeout_s = default_timeout_s
         self.max_queued = max_queued
         self.max_per_session = max_per_session
-        #: Backoff schedule for retryable job-body failures; ``None``
-        #: disables retries (first failure is terminal).
-        self.retry_policy = retry_policy
-        self.retry_stats = retry_stats
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="chop-job"
         )
@@ -240,52 +226,33 @@ class JobQueue:
             job.started_at = time.time()
             if job.timeout_s is not None:
                 job._deadline = time.monotonic() + job.timeout_s
-        policy = self.retry_policy
-        while True:
-            job.attempts += 1
-            try:
-                maybe_inject("job")
-                result = fn(job)
-            except SearchCancelled as exc:
-                with self._lock:
-                    job.finished_at = time.time()
-                    if job.cancel_event.is_set():
-                        job.state = CANCELLED
-                        job.error = f"cancelled: {exc}"
-                    elif job.timeout_s is not None:
-                        job.state = FAILED
-                        job.error = (
-                            f"timed out after {job.timeout_s:g} s: {exc}"
-                        )
-                    else:
-                        job.state = FAILED
-                        job.error = f"SearchCancelled: {exc}"
-                return
-            except Exception as exc:  # noqa: BLE001 — job boundary
-                if (
-                    policy is not None
-                    and policy.is_retryable(exc)
-                    and job.attempts < policy.max_attempts
-                    and not job.should_stop()
-                ):
-                    time.sleep(policy.delay_for(job.attempts))
-                    continue
-                with self._lock:
+        try:
+            result = fn(job)
+        except SearchCancelled as exc:
+            with self._lock:
+                job.finished_at = time.time()
+                if job.cancel_event.is_set():
+                    job.state = CANCELLED
+                    job.error = f"cancelled: {exc}"
+                elif job.timeout_s is not None:
                     job.state = FAILED
-                    job.finished_at = time.time()
-                    job.error = f"{type(exc).__name__}: {exc}"
-                if self.retry_stats is not None:
-                    self.retry_stats.record(
-                        "job", job.attempts, exhausted=True
+                    job.error = (
+                        f"timed out after {job.timeout_s:g} s: {exc}"
                     )
-                return
-            break
+                else:
+                    job.state = FAILED
+                    job.error = f"SearchCancelled: {exc}"
+            return
+        except Exception as exc:  # noqa: BLE001 — job boundary
+            with self._lock:
+                job.state = FAILED
+                job.finished_at = time.time()
+                job.error = f"{type(exc).__name__}: {exc}"
+            return
         with self._lock:
             job.state = DONE
             job.finished_at = time.time()
             job.result = result
-        if self.retry_stats is not None:
-            self.retry_stats.record("job", job.attempts, exhausted=False)
 
     # ------------------------------------------------------------------
     # lifecycle queries

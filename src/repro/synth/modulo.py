@@ -35,11 +35,6 @@ class ModuloBinding:
     register_count: int
     initiation_interval: int
 
-    @property
-    def instance_count(self) -> int:
-        """Total live value-instances bound (>= distinct values)."""
-        return sum(len(regs) for regs in self.registers_of.values())
-
 
 def modulo_register_bind(
     graph: DataFlowGraph,

@@ -98,6 +98,23 @@ class TestProjectCommands:
         assert err.startswith("error:")
         assert "invalid project JSON" in err
 
+    @pytest.mark.parametrize("command", ["check", "explain", "report"])
+    @pytest.mark.parametrize("raw", [
+        b'{"graph": "\xff\xfe"}',
+        b'{"graph": ' + b"1" * 5000 + b"}",
+        b"[" * 100_000,
+    ], ids=["non-utf8", "5000-digits", "nested-arrays"])
+    def test_unparsable_project_file_errors(
+        self, tmp_path, capsys, command, raw
+    ):
+        # Bytes the JSON parser rejects with something other than a
+        # JSONDecodeError still exit 3 through the one project loader.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main([command, str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid project JSON")
+
     def test_check_malformed_document_errors(self, tmp_path, capsys,
                                              project_file):
         # Well-formed JSON, structurally broken document: a partition
@@ -167,6 +184,13 @@ class TestCompile:
         spec.write_text("input x\ny = x +\noutput y\n")
         assert main(["compile", str(spec)]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_non_utf8_spec_errors(self, tmp_path, capsys):
+        spec = tmp_path / "latin1.chop"
+        spec.write_bytes("input a # caf\xe9\noutput a\n".encode("latin-1"))
+        assert main(["compile", str(spec)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: specification is not UTF-8 text")
 
     @pytest.mark.parametrize("text,message", [
         (
@@ -414,6 +438,12 @@ class TestObservabilityCommands:
         empty.write_text("")
         assert main(["trace", "show", str(empty)]) == 3
 
+    def test_trace_show_rejects_nested_arrays(self, tmp_path, capsys):
+        nested = tmp_path / "nested.jsonl"
+        nested.write_text("[" * 100_000 + "\n")
+        assert main(["trace", "show", str(nested)]) == 3
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_explain_command(self, project_file, capsys):
         assert main(["explain", str(project_file)]) == 0
         out = capsys.readouterr().out
@@ -629,3 +659,13 @@ def test_boundary_auto_and_explore_values_are_accepted(monkeypatch):
     assert (auto.ops, auto.chips) == (MAX_UNROLLED, 1)
     assert (auto.max_clones, auto.feasibility_moves) == (0, 0)
     assert (explore.ops, explore.k_min, explore.k_max) == (1, 3, 3)
+
+
+def test_explore_rejects_infinite_scale(capsys):
+    # An infinite die size would print a front and save projects that
+    # `chop check` then rejects.
+    argv = ["explore", "--generate", "layered", "--ops", "10",
+            "--k-max", "1", "--scales", "1.0,inf"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "package scales must be finite positive numbers" in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -45,6 +46,7 @@ class TestConfigValidation:
             {"package_scales": ()},
             {"package_scales": (0.0,)},
             {"package_scales": (-1.0,)},
+            {"package_scales": (1.0, math.inf)},
             {"objectives": ()},
             {"objectives": ("cost", "speed")},
             {"objectives": ("cost", "cost")},

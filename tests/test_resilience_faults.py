@@ -4,8 +4,8 @@ The point of ``$CHOP_FAULTS`` is that an injected fault travels the
 *same* code path as the real failure it mimics (``InjectedFault`` is an
 ``OSError``), so these tests assert end-to-end recovery — a killed shard
 is re-run in process and the merged result is byte-identical to the
-serial run; a failing cache write is retried and then succeeds; a
-failing job body is re-attempted by the queue.
+serial run; a failing cache write is written again and then succeeds.
+A failing job body is not re-run: the job fails on its one run.
 """
 
 from __future__ import annotations
@@ -15,19 +15,19 @@ import multiprocessing
 import pytest
 
 import repro.engine.workers as workers_module
+from repro.cache import DiskPredictionCache
 from repro.engine import EvaluationEngine
 from repro.experiments import experiment1_session, experiment2_session
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     FAULTS_ENV,
     FaultPlan,
     InjectedFault,
-    RetryPolicy,
-    RetryStats,
     active_plan,
     maybe_inject,
     reset_counters,
 )
-from repro.service.jobs import DONE, JobQueue
+from repro.service import ChopService
 
 
 @pytest.fixture(autouse=True)
@@ -50,18 +50,21 @@ def result_doc(result):
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_parses_mixed_spec(self):
-        plan = FaultPlan("shard=2,cache_store=1,cache_store_delay=0.05")
+        plan = FaultPlan("shard=2,cache_store=1,cache_load=3")
         assert plan.value("shard") == 2
         assert plan.value("cache_store") == 1
-        assert plan.value("cache_store_delay") == 0.05
-        assert plan.value("job") is None
+        assert plan.value("cache_load") == 3
+        assert plan.value("shard_exit") is None
 
     def test_empty_spec_has_no_sites(self):
         assert FaultPlan("").sites == {}
 
     @pytest.mark.parametrize(
         "spec",
-        ["bogus_site=1", "shard", "shard=x", "shard=-1", "=3"],
+        [
+            "bogus_site=1", "shard", "shard=x", "shard=-1", "=3",
+            "job=1", "cache_store_delay=0.05",
+        ],
     )
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ValueError):
@@ -69,9 +72,9 @@ class TestFaultPlan:
 
     def test_active_plan_reads_environment(self, monkeypatch):
         assert active_plan() is None
-        monkeypatch.setenv(FAULTS_ENV, "job=1")
+        monkeypatch.setenv(FAULTS_ENV, "cache_load=1")
         plan = active_plan()
-        assert plan is not None and plan.value("job") == 1
+        assert plan is not None and plan.value("cache_load") == 1
 
     def test_injected_fault_is_oserror(self):
         # Load-bearing: this is why injected faults reuse the engine's
@@ -93,12 +96,12 @@ class TestMaybeInject:
         maybe_inject("cache_store")
 
     def test_counters_survive_replans(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "job=1")
+        monkeypatch.setenv(FAULTS_ENV, "cache_load=1")
         with pytest.raises(InjectedFault):
-            maybe_inject("job")
+            maybe_inject("cache_load")
         # Re-setting the same spec must not rearm a spent counter.
-        monkeypatch.setenv(FAULTS_ENV, "job=1")
-        maybe_inject("job")
+        monkeypatch.setenv(FAULTS_ENV, "cache_load=1")
+        maybe_inject("cache_load")
 
     def test_indexed_site_matches_exact_index(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "shard=2")
@@ -109,14 +112,6 @@ class TestMaybeInject:
         # Indexed sites re-fire every time the index matches.
         with pytest.raises(InjectedFault):
             maybe_inject("shard", index=2)
-
-    def test_delay_site_sleeps_instead_of_raising(self, monkeypatch):
-        import time
-
-        monkeypatch.setenv(FAULTS_ENV, "cache_store_delay=0.02")
-        started = time.perf_counter()
-        maybe_inject("cache_store_delay")
-        assert time.perf_counter() - started >= 0.015
 
 
 # ----------------------------------------------------------------------
@@ -155,28 +150,16 @@ class TestEngineShardRecovery:
 
 
 # ----------------------------------------------------------------------
-# prediction cache: transient write errors retried, reads degrade to a
+# prediction cache: failed writes written again, reads degrade to a
 # miss — the cache_store/cache_load fault sites live in
 # DiskPredictionCache.store and .load.
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["disk"])
-def cache_cls(request):
-    from repro.cache import DiskPredictionCache
-
-    return DiskPredictionCache
-
-
 class TestCacheBackendFaults:
     def test_store_retries_through_injected_faults(
-        self, tmp_path, monkeypatch, cache_cls
+        self, tmp_path, monkeypatch
     ):
         session = experiment1_session(partition_count=2)
-        cache = cache_cls(
-            tmp_path,
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.001, jitter=0.0
-            ),
-        )
+        cache = DiskPredictionCache(tmp_path)
         key = cache.key_for("fp", session.library, session.clocks)
         monkeypatch.setenv(FAULTS_ENV, "cache_store=2")
         cache.store(key, session.export_predictions())
@@ -186,15 +169,10 @@ class TestCacheBackendFaults:
         assert stats["store_failures"] == 0
 
     def test_store_exhaustion_raises_and_store_safely_swallows(
-        self, tmp_path, monkeypatch, cache_cls
+        self, tmp_path, monkeypatch
     ):
         session = experiment1_session(partition_count=2)
-        cache = cache_cls(
-            tmp_path,
-            retry_policy=RetryPolicy(
-                max_attempts=2, base_delay_s=0.001, jitter=0.0
-            ),
-        )
+        cache = DiskPredictionCache(tmp_path)
         key = cache.key_for("fp", session.library, session.clocks)
         exported = session.export_predictions()
 
@@ -208,11 +186,9 @@ class TestCacheBackendFaults:
         assert cache.store_safely(key, exported) is False
         assert cache.stats()["store_failures"] == 2
 
-    def test_injected_read_fault_is_a_miss(
-        self, tmp_path, monkeypatch, cache_cls
-    ):
+    def test_injected_read_fault_is_a_miss(self, tmp_path, monkeypatch):
         session = experiment1_session(partition_count=2)
-        cache = cache_cls(tmp_path)
+        cache = DiskPredictionCache(tmp_path)
         key = cache.key_for("fp", session.library, session.clocks)
         cache.store(key, session.export_predictions())
 
@@ -225,63 +201,25 @@ class TestCacheBackendFaults:
 
 
 # ----------------------------------------------------------------------
-# job queue: retryable body failures are re-attempted with backoff
+# job queue: an infrastructure failure in a job body fails the job on
+# its one run; neither the job record nor /metrics speaks of retries.
 # ----------------------------------------------------------------------
-class TestJobRetry:
-    def test_job_body_fault_retried_to_success(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "job=2")
-        stats = RetryStats()
-        queue = JobQueue(
-            workers=1,
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.001, jitter=0.0
-            ),
-            retry_stats=stats,
-        )
-        try:
-            job = queue.submit(lambda job: "survived")
-            finished = queue.wait(job.id, timeout=10)
-            assert finished.state == DONE
-            assert finished.result == "survived"
-            assert finished.attempts == 3
-            snap = stats.stats()
-            assert snap["sites"]["job"]["retries"] == 2
-            assert snap["exhausted"] == 0
-        finally:
-            queue.shutdown()
+class TestJobFailure:
+    def test_oserror_body_runs_once_and_fails(self):
+        service = ChopService(workers=1, registry=MetricsRegistry())
+        runs = []
 
-    def test_exhausted_job_fails_with_attempt_count(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "job=10")
-        stats = RetryStats()
-        queue = JobQueue(
-            workers=1,
-            retry_policy=RetryPolicy(
-                max_attempts=2, base_delay_s=0.001, jitter=0.0
-            ),
-            retry_stats=stats,
-        )
+        def broken(job):
+            runs.append(job.id)
+            raise InjectedFault("disk gone")
+
         try:
-            job = queue.submit(lambda job: "never")
-            finished = queue.wait(job.id, timeout=10)
+            job = service.jobs.submit(broken)
+            finished = service.jobs.wait(job.id, timeout=10)
             assert finished.state == "failed"
-            assert finished.attempts == 2
-            assert "InjectedFault" in (finished.error or "")
-            assert stats.stats()["exhausted"] == 1
+            assert finished.error == "InjectedFault: disk gone"
+            assert runs == [job.id]
+            assert "attempts" not in finished.to_dict()
+            assert "retries" not in service.metrics.snapshot()
         finally:
-            queue.shutdown()
-
-    def test_non_retryable_failure_is_terminal_on_first_attempt(self):
-        queue = JobQueue(
-            workers=1, retry_policy=RetryPolicy(max_attempts=3)
-        )
-        try:
-
-            def broken(job):
-                raise ValueError("logic bug")
-
-            job = queue.submit(broken)
-            finished = queue.wait(job.id, timeout=10)
-            assert finished.state == "failed"
-            assert finished.attempts == 1
-        finally:
-            queue.shutdown()
+            service.close()

@@ -139,6 +139,20 @@ class TestSessionRegistry:
         with pytest.raises(SpecificationError):
             registry.put(doc)
 
+    def test_unfingerprintable_document_raises(self):
+        # Ops that cannot be sorted, and nesting that parses but is too
+        # deep to re-encode, fail as the document's fault.
+        registry = SessionRegistry(capacity=2)
+        deep: list = []
+        for _ in range(5000):
+            deep = [deep]
+        for doc in (
+            {**_doc(), "partitions": [{"name": "P1", "ops": [1, "a"]}]},
+            {**_doc(), "graph": deep},
+        ):
+            with pytest.raises(SpecificationError):
+                registry.put(doc)
+
     def test_entry_summary(self):
         registry = SessionRegistry(capacity=2)
         entry, _ = registry.put(_doc())

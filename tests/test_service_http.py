@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import math
 import socket
+import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -18,7 +21,7 @@ from repro.experiments import experiment1_session
 from repro.io.project import session_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ChopService, make_server
-from repro.service.app import _dump_on_signal
+from repro.service.app import _Handler, _dump_on_signal
 from tests.test_io_properties import HOSTILE_EDITS, mutated
 
 
@@ -29,6 +32,21 @@ def project_doc():
     )
 
 
+@contextlib.contextmanager
+def serving(service):
+    """Serve ``service`` on an ephemeral port; yields the server."""
+    httpd = make_server(service, "127.0.0.1", 0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield httpd
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        service.close()
+        thread.join(5)
+
+
 @pytest.fixture()
 def server():
     # A private registry: route counts are registry-scoped, and the
@@ -36,16 +54,8 @@ def server():
     service = ChopService(
         workers=1, job_timeout_s=60.0, registry=MetricsRegistry()
     )
-    httpd = make_server(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(service) as httpd:
         yield service, httpd.server_address[1]
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        service.close()
-        thread.join(5)
 
 
 def request(port, method, path, payload=None, timeout=60):
@@ -207,35 +217,60 @@ class TestRoundTrip:
                 assert option in err["error"]
 
 
-#: Requests whose framing or query the server cannot read, sent byte
-#: for byte: ``(request head, route label, error type)``.
+def _upload_head(length):
+    return b"POST /projects HTTP/1.1\r\nContent-Length: %d\r\n" % length
+
+
+_NESTED = b"[" * 200_000
+_UNSORTABLE = json.dumps({"partitions": [{"ops": [1, "a"]}]}).encode()
+
+#: Requests whose framing, body or query the server cannot read, sent
+#: byte for byte and then half-closed: ``(request head, body, route
+#: label, error type)``.
 MALFORMED_REQUESTS = [
     (
         b"POST /projects HTTP/1.1\r\nContent-Length: abc\r\n",
+        b"",
         "POST /projects",
         "invalid_content_length",
     ),
     (
         b"POST /projects HTTP/1.1\r\nContent-Length: -5\r\n",
+        b"",
         "POST /projects",
         "invalid_content_length",
     ),
     (
         b"GET /debug/recent?limit=" + b"7" * 5000 + b" HTTP/1.1\r\n",
+        b"",
         "GET /debug/recent",
         "invalid_option",
+    ),
+    (_upload_head(10), b"{}", "POST /projects", "incomplete_body"),
+    (_upload_head(len(_NESTED)), _NESTED, "POST /projects", "service"),
+    (
+        _upload_head(len(_UNSORTABLE)),
+        _UNSORTABLE,
+        "POST /projects",
+        "specification",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "head,route,kind", MALFORMED_REQUESTS,
-    ids=["content-length-abc", "content-length-negative", "limit-digits"],
+    "head,body,route,kind", MALFORMED_REQUESTS,
+    ids=[
+        "content-length-abc", "content-length-negative", "limit-digits",
+        "short-body", "nested-arrays", "unsortable-ops",
+    ],
 )
-def test_malformed_request_is_an_accounted_400(server, head, route, kind):
+def test_malformed_request_is_an_accounted_400(
+    server, head, body, route, kind
+):
     service, port = server
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(head + b"Connection: close\r\n\r\n")
+        sock.sendall(head + b"Connection: close\r\n\r\n" + body)
+        sock.shutdown(socket.SHUT_WR)
         response = http.client.HTTPResponse(sock)
         response.begin()
         status, err = response.status, json.loads(response.read())
@@ -244,6 +279,77 @@ def test_malformed_request_is_an_accounted_400(server, head, route, kind):
     _, metrics = request(port, "GET", "/metrics")
     assert metrics["routes"][route]["count"] == 1
     assert metrics["responses_by_status"]["400"] == 1
+
+
+def test_stalled_body_is_an_accounted_408(server, monkeypatch):
+    service, port = server
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(_upload_head(10) + b"\r\n{}")
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        status, err = response.status, json.loads(response.read())
+        assert sock.recv(1) == b""  # the server closed the connection
+    assert status == 408
+    assert err["type"] == "body_timeout"
+    _, metrics = request(port, "GET", "/metrics")
+    assert metrics["routes"]["POST /projects"]["count"] == 1
+    assert metrics["responses_by_status"]["408"] == 1
+
+
+def test_unexpected_route_error_is_an_accounted_500(tmp_path, monkeypatch):
+    service = ChopService(
+        workers=1, registry=MetricsRegistry(), flight_dir=str(tmp_path)
+    )
+
+    def defect(req):
+        raise KeyError("not a client error")
+
+    monkeypatch.setattr(service, "_project", defect)
+    with serving(service) as httpd:
+        port = httpd.server_address[1]
+        status, err = request(port, "GET", "/projects/abc")
+        assert status == 500
+        assert err == {"error": "internal error (KeyError)",
+                       "type": "internal"}
+        _, metrics = request(port, "GET", "/metrics")
+    assert metrics["routes"]["GET /projects/{id}"]["count"] == 1
+    assert metrics["responses_by_status"]["500"] == 1
+    assert len(list(tmp_path.glob("flight-*-5xx.json"))) == 1
+
+
+def test_reply_to_a_gone_client_is_dropped_quietly():
+    service = ChopService(workers=1, registry=MetricsRegistry())
+    entered, release = threading.Event(), threading.Event()
+
+    def slow_healthz(req):
+        entered.set()
+        release.wait(10)
+        return 200, {"status": "ok"}
+
+    service._healthz = slow_healthz
+    with serving(service) as httpd:
+        errors, finished = [], threading.Event()
+        httpd.handle_error = lambda *_: errors.append(sys.exc_info()[1])
+        close_request = httpd.shutdown_request
+
+        def shutdown_request(request):
+            close_request(request)
+            finished.set()
+
+        httpd.shutdown_request = shutdown_request
+        sock = socket.create_connection(httpd.server_address, timeout=10)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        assert entered.wait(10)
+        # Reset rather than close, so the reply write fails at once.
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        release.set()
+        assert finished.wait(10)
+    assert errors == []
+    assert service.metrics.snapshot()["routes"]["GET /healthz"]["count"] == 1
 
 
 #: The documented options of each option route and the JSON types each
