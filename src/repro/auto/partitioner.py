@@ -23,7 +23,7 @@ The pipeline:
    some partition predicts infeasibly large, a bounded repair loop
    migrates boundary operations out of the worst partition through the
    transactional section 2.7 mutators — each move re-checks against the
-   warm incremental caches, so CHOP feasibility (not cut bits) is the
+   warm content-keyed caches, so CHOP feasibility (not cut bits) is the
    final acceptance criterion.
 
 Every stage runs under a trace span (``auto.*``), so ``--trace`` on the
@@ -304,9 +304,8 @@ def _repair_loop(
     While some partition survives no level-1 pruning (usually: too many
     operations for its die), migrate its best chain-legal boundary
     operation to the lighter adjacent partition and re-check.  Each
-    iteration only dirties the two touched partitions, so the warm
-    evaluation context re-predicts just those — the PR 5 incremental
-    machinery this loop exists to exercise.
+    iteration changes only the two touched partitions, so the warm
+    evaluation context re-predicts just those.
     """
     base = base_cluster_graph(graph)
     cluster_part = {

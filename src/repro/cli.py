@@ -58,6 +58,7 @@ unreadable input (bad project JSON, missing file, bad spec).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from typing import List, Optional
@@ -126,40 +127,32 @@ def _build_engine(args):
 
 def _checked(session, heuristic: str, args):
     """One check, optionally engine-sharded and disk-cache warmed."""
-    engine = _build_engine(args)
-    soft_deadline = (
-        getattr(args, "soft_deadline", None) if args is not None else None
-    )
-    cache_dir = getattr(args, "disk_cache", None) if args else None
-    if not cache_dir:
-        return session.check(
-            heuristic=heuristic, engine=engine, soft_deadline_s=soft_deadline,
-        )
-    from repro.cache import DiskPredictionCache, warm_from_disk
+    from repro.cache import DiskPredictionCache, check_with_cache
 
-    cache = DiskPredictionCache(cache_dir)
-    store_key, seeded = warm_from_disk(session, cache)
-    if store_key is None:
-        print(
-            f"disk cache: hit — {seeded} partition prediction lists "
-            f"seeded from {cache.directory}"
-        )
-    result = session.check(
-        heuristic=heuristic, engine=engine, soft_deadline_s=soft_deadline,
+    cache_dir = getattr(args, "disk_cache", None) if args else None
+    cache = DiskPredictionCache(cache_dir) if cache_dir else None
+    checked = check_with_cache(
+        session, cache,
+        heuristic=heuristic,
+        engine=_build_engine(args),
+        soft_deadline_s=getattr(args, "soft_deadline", None),
     )
-    if store_key is not None:
-        if cache.store_safely(store_key, session.export_predictions()):
-            print(
-                f"disk cache: miss — predictions stored in "
-                f"{cache.directory}"
-            )
-        else:
-            print(
-                f"disk cache: write failed after retries — continuing "
-                f"without persistence ({cache.directory})",
-                file=sys.stderr,
-            )
-    return result
+    if cache is None:
+        return checked.result
+    if checked.stored is None:
+        print(
+            f"disk cache: hit — {checked.seeded} partition prediction "
+            f"lists seeded from {cache.directory}"
+        )
+    elif checked.stored:
+        print(f"disk cache: miss — predictions stored in {cache.directory}")
+    else:
+        print(
+            f"disk cache: write failed after retries — continuing "
+            f"without persistence ({cache.directory})",
+            file=sys.stderr,
+        )
+    return checked.result
 
 
 def _dry_run(session, args) -> int:
@@ -198,34 +191,58 @@ def _dry_run(session, args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _traced(args, stream=None):
+    """Trace the block to ``--trace PATH`` as JSONL, if given.
+
+    Once the block has finished and the file is closed, prints the
+    ``trace: N spans -> PATH`` line to ``stream`` (stdout by default).
+    """
+    path = getattr(args, "trace", None)
+    if not path:
+        yield
+        return
+    from repro.obs import JsonlSink, Tracer, activate
+
+    tracer = Tracer(sink=JsonlSink(path))
+    try:
+        with activate(tracer):
+            yield
+    finally:
+        tracer.close()
+    print(
+        f"trace: {tracer.stats()['spans']} spans -> {path} "
+        f"(trace id {tracer.trace_id})",
+        file=stream,
+    )
+
+
+def _graph_source(args, factory_from):
+    """The graph to partition and its session factory.
+
+    From ``--generate KIND`` (factory ``None``: the command's default)
+    or from the project file, whose designer inputs
+    ``factory_from(session)`` turns into a factory.
+    """
+    if args.generate:
+        from repro.dfg.builders import generate_dfg
+
+        return generate_dfg(args.generate, args.ops, seed=args.seed), None
+    if not args.project:
+        raise SpecificationError("give a project file or --generate KIND")
+    base = load_project_file(args.project)
+    return base.graph, factory_from(base)
+
+
 def _check_session(session, heuristic: str, count: int,
                    package: int, args=None) -> int:
-    import contextlib
-
-    trace_path = getattr(args, "trace", None) if args is not None else None
-    profiled = (
-        bool(getattr(args, "profile", False)) if args is not None else False
-    )
-    tracer = None
     profiler = None
-    with contextlib.ExitStack() as stack:
-        if trace_path:
-            from repro.obs import JsonlSink, Tracer, activate
+    if getattr(args, "profile", False):
+        from repro.obs import SamplingProfiler
 
-            tracer = Tracer(sink=JsonlSink(trace_path))
-            stack.callback(tracer.close)
-            stack.enter_context(activate(tracer))
-        if profiled:
-            from repro.obs import SamplingProfiler
-
-            profiler = stack.enter_context(SamplingProfiler())
+        profiler = SamplingProfiler()
+    with _traced(args), profiler or contextlib.nullcontext():
         result = _checked(session, heuristic, args)
-    if tracer is not None:
-        stats = tracer.stats()
-        print(
-            f"trace: {stats['spans']} spans -> {trace_path} "
-            f"(trace id {tracer.trace_id})"
-        )
     if profiler is not None:
         print(profiler.render())
     letter = "E" if heuristic == "enumeration" else "I"
@@ -247,27 +264,10 @@ def _check_session(session, heuristic: str, count: int,
 
 
 def _cmd_auto(args: argparse.Namespace) -> int:
-    import contextlib
-
     from repro.auto import AutoPartitionConfig, auto_partition
     from repro.auto.partitioner import session_like_factory
 
-    if args.generate:
-        from repro.dfg.builders import generate_dfg
-
-        graph = generate_dfg(args.generate, args.ops, seed=args.seed)
-        factory = None
-    elif args.project:
-        base = load_project_file(args.project)
-        graph = base.graph
-        factory = session_like_factory(base)
-    else:
-        print(
-            "error: give a project file or --generate KIND",
-            file=sys.stderr,
-        )
-        return 3
-
+    graph, factory = _graph_source(args, session_like_factory)
     config = AutoPartitionConfig(
         chips=args.chips,
         balance_tolerance=args.balance,
@@ -276,24 +276,10 @@ def _cmd_auto(args: argparse.Namespace) -> int:
         feasibility_moves=args.feasibility_moves,
         heuristic=args.heuristic,
     )
-    trace_path = getattr(args, "trace", None)
-    tracer = None
-    with contextlib.ExitStack() as stack:
-        if trace_path:
-            from repro.obs import JsonlSink, Tracer, activate
-
-            tracer = Tracer(sink=JsonlSink(trace_path))
-            stack.callback(tracer.close)
-            stack.enter_context(activate(tracer))
+    with _traced(args):
         result = auto_partition(
             graph, config, session_factory=factory,
             engine=_build_engine(args),
-        )
-    if tracer is not None:
-        stats = tracer.stats()
-        print(
-            f"trace: {stats['spans']} spans -> {trace_path} "
-            f"(trace id {tracer.trace_id})"
         )
 
     summary = result.to_dict()
@@ -340,7 +326,6 @@ def _cmd_auto(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    import contextlib
     import pathlib
 
     from repro.explore import (
@@ -349,22 +334,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         project_session_factory,
     )
 
-    if args.generate:
-        from repro.dfg.builders import generate_dfg
-
-        graph = generate_dfg(args.generate, args.ops, seed=args.seed)
-        factory = None
-    elif args.project:
-        base = load_project_file(args.project)
-        graph = base.graph
-        factory = project_session_factory(base)
-    else:
-        print(
-            "error: give a project file or --generate KIND",
-            file=sys.stderr,
-        )
-        return 3
-
+    graph, factory = _graph_source(args, project_session_factory)
     config = ExploreConfig(
         chip_counts=tuple(range(args.k_min, args.k_max + 1)),
         package_scales=tuple(args.scales),
@@ -379,27 +349,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
         disk_cache = DiskPredictionCache(args.disk_cache)
 
-    trace_path = getattr(args, "trace", None)
-    tracer = None
-    with contextlib.ExitStack() as stack:
-        if trace_path:
-            from repro.obs import JsonlSink, Tracer, activate
-
-            tracer = Tracer(sink=JsonlSink(trace_path))
-            stack.callback(tracer.close)
-            stack.enter_context(activate(tracer))
+    # The trace line goes to stderr so --json output stays parseable.
+    with _traced(args, stream=sys.stderr):
         result = explore(
             graph, config,
             session_factory=factory,
             engine=_build_engine(args),
             disk_cache=disk_cache,
-        )
-    if tracer is not None:
-        stats = tracer.stats()
-        print(
-            f"trace: {stats['spans']} spans -> {trace_path} "
-            f"(trace id {tracer.trace_id})",
-            file=sys.stderr,
         )
 
     if args.json:

@@ -102,7 +102,6 @@ class ChopSession:
         chip = Chip(name=name, package=package)
         self.chips[name] = chip
         self._partitioning_cache = None
-        self._eval.mark_placement_dirty()
         return chip
 
     def set_partitions(
@@ -121,7 +120,6 @@ class ChopSession:
         self._partitions = {p.name: p for p in partitions}
         self._partition_chip = dict(assignment)
         self._partitioning_cache = None
-        self._eval.mark_membership_dirty(self._partitions)
         try:
             self.partitioning()
         except PartitioningError:
@@ -138,7 +136,6 @@ class ChopSession:
             raise PartitioningError(f"unknown chip {chip_name!r}")
         self.memory_chip[memory_name] = chip_name
         self._partitioning_cache = None
-        self._eval.mark_placement_dirty()
 
     def move_partition(self, partition_name: str, chip_name: str) -> None:
         """Migrate one partition to another chip."""
@@ -149,7 +146,6 @@ class ChopSession:
         prev = self._partition_chip.get(partition_name)
         self._partition_chip[partition_name] = chip_name
         self._partitioning_cache = None
-        self._eval.mark_placement_dirty()
         try:
             self.partitioning()
         except PartitioningError:
@@ -175,7 +171,6 @@ class ChopSession:
         self._partitions[from_partition] = new_src
         self._partitions[to_partition] = new_dst
         self._partitioning_cache = None
-        self._eval.mark_membership_dirty((from_partition, to_partition))
         try:
             self.partitioning()  # re-validate (may raise on mutual dep.)
         except PartitioningError:

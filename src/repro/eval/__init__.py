@@ -1,28 +1,17 @@
-"""repro.eval — the incremental evaluation core under the designer loop.
+"""repro.eval — the evaluation core under the designer loop.
 
 One `EvaluationContext` per design owns the predict → prune →
 task-graph pipeline that `ChopSession`, both search heuristics, the
 process-pool engine and the baselines previously each re-ran from
-scratch.  Caches are keyed on partition *content* and bounded by one
-LRU capacity; the task graph is maintained incrementally from a dirty
-set fed by the section-2.7 mutators.  Results are byte-identical to the
-from-scratch path — see ``docs/evaluation.md`` for the lifecycle,
-invalidation rules and identity guarantee.
+scratch.  Prediction caches are keyed on partition *content* and
+bounded by one LRU capacity; the task graph is built by
+`repro.core.tasks.build_task_graph` and kept while the partitioning is
+unchanged — see ``docs/evaluation.md``.
 """
 
 from repro.eval.context import DEFAULT_CACHE_CAPACITY, EvaluationContext
-from repro.eval.taskgraph import (
-    TaskGraphIngredients,
-    assemble_task_graph,
-    full_ingredients,
-    update_ingredients,
-)
 
 __all__ = [
     "DEFAULT_CACHE_CAPACITY",
     "EvaluationContext",
-    "TaskGraphIngredients",
-    "assemble_task_graph",
-    "full_ingredients",
-    "update_ingredients",
 ]

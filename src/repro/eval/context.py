@@ -1,48 +1,30 @@
-"""The incremental evaluation context.
+"""The evaluation context.
 
 :class:`EvaluationContext` is the single owner of everything the
-predict → prune → task-graph pipeline computes per partition, keyed on
+predict → prune → task-graph pipeline computes for a design, keyed on
 *partition content* (the operation-id set) rather than partition name.
 It is the one evaluation core under the designer loop: `ChopSession`,
 both search heuristics, the process-pool engine's problem builder, the
 baselines and the serving layer all obtain their pruned predictions and
 task graphs here.
 
-Three cache families, all bounded by one LRU capacity:
+Two prediction caches, both bounded by one LRU capacity:
 
 * **raw predictions** — BAD's per-partition list, keyed on the op-id
-  frozenset (the canonical content key; :meth:`content_hash` gives the
-  stable hex digest for external storage),
+  frozenset,
 * **pruned predictions** — level-1 pruned lists, keyed on
-  (content, usable area, drop_inferior) so `add_chip` self-invalidates,
-* **memory profiles** — per-partition :class:`MemoryAccessProfile`,
-  consumed by incremental task-graph assembly.
+  (content, usable area, drop_inferior) so `add_chip` self-invalidates.
 
-The task graph is maintained incrementally: section-2.7 mutators mark
-partitions dirty, and :meth:`task_graph` rebuilds only the cut pairs and
-IO totals incident to the dirty set (see :mod:`repro.eval.taskgraph`),
-then reassembles — with results byte-identical to
-:func:`repro.core.tasks.build_task_graph`.  A content diff against the
-last-seen state backs the dirty set, so even an unannounced mutation is
-caught, never silently served stale.
+The task graph comes from :func:`repro.core.tasks.build_task_graph`;
+the context keeps the last one and returns it while the partition
+contents and the chip and memory placement are unchanged.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections import OrderedDict
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bad.prediction import DesignPrediction
 from repro.bad.predictor import BADPredictor, PredictorParameters
@@ -50,16 +32,9 @@ from repro.bad.styles import ArchitectureStyle, ClockScheme
 from repro.core.feasibility import FeasibilityCriteria
 from repro.core.partition import Partition
 from repro.core.partitioning import Partitioning
-from repro.core.tasks import TaskGraph
+from repro.core.tasks import TaskGraph, build_task_graph
 from repro.dfg.graph import DataFlowGraph
-from repro.eval.taskgraph import (
-    TaskGraphIngredients,
-    assemble_task_graph,
-    full_ingredients,
-    update_ingredients,
-)
 from repro.library.library import ComponentLibrary
-from repro.memory.access import MemoryAccessProfile, memory_access_profile
 from repro.memory.module import MemoryModule
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as trace_span
@@ -74,7 +49,7 @@ ContentKey = FrozenSet[str]
 
 
 class EvaluationContext:
-    """Content-addressed caches + incremental task graph for one design.
+    """Content-addressed prediction caches + the kept task graph.
 
     Not thread-safe (matching :class:`~repro.core.chop.ChopSession`);
     the serving layer serializes access per session entry.
@@ -110,16 +85,10 @@ class EvaluationContext:
         self._pruned: "OrderedDict[Tuple, List[DesignPrediction]]" = (
             OrderedDict()
         )
-        self._profiles: (
-            "OrderedDict[ContentKey, MemoryAccessProfile]"
-        ) = OrderedDict()
-        self._content_hashes: Dict[ContentKey, str] = {}
-        # -- incremental task-graph state --
-        self._dirty: Set[str] = set()
-        self._ingredients: Optional[TaskGraphIngredients] = None
-        self._ingredient_state: Dict[str, ContentKey] = {}
-        self._assembled: Optional[TaskGraph] = None
-        self._assembled_key: Optional[Tuple] = None
+        # -- the kept task graph, its memo key and its cut-pair count --
+        self._graph: Optional[TaskGraph] = None
+        self._graph_key: Optional[Tuple] = None
+        self._graph_pairs = 0
         # -- counters (exported through stats() / the /metrics gauge) --
         self._hits = 0
         self._misses = 0
@@ -127,29 +96,9 @@ class EvaluationContext:
         self._invalidations = 0
         self._seeded = 0
         self._tg_full_builds = 0
-        self._tg_incremental = 0
         self._tg_reuses = 0
         self._pairs_reused = 0
         self._pairs_rebuilt = 0
-
-    # ------------------------------------------------------------------
-    # content keys
-    # ------------------------------------------------------------------
-    def content_hash(self, op_ids: ContentKey) -> str:
-        """Canonical hex digest of a partition's operation set.
-
-        Stable across processes and sessions (unlike ``hash()`` of the
-        frozenset) — the key to use anywhere a content identity leaves
-        this process.
-        """
-        cached = self._content_hashes.get(op_ids)
-        if cached is None:
-            digest = hashlib.sha256(
-                "\x00".join(sorted(op_ids)).encode("utf-8")
-            )
-            cached = digest.hexdigest()
-            self._content_hashes[op_ids] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # LRU plumbing
@@ -265,120 +214,52 @@ class EvaluationContext:
         )
         return out
 
-    # ------------------------------------------------------------------
-    # memory profiles
-    # ------------------------------------------------------------------
-    def memory_profile(self, partition: Partition) -> MemoryAccessProfile:
-        """The partition's memory access profile (cached by content)."""
-        key = partition.op_ids
-        cached = self._get(self._profiles, key)
-        if cached is None:
-            cached = memory_access_profile(self.graph, partition.op_ids)
-            self._put(self._profiles, key, cached)
-        return cached
-
-    # ------------------------------------------------------------------
-    # invalidation (the section-2.7 mutators call these)
-    # ------------------------------------------------------------------
-    def mark_membership_dirty(self, names: Iterable[str]) -> None:
-        """Partition membership changed (migrate / set_partitions)."""
-        self._dirty.update(names)
-        self._assembled = None
-        self._assembled_key = None
-        self._invalidations += 1
-
-    def mark_placement_dirty(self) -> None:
-        """Chip / memory placement changed (move / assign / add_chip).
-
-        Ingredients depend only on membership, so just the assembled
-        graph is dropped; reassembly is O(partitions + pairs).
-        """
-        self._assembled = None
-        self._assembled_key = None
-        self._invalidations += 1
-
     def clear(self) -> None:
-        """Drop every cache (benchmark cold paths)."""
+        """Drop every cache and the kept task graph (benchmark cold paths)."""
         self._raw.clear()
         self._pruned.clear()
-        self._profiles.clear()
-        self._dirty.clear()
-        self._ingredients = None
-        self._ingredient_state = {}
-        self._assembled = None
-        self._assembled_key = None
+        self._graph = None
+        self._graph_key = None
         self._invalidations += 1
 
     # ------------------------------------------------------------------
-    # incremental task graph
+    # task graph
     # ------------------------------------------------------------------
     def task_graph(self, partitioning: Partitioning) -> TaskGraph:
-        """The task graph for ``partitioning``, maintained incrementally.
+        """``build_task_graph(partitioning)``, kept while unchanged.
 
-        Byte-identical to ``build_task_graph(partitioning)`` — same task
-        dict order, edge list, memory pin loads.  Emits an
-        ``eval.taskgraph.delta`` span: ``mode`` is ``reused`` (nothing
-        changed since last assembly), ``incremental`` (only dirty
-        partitions re-derived) or ``full`` (first build), and the
-        ``pairs_reused``/``pairs_rebuilt`` counters quantify the delta.
+        The memo key is the partition contents (in partition order) plus
+        the partition, memory and chip placement, so any section-2.7
+        mutation misses and rebuilds; the dropped graph counts as one
+        invalidation.  Emits an ``eval.taskgraph.delta`` span whose
+        ``mode`` is ``reused`` or ``full``; the ``pairs_reused`` and
+        ``pairs_rebuilt`` stats count the cut partition pairs of every
+        graph returned and built.
         """
-        current = {
-            name: partition.op_ids
-            for name, partition in partitioning.partitions.items()
-        }
-        assembled_key = (
-            tuple(current.items()),
+        key = (
+            tuple(
+                (name, partition.op_ids)
+                for name, partition in partitioning.partitions.items()
+            ),
             tuple(sorted(partitioning.partition_chip.items())),
             tuple(sorted(partitioning.memory_chip.items())),
             tuple(sorted(partitioning.chips)),
         )
         with trace_span("eval.taskgraph.delta") as sp:
-            if (
-                self._assembled is not None
-                and assembled_key == self._assembled_key
-            ):
+            if self._graph is not None and key == self._graph_key:
                 self._tg_reuses += 1
+                self._pairs_reused += self._graph_pairs
                 sp.put("mode", "reused")
-                return self._assembled
-            if self._ingredients is None:
-                self._ingredients = full_ingredients(partitioning)
-                self._tg_full_builds += 1
-                sp.put("mode", "full")
-                sp.add("dirty", len(current))
-            else:
-                # Mutator-marked names, unioned with a content diff so an
-                # unannounced membership change can never serve stale.
-                dirty = {
-                    name
-                    for name, key in current.items()
-                    if self._ingredient_state.get(name) != key
-                }
-                dirty |= {n for n in self._dirty if n in current}
-                removed = set(self._ingredient_state) - set(current)
-                if dirty or removed:
-                    self._ingredients, reused, rebuilt = update_ingredients(
-                        partitioning, self._ingredients, dirty, removed
-                    )
-                    self._tg_incremental += 1
-                    self._pairs_reused += reused
-                    self._pairs_rebuilt += rebuilt
-                    sp.put("mode", "incremental")
-                    sp.add("dirty", len(dirty) + len(removed))
-                    sp.add("pairs_reused", reused)
-                    sp.add("pairs_rebuilt", rebuilt)
-                else:
-                    sp.put("mode", "assembly")
-            self._ingredient_state = current
-            self._dirty.clear()
-            graph = assemble_task_graph(
-                partitioning,
-                self._ingredients,
-                lambda name: self.memory_profile(
-                    partitioning.partitions[name]
-                ),
-            )
-            self._assembled = graph
-            self._assembled_key = assembled_key
+                return self._graph
+            if self._graph is not None:
+                self._invalidations += 1
+            graph = build_task_graph(partitioning)
+            self._graph = graph
+            self._graph_key = key
+            self._graph_pairs = _cut_pairs(graph)
+            self._tg_full_builds += 1
+            self._pairs_rebuilt += self._graph_pairs
+            sp.put("mode", "full")
             return graph
 
     # ------------------------------------------------------------------
@@ -391,7 +272,6 @@ class EvaluationContext:
             "entries": {
                 "raw": len(self._raw),
                 "pruned": len(self._pruned),
-                "profiles": len(self._profiles),
             },
             "hits": self._hits,
             "misses": self._misses,
@@ -400,9 +280,23 @@ class EvaluationContext:
             "seeded": self._seeded,
             "taskgraph": {
                 "full_builds": self._tg_full_builds,
-                "incremental_updates": self._tg_incremental,
                 "reuses": self._tg_reuses,
                 "pairs_reused": self._pairs_reused,
                 "pairs_rebuilt": self._pairs_rebuilt,
             },
         }
+
+
+def _cut_pairs(graph: TaskGraph) -> int:
+    """Cut (producer, consumer) partition pairs of a task graph.
+
+    Each pair is one edge out of the producer's processing task: into
+    the transfer task across chips, or straight into the consumer's
+    processing task on one chip.  The only other such edges feed
+    output tasks.
+    """
+    return sum(
+        1
+        for src, dst in graph.edges
+        if src.startswith("pu:") and not dst.startswith("out:")
+    )

@@ -4,7 +4,7 @@ One :func:`explore` call enumerates candidate configurations — chip
 count k crossed with package area scalings, each seeded either by the
 paper-style horizontal cut or by the multilevel auto-partitioner —
 evaluates every candidate through the existing machinery (the
-incremental evaluation context, optionally the process-pool engine and
+evaluation context, optionally the process-pool engine and
 the versioned disk prediction cache, so repeated sweeps are warm), and
 maintains a Pareto front over the configured objective set with the
 shared :class:`repro.search.pareto.ParetoFront`.
@@ -49,7 +49,7 @@ from typing import (
     Tuple,
 )
 
-from repro.cache import warm_from_disk
+from repro.cache import check_with_cache
 from repro.chips.cost import CostParameters, CostReport, partition_cost
 from repro.chips.package import ChipPackage
 from repro.core.chop import ChopSession
@@ -517,19 +517,18 @@ def _evaluate_candidate(
             _seed_heuristic(session, graph, k)
         except PartitioningError as exc:
             return None, "skipped", str(exc), 0
-        store_key, seeded = (None, 0)
-        if disk_cache is not None:
-            store_key, seeded = warm_from_disk(session, disk_cache)
         try:
-            result = session.check(
+            result = check_with_cache(
+                session, disk_cache,
                 heuristic=config.heuristic, engine=engine, cancel=cancel,
-            )
+            ).result
         except PredictionError as exc:
-            return None, "infeasible", str(exc), seeded
-        if disk_cache is not None and store_key is not None:
-            disk_cache.store_safely(
-                store_key, session.export_predictions()
-            )
+            result, reason = None, str(exc)
+        # The candidate's session is fresh, so its seeded counter is
+        # what the check took from disk, also when the check raised.
+        seeded = session.eval_stats()["seeded"]
+        if result is None:
+            return None, "infeasible", reason, seeded
         if not result.feasible:
             return (
                 None, "infeasible",

@@ -20,13 +20,10 @@ may ask the process-wide registry (:func:`get_registry`) for a family at
 import time, and the first caller wins — a second registration with a
 different type or label set is a programming error and raises.
 
-Exposition is dual:
-
-* :meth:`MetricsRegistry.snapshot` — a JSON document (used by tests and
-  the service's machine-readable surfaces);
-* :func:`repro.obs.prometheus.render_registry` — the Prometheus text
-  format 0.0.4, emitted entirely from registry samples (the old
-  nested-dict flattening path is gone).
+Exposition is :func:`repro.obs.prometheus.render_registry` — the
+Prometheus text format 0.0.4, emitted entirely from the samples of
+:meth:`MetricsRegistry.collect`; the service's JSON ``/metrics`` reads
+the same families (:mod:`repro.service.metrics`).
 
 Legacy ``stats()`` suppliers plug in through
 :meth:`MetricsRegistry.register_stats`: the supplier's numeric leaves
@@ -545,17 +542,6 @@ class MetricsRegistry:
         docs.extend(self._stats_samples())
         docs.sort(key=lambda d: d["name"])
         return docs
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The JSON exposition: ``{exposed_name: family document}``."""
-        return {
-            f"{self.prefix}_{doc['name']}": {
-                "type": doc["type"],
-                "help": doc["help"],
-                "samples": doc["samples"],
-            }
-            for doc in self.collect()
-        }
 
 
 def _numeric_leaves(

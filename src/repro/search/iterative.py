@@ -72,7 +72,7 @@ def iterative_search(
     of evidence.
 
     ``task_graph`` accepts a pre-built graph for ``partitioning`` (the
-    incremental one from :class:`repro.eval.EvaluationContext`); when
+    one kept by :class:`repro.eval.EvaluationContext`); when
     omitted the graph is built from scratch.
     """
     names = sorted(partitioning.partitions)

@@ -77,7 +77,7 @@ from typing import (
     Tuple,
 )
 
-from repro.cache import DiskPredictionCache, warm_from_disk
+from repro.cache import DiskPredictionCache, check_with_cache
 from repro.engine import EvaluationEngine
 from repro.errors import (
     ChopError,
@@ -725,19 +725,9 @@ class ChopService:
         Callers must hold ``entry.lock``.
         """
         options.setdefault("engine", self.engine)
-        session = entry.session
-        if self.disk_cache is None:
-            return session.check(**options)
-        store_key, _ = warm_from_disk(session, self.disk_cache)
-        result = session.check(**options)
-        if store_key is not None:
-            # Best-effort: a sick cache disk degrades persistence to a
-            # no-op (counted in disk_cache.store_failures), it never
-            # fails the check that just succeeded.
-            self.disk_cache.store_safely(
-                store_key, session.export_predictions()
-            )
-        return result
+        return check_with_cache(
+            entry.session, self.disk_cache, **options
+        ).result
 
     def _enumerate(self, req: _Request) -> _Reply:
         entry = self._entry(req.ident)

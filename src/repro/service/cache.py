@@ -72,31 +72,12 @@ class LRUCache:
             return future.result(), False
         return future.result(), True
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one key; returns whether it was present."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def hits(self) -> int:
-        with self._lock:
-            return self._hits
-
-    @property
-    def misses(self) -> int:
-        with self._lock:
-            return self._misses
 
     def stats(self) -> Dict[str, Any]:
         """Counters for ``/metrics``."""

@@ -22,12 +22,18 @@ Resilience (see ``docs/resilience.md``):
 * **drain** — :meth:`JobQueue.drain` closes admissions
   (:class:`~repro.errors.DrainingError` → HTTP 503), waits for in-flight
   jobs up to a timeout, then cancels the stragglers cooperatively.
+
+Finished records expire: the queue keeps at most
+:data:`MAX_FINISHED_JOBS` of them and drops the oldest finished first,
+so a long-lived server holds the results of recent jobs only.  Queued
+and running jobs are never dropped.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
@@ -42,6 +48,10 @@ CANCELLED = "cancelled"
 
 #: States a job never leaves.
 TERMINAL = (DONE, FAILED, CANCELLED)
+
+#: Finished job records kept; past it the oldest finished one is dropped
+#: and its id answers 404 like one never issued.
+MAX_FINISHED_JOBS = 256
 
 
 @dataclass
@@ -136,7 +146,9 @@ class JobQueue:
             max_workers=workers, thread_name_prefix="chop-job"
         )
         self._lock = threading.Lock()
-        self._jobs: Dict[str, Job] = {}
+        # Queued and running jobs, and finished ones in finishing order.
+        self._live: Dict[str, Job] = {}
+        self._finished: "OrderedDict[str, Job]" = OrderedDict()
         self._counter = 0
         self._draining = False
         self._rejected_queue_full = 0
@@ -180,7 +192,7 @@ class JobQueue:
                     "job queue is draining; no new work is admitted"
                 )
             queued = sum(
-                1 for j in self._jobs.values() if j.state == QUEUED
+                1 for j in self._live.values() if j.state == QUEUED
             )
             if self.max_queued is not None and queued >= self.max_queued:
                 self._rejected_queue_full += 1
@@ -192,9 +204,8 @@ class JobQueue:
             if self.max_per_session is not None and session_key:
                 active = sum(
                     1
-                    for j in self._jobs.values()
+                    for j in self._live.values()
                     if j.session_key == session_key
-                    and j.state in (QUEUED, RUNNING)
                 )
                 if active >= self.max_per_session:
                     self._rejected_session_quota += 1
@@ -211,16 +222,28 @@ class JobQueue:
                 timeout_s=timeout_s,
                 session_key=session_key,
             )
-            self._jobs[job.id] = job
+            self._live[job.id] = job
         self._executor.submit(self._run, job, fn)
         return job
 
+    def _finish(
+        self, job: Job, state: str, error: Optional[str] = None
+    ) -> None:
+        """Move ``job`` to a terminal ``state`` (caller holds the lock)."""
+        job.state = state
+        job.finished_at = time.time()
+        job.error = error
+        del self._live[job.id]
+        self._finished[job.id] = job
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            self._finished.popitem(last=False)
+
     def _run(self, job: Job, fn: Callable[[Job], Any]) -> None:
         with self._lock:
+            if job.state == CANCELLED:
+                return  # shut down before this thread picked it up
             if job.cancel_event.is_set():
-                job.state = CANCELLED
-                job.finished_at = time.time()
-                job.error = "cancelled before start"
+                self._finish(job, CANCELLED, "cancelled before start")
                 return
             job.state = RUNNING
             job.started_at = time.time()
@@ -230,57 +253,51 @@ class JobQueue:
             result = fn(job)
         except SearchCancelled as exc:
             with self._lock:
-                job.finished_at = time.time()
                 if job.cancel_event.is_set():
-                    job.state = CANCELLED
-                    job.error = f"cancelled: {exc}"
+                    self._finish(job, CANCELLED, f"cancelled: {exc}")
                 elif job.timeout_s is not None:
-                    job.state = FAILED
-                    job.error = (
-                        f"timed out after {job.timeout_s:g} s: {exc}"
+                    self._finish(
+                        job, FAILED,
+                        f"timed out after {job.timeout_s:g} s: {exc}",
                     )
                 else:
-                    job.state = FAILED
-                    job.error = f"SearchCancelled: {exc}"
+                    self._finish(job, FAILED, f"SearchCancelled: {exc}")
             return
         except Exception as exc:  # noqa: BLE001 — job boundary
             with self._lock:
-                job.state = FAILED
-                job.finished_at = time.time()
-                job.error = f"{type(exc).__name__}: {exc}"
+                self._finish(job, FAILED, f"{type(exc).__name__}: {exc}")
             return
         with self._lock:
-            job.state = DONE
-            job.finished_at = time.time()
             job.result = result
+            self._finish(job, DONE)
 
     # ------------------------------------------------------------------
     # lifecycle queries
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Optional[Job]:
+        """The job's record; ``None`` for an unknown or expired id."""
         with self._lock:
-            return self._jobs.get(job_id)
+            return self._live.get(job_id) or self._finished.get(job_id)
 
     def cancel(self, job_id: str) -> Optional[Job]:
         """Request cancellation; running jobs stop at the next hook poll."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return None
+        job = self.get(job_id)
+        if job is not None:
             job.cancel_event.set()
-            return job
+        return job
 
     def depth(self) -> Dict[str, Any]:
         """Queue-depth gauges for ``/metrics``."""
         with self._lock:
-            states = [job.state for job in self._jobs.values()]
+            states = [job.state for job in self._live.values()]
+            finished = len(self._finished)
             draining = self._draining
             rejected_full = self._rejected_queue_full
             rejected_quota = self._rejected_session_quota
         return {
             "queued": states.count(QUEUED),
             "running": states.count(RUNNING),
-            "total": len(states),
+            "total": len(states) + finished,
             "max_queued": self.max_queued,
             "draining": draining,
             "rejected_queue_full": rejected_full,
@@ -302,11 +319,7 @@ class JobQueue:
     # ------------------------------------------------------------------
     def _active(self) -> int:
         with self._lock:
-            return sum(
-                1
-                for job in self._jobs.values()
-                if job.state in (QUEUED, RUNNING)
-            )
+            return len(self._live)
 
     def drain(
         self,
@@ -333,11 +346,7 @@ class JobQueue:
         forced = self._active()
         if forced:
             with self._lock:
-                stragglers = [
-                    job
-                    for job in self._jobs.values()
-                    if job.state in (QUEUED, RUNNING)
-                ]
+                stragglers = list(self._live.values())
             for job in stragglers:
                 job.cancel_event.set()
             grace_deadline = time.monotonic() + max(0.0, grace_s)
@@ -345,7 +354,11 @@ class JobQueue:
                 time.sleep(poll_s)
         self.shutdown()
         with self._lock:
-            states = [job.state for job in self._jobs.values()]
+            states = [
+                job.state
+                for jobs in (self._live, self._finished)
+                for job in jobs.values()
+            ]
         return {
             "drained": forced == 0,
             "forced": forced,
@@ -364,13 +377,11 @@ class JobQueue:
         """
         with self._lock:
             self._draining = True
-            jobs = list(self._jobs.values())
+            jobs = list(self._live.values())
         for job in jobs:
             job.cancel_event.set()
         self._executor.shutdown(wait=False, cancel_futures=True)
         with self._lock:
-            for job in self._jobs.values():
+            for job in list(self._live.values()):
                 if job.state == QUEUED:
-                    job.state = CANCELLED
-                    job.finished_at = time.time()
-                    job.error = "cancelled: queue shut down"
+                    self._finish(job, CANCELLED, "cancelled: queue shut down")

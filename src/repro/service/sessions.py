@@ -7,11 +7,10 @@ to the already-loaded session.  A bounded LRU eviction policy keeps
 memory proportional to the number of *active* designer sessions, not the
 number of documents ever uploaded.
 
-Because the session owns its :class:`repro.eval.EvaluationContext`, the
-incremental evaluation state survives across job re-checks on the same
-project: a modify-and-recheck request pays only for the partitions it
-touched.  :meth:`SessionRegistry.eval_stats` aggregates every resident
-context's counters for the ``/metrics`` ``eval`` gauge.
+Because the session owns its :class:`repro.eval.EvaluationContext`, its
+prediction caches and kept task graph survive across checks and jobs on
+the same project.  :meth:`SessionRegistry.eval_stats` aggregates every
+resident context's counters for the ``/metrics`` ``eval`` gauge.
 
 ``ChopSession`` itself is not thread-safe, so each entry carries a lock
 that the serving layer holds while a check runs against that session.
@@ -138,7 +137,6 @@ class SessionRegistry:
             "invalidations": 0,
             "seeded": 0,
             "taskgraph_full_builds": 0,
-            "taskgraph_incremental_updates": 0,
             "taskgraph_reuses": 0,
         }
         for entry in entries:
@@ -150,9 +148,6 @@ class SessionRegistry:
             agg["seeded"] += stats["seeded"]
             taskgraph = stats["taskgraph"]
             agg["taskgraph_full_builds"] += taskgraph["full_builds"]
-            agg["taskgraph_incremental_updates"] += (
-                taskgraph["incremental_updates"]
-            )
             agg["taskgraph_reuses"] += taskgraph["reuses"]
         lookups = agg["hits"] + agg["misses"]
         agg["hit_ratio"] = (

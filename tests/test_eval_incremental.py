@@ -1,8 +1,8 @@
 """End-to-end byte-identity of warm re-checks through the context.
 
-The tentpole property: after an arbitrary random sequence of
-section-2.7 modifications, ``check()`` on the long-lived session (warm
-caches, incremental task graph) returns a ``SearchResult`` whose
+The property: after an arbitrary random sequence of section-2.7
+modifications, ``check()`` on the long-lived session (warm prediction
+caches, kept task graph) returns a ``SearchResult`` whose
 ``to_dict()`` is byte-identical — modulo ``cpu_seconds`` — to a fresh
 session evaluating the same partitioning from scratch.  Verified under
 both heuristics, and under the process-pool engine.
@@ -88,18 +88,19 @@ class TestWarmCheckIdentity:
         warm.check()
         after = warm.eval_stats()
         # Only the two touched partitions miss; the third hits, and the
-        # task graph took the incremental path.
+        # task graph is rebuilt once for the changed partitioning.
         assert after["hits"] > before["hits"]
         assert (
-            after["taskgraph"]["incremental_updates"]
-            == before["taskgraph"]["incremental_updates"] + 1
+            after["taskgraph"]["full_builds"]
+            == before["taskgraph"]["full_builds"] + 1
         )
+        assert after["invalidations"] == before["invalidations"] + 1
 
 
 class TestEngineIdentity:
     @pytest.mark.parametrize("seed", [1, 17])
     def test_pool_matches_fresh_serial(self, seed, pool_always):
-        """Warm incremental context + process pool == fresh serial."""
+        """Warm context + process pool == fresh serial."""
         rng = random.Random(seed)
         warm = experiment1_session(partition_count=3)
         engine = EvaluationEngine(workers=2)

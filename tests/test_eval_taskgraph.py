@@ -1,10 +1,11 @@
-"""Incremental task-graph maintenance vs the from-scratch builder.
+"""The kept task graph vs the from-scratch builder.
 
 The identity guarantee of ``repro.eval``: whatever sequence of
-section-2.7 mutations a session goes through, the incrementally
-maintained task graph is byte-identical — same task dict *order*, same
-edge list, same memory pin loads — to ``build_task_graph`` run fresh on
-the resulting partitioning.
+section-2.7 mutations a session goes through, the task graph the
+context returns is identical — same task dict *order*, same edge list,
+same memory pin loads — to ``build_task_graph`` run fresh on the
+resulting partitioning, and a check through the warm session answers
+exactly as a fresh session does.
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ from repro.bad.styles import ArchitectureStyle, ClockScheme, OperationTiming
 from repro.chips.presets import mosis_package
 from repro.core.chop import ChopSession
 from repro.core.feasibility import FeasibilityCriteria
+from repro.core.partition import Partition
 from repro.core.schemes import horizontal_cut
 from repro.core.tasks import build_task_graph
 from repro.dfg.benchmarks import ar_lattice_filter
 from repro.dfg.builders import GraphBuilder
-from repro.errors import PartitioningError
-from repro.eval import EvaluationContext, full_ingredients
+from repro.errors import PartitioningError, PredictionError
+from repro.eval import EvaluationContext
 from repro.experiments import experiment1_session
+from repro.io.project import load_project, session_to_dict
 from repro.library.presets import table1_library
 from repro.memory.module import MemoryModule
 
@@ -53,14 +56,27 @@ def apply_random_migration(session, rng, attempts=30):
     return False
 
 
+CHIPS = ("chip1", "chip2", "chip3")
+
+
 def memory_session():
-    """A session whose partitions access a shared memory block."""
-    b = GraphBuilder("membench", default_width=16)
-    addresses = [b.input(f"a{i}") for i in range(4)]
-    reads = [b.mem_read(addr, "M") for addr in addresses]
+    """Three partitions on three chips, reading and writing two blocks.
+
+    The readers land in P1 on chip1 and the writer in P3 on chip3, so
+    with M1 on chip1 and M2 on chip3 both chips carry two memory
+    interfaces.  Small enough that a check takes milliseconds, so the
+    mutator property can re-check a fresh session after every step.
+    """
+    b = GraphBuilder("memloop", default_width=16)
+    addresses = [b.input(f"a{i}") for i in range(6)]
+    reads = [
+        b.mem_read(addr, "M1" if i % 2 == 0 else "M2")
+        for i, addr in enumerate(addresses)
+    ]
     total = reads[0]
-    for value in reads[1:]:
-        total = b.add(total, value)
+    for i, value in enumerate(reads[1:]):
+        total = b.add(total, value) if i % 2 == 0 else b.mul(total, value)
+    b.mem_write(total, "M1")
     b.output(total)
     graph = b.build()
     session = ChopSession(
@@ -71,17 +87,66 @@ def memory_session():
         criteria=FeasibilityCriteria(
             performance_ns=60_000, delay_ns=60_000
         ),
-        memories=[MemoryModule("M", 256, 16)],
+        memories=[MemoryModule("M1", 256, 16), MemoryModule("M2", 256, 16)],
     )
-    session.add_chip("chip1", mosis_package(2))
-    session.add_chip("chip2", mosis_package(2))
-    # The readers land on chip1 (first levels of the horizontal cut);
-    # hosting M on chip2 makes every access off-chip, so both chips
-    # carry a memory interface pin load.
-    session.assign_memory("M", "chip2")
-    parts = horizontal_cut(graph, 2)
-    session.set_partitions(parts, {"P1": "chip1", "P2": "chip2"})
+    for chip in CHIPS:
+        session.add_chip(chip, mosis_package(2))
+    session.assign_memory("M1", "chip1")
+    session.assign_memory("M2", "chip3")
+    session.set_partitions(
+        horizontal_cut(graph, 3),
+        {"P1": "chip1", "P2": "chip2", "P3": "chip3"},
+    )
     return session
+
+
+def random_move(session, rng):
+    name = rng.choice(sorted(session._partitions))
+    session.move_partition(name, rng.choice(CHIPS))
+
+
+def random_memory_assignment(session, rng):
+    session.assign_memory(rng.choice(("M1", "M2")), rng.choice(CHIPS))
+
+
+def random_repartition(session, rng):
+    """The current partitions or a fresh cut, in shuffled order."""
+    if rng.random() < 0.5:
+        parts = list(session._partitions.values())
+        assignment = dict(session._partition_chip)
+    else:
+        parts = horizontal_cut(session.graph, rng.randint(2, 3))
+        assignment = {part.name: rng.choice(CHIPS) for part in parts}
+    rng.shuffle(parts)
+    session.set_partitions(parts, assignment)
+
+
+#: The four section-2.7 mutators, each drawing its arguments from an rng.
+MUTATORS = {
+    "migrate_operations": apply_random_migration,
+    "move_partition": random_move,
+    "assign_memory": random_memory_assignment,
+    "set_partitions": random_repartition,
+}
+
+
+def fresh_clone(session):
+    """A brand-new session holding the same design, partition order too."""
+    clone = load_project(session_to_dict(session))
+    clone.set_partitions(
+        list(session._partitions.values()), dict(session._partition_chip)
+    )
+    return clone
+
+
+def check_outcome(session):
+    """The check's document minus ``cpu_seconds``, or its error."""
+    try:
+        doc = session.check().to_dict()
+    except PredictionError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    doc.pop("cpu_seconds", None)
+    return doc
 
 
 class TestColdIdentity:
@@ -105,59 +170,63 @@ class TestColdIdentity:
             session._eval.task_graph(partitioning), expected
         )
 
-    def test_full_ingredients_match_builder_tasks(self):
-        session = experiment1_session(partition_count=3)
-        partitioning = session.partitioning()
-        ingredients = full_ingredients(partitioning)
-        expected = build_task_graph(partitioning)
-        for task in expected.tasks.values():
-            if task.name.startswith("in:"):
-                assert ingredients.input_bits[task.partition] == task.bits
-            elif task.name.startswith("out:"):
-                assert ingredients.output_bits[task.partition] == task.bits
-            elif task.name.startswith("xfer:"):
-                src, dst = task.name[len("xfer:"):].split("->")
-                assert ingredients.pair_bits[(src, dst)] == task.bits
-
 
 class TestIncrementalIdentity:
-    @given(st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=20, deadline=None)
-    def test_random_migrations(self, seed):
-        rng = random.Random(seed)
-        session = experiment1_session(partition_count=4)
-        # Prime the incremental state, then mutate repeatedly.
-        session._eval.task_graph(session.partitioning())
-        for _ in range(rng.randint(1, 4)):
-            apply_random_migration(session, rng)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(MUTATORS)),
+                st.integers(min_value=0, max_value=2**16),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_migrations(self, steps):
+        """Random sequences of all four section-2.7 mutators: op and
+        partition migrations, memory moves and repartitions."""
+        session = memory_session()
+        context = session._eval
+        # Prime the kept graph, then mutate repeatedly.
+        context.task_graph(session.partitioning())
+        for mutator, seed in steps:
+            try:
+                MUTATORS[mutator](session, random.Random(seed))
+            except PartitioningError:
+                pass  # rejected and restored; the state still holds
             partitioning = session.partitioning()
             assert_graphs_identical(
-                session._eval.task_graph(partitioning),
+                context.task_graph(partitioning),
                 build_task_graph(partitioning),
             )
+            assert check_outcome(session) == check_outcome(
+                fresh_clone(session)
+            )
 
-    def test_chip_move_reassembles_without_rederiving(self):
+    def test_chip_move_rebuilds_and_counts_one_invalidation(self):
         session = experiment1_session(partition_count=3)
         session._eval.task_graph(session.partitioning())
-        before = session.eval_stats()["taskgraph"]
+        before = session.eval_stats()
         session.move_partition("P2", "chip1")
         partitioning = session.partitioning()
         assert_graphs_identical(
             session._eval.task_graph(partitioning),
             build_task_graph(partitioning),
         )
-        after = session.eval_stats()["taskgraph"]
-        # A placement change costs one assembly, not an ingredient
-        # re-derivation (no membership changed).
-        assert after["full_builds"] == before["full_builds"]
+        after = session.eval_stats()
+        # A placement change misses the memo key: one fresh build, and
+        # the dropped graph counts as one invalidation.
         assert (
-            after["incremental_updates"] == before["incremental_updates"]
+            after["taskgraph"]["full_builds"]
+            == before["taskgraph"]["full_builds"] + 1
         )
+        assert after["invalidations"] == before["invalidations"] + 1
 
     def test_memory_reassignment(self):
         session = memory_session()
         session._eval.task_graph(session.partitioning())
-        session.assign_memory("M", "chip2")
+        session.assign_memory("M2", "chip2")
         partitioning = session.partitioning()
         assert_graphs_identical(
             session._eval.task_graph(partitioning),
@@ -188,15 +257,14 @@ class TestIncrementalIdentity:
         assert session.eval_stats()["taskgraph"]["reuses"] == 1
 
     def test_content_diff_catches_unannounced_mutation(self):
-        """Even with no dirty mark, a membership change is detected."""
+        """A partitioning the context never saw mutate still misses."""
         session = experiment1_session(partition_count=3)
         context = session._eval
         context.task_graph(session.partitioning())
-        rng = random.Random(11)
-        assert apply_random_migration(session, rng)
-        # Simulate a caller that mutated without telling the context.
-        context._dirty.clear()
-        partitioning = session.partitioning()
+        # Migrated in another session: nothing told this context.
+        other = experiment1_session(partition_count=3)
+        assert apply_random_migration(other, random.Random(11))
+        partitioning = other.partitioning()
         assert_graphs_identical(
             context.task_graph(partitioning),
             build_task_graph(partitioning),
@@ -246,14 +314,24 @@ class TestContextCaches:
                 cache_capacity=0,
             )
 
-    def test_content_hash_is_stable_and_order_free(self):
+    def test_content_key_is_order_free(self):
+        """Partitions rebuilt from the same op sets hit every cache."""
         session = experiment1_session(partition_count=2)
-        context = session._eval
-        ops = sorted(session._partitions["P1"].op_ids)
-        a = context.content_hash(frozenset(ops))
-        b = context.content_hash(frozenset(reversed(ops)))
-        assert a == b
-        assert len(a) == 64  # sha256 hex
+        session.check()
+        first = session._eval.task_graph(session.partitioning())
+        before = session.eval_stats()
+        rebuilt = [
+            Partition.of(name, reversed(sorted(partition.op_ids)))
+            for name, partition in session._partitions.items()
+        ]
+        session.set_partitions(rebuilt, dict(session._partition_chip))
+        session.check()
+        after = session.eval_stats()
+        assert session._eval.task_graph(session.partitioning()) is first
+        assert after["misses"] == before["misses"]
+        assert after["taskgraph"]["full_builds"] == (
+            before["taskgraph"]["full_builds"]
+        )
 
     def test_failed_migration_leaves_session_usable(self):
         """A rejected migration restores state (transactional mutator)."""

@@ -271,11 +271,11 @@ class TestRegistry:
         assert "cache_items" not in docs
 
     def test_snapshot_prefixes_names(self):
-        registry = MetricsRegistry(prefix="chop")
+        """The text exposition, the registry's one snapshot, prefixes
+        every family name with the registry's prefix."""
+        registry = MetricsRegistry(prefix="svc")
         registry.counter("requests_total").inc()
-        snap = registry.snapshot()
-        assert "chop_requests_total" in snap
-        assert snap["chop_requests_total"]["samples"][0]["value"] == 1
+        assert "svc_requests_total 1" in render_registry(registry)
 
     def test_global_registry_roundtrip(self):
         fresh = MetricsRegistry()

@@ -15,7 +15,8 @@ import multiprocessing
 import pytest
 
 import repro.engine.workers as workers_module
-from repro.cache import DiskPredictionCache
+from repro.cache import DiskPredictionCache, check_with_cache
+from repro.cli import main
 from repro.engine import EvaluationEngine
 from repro.experiments import experiment1_session, experiment2_session
 from repro.obs.metrics import MetricsRegistry
@@ -198,6 +199,53 @@ class TestCacheBackendFaults:
         # The faulted read quarantined the entry; a rewrite restores it.
         cache.store(key, session.export_predictions())
         assert cache.load(key) is not None
+
+
+# ----------------------------------------------------------------------
+# check_with_cache: the one seed-then-store path of chop check, the
+# service and the explore sweep.
+# ----------------------------------------------------------------------
+class TestCheckWithCache:
+    def test_miss_stores_then_hit_seeds(self, tmp_path):
+        cache = DiskPredictionCache(tmp_path)
+        cold = check_with_cache(experiment1_session(partition_count=2), cache)
+        assert (cold.seeded, cold.stored) == (0, True)
+        warm = check_with_cache(experiment1_session(partition_count=2), cache)
+        assert (warm.seeded, warm.stored) == (2, None)
+        assert warm.result.best().ii_main == cold.result.best().ii_main
+
+    def test_failed_store_still_answers(self, tmp_path, monkeypatch):
+        cache = DiskPredictionCache(tmp_path)
+        monkeypatch.setenv(FAULTS_ENV, "cache_store=10")
+        checked = check_with_cache(
+            experiment1_session(partition_count=2), cache,
+            heuristic="enumeration",
+        )
+        assert checked.stored is False
+        assert checked.result.feasible
+        assert cache.stats()["store_failures"] == 1
+
+    def test_without_a_cache_it_is_the_check(self):
+        checked = check_with_cache(
+            experiment1_session(partition_count=2), None
+        )
+        assert (checked.seeded, checked.stored) == (0, None)
+        assert checked.result.feasible
+
+    def test_cli_reports_a_failed_store_on_stderr(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.io.project import save_project_file
+
+        project = tmp_path / "p.json"
+        save_project_file(experiment1_session(partition_count=2), project)
+        monkeypatch.setenv(FAULTS_ENV, "cache_store=10")
+        assert main(
+            ["check", str(project), "--disk-cache", str(tmp_path / "c")]
+        ) == 0
+        out, err = capsys.readouterr()
+        assert "disk cache: write failed after retries" in err
+        assert "disk cache:" not in out
 
 
 # ----------------------------------------------------------------------

@@ -43,14 +43,6 @@ class TestLRUCache:
         _, hit_b = cache.get_or_compute("b", lambda: 2)
         assert hit_a is True and hit_b is False
 
-    def test_invalidate(self):
-        cache = LRUCache(capacity=4)
-        cache.get_or_compute("k", lambda: 1)
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        _, hit = cache.get_or_compute("k", lambda: 2)
-        assert hit is False
-
     def test_failures_are_not_cached(self):
         cache = LRUCache(capacity=4)
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import SearchCancelled
 from repro.experiments import experiment1_session
+from repro.service import ChopService, jobs as jobs_module
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -117,6 +118,66 @@ class TestJobQueue:
     def test_unknown_job(self, queue):
         assert queue.get("job-999") is None
         assert queue.cancel("job-999") is None
+
+
+class TestJobRetention:
+    # ``raising=False`` lets a queue without the bound run the tests and
+    # fail on behaviour, not on the missing constant.
+
+    def test_oldest_finished_records_expire(self, monkeypatch):
+        monkeypatch.setattr(
+            jobs_module, "MAX_FINISHED_JOBS", 2, raising=False
+        )
+        queue = JobQueue(workers=2, default_timeout_s=30.0)
+        release = threading.Event()
+        try:
+            running = queue.submit(lambda job: release.wait(10))
+            quick = [queue.submit(lambda job: "quick") for _ in range(4)]
+            # One free worker runs them in order: the last done means
+            # all done (the earlier ids may have expired already).
+            queue.wait(quick[-1].id)
+            # The oldest finished records are gone; the running job and
+            # the two newest finished ones stay.
+            assert [queue.get(job.id) for job in quick[:2]] == [None, None]
+            assert queue.cancel(quick[0].id) is None
+            assert [queue.get(job.id) for job in quick[2:]] == quick[2:]
+            assert queue.get(running.id) is running
+            assert queue.depth()["total"] == 3
+            release.set()
+            assert queue.wait(running.id).state == DONE
+            assert queue.get(quick[2].id) is None
+            assert queue.depth()["total"] == 2
+        finally:
+            release.set()
+            queue.shutdown()
+
+    def test_expired_job_routes_answer_404(self, monkeypatch):
+        monkeypatch.setattr(
+            jobs_module, "MAX_FINISHED_JOBS", 1, raising=False
+        )
+        service = ChopService(workers=1)
+        try:
+            expired = service.jobs.submit(lambda job: 1)
+            service.jobs.wait(expired.id)
+            kept = service.jobs.submit(lambda job: 2)
+            service.jobs.wait(kept.id)
+            for method, suffix in (
+                ("GET", ""),
+                ("POST", "/cancel"),
+                ("GET", "/trace"),
+                ("GET", "/explain"),
+            ):
+                status, payload, _route, _headers = service.handle(
+                    method, f"/jobs/{expired.id}{suffix}", None
+                )
+                assert status == 404
+                assert payload["error"] == f"unknown job {expired.id!r}"
+            status, payload, _route, _headers = service.handle(
+                "GET", f"/jobs/{kept.id}", None
+            )
+            assert status == 200 and payload["result"] == 2
+        finally:
+            service.close()
 
 
 class TestSearchCancellationHook:
