@@ -4,19 +4,26 @@ Replays the paper's designer loop (section 2.7) on a long multiply-add
 chain cut into 8 partitions: check, migrate one boundary operation to
 the next partition, re-check.  The cold check predicts every partition
 from scratch; the warm re-check predicts only the two partitions the
-migration touched, plus one task-graph build.  Every warm
-result is asserted byte-identical to a fresh session evaluating the
-same partitioning from scratch.
+migration touched, plus one task-graph build.  Both runs gate on two
+things, each checked on every warm re-check:
+
+* identity — the result is byte-identical to a fresh session
+  evaluating the same partitioning from scratch;
+* reuse — the eval context's counters (``ChopSession.eval_stats()``)
+  move by exactly :data:`EXPECTED_REUSE`: the 6 untouched partitions
+  are served from the context, the 2 touched ones are predicted, and
+  the task graph is built once.
 
 Timings are medians over ``--reps`` independent cold/warm cycles (one
-check is a couple hundred milliseconds, so single-shot ratios are
-noisy).  The full run gates on a >= 3x median warm speedup; ``--smoke``
-keeps every identity assertion but skips the timing gate and shrinks
-the loop, so CI stays fast and timing-independent.
+check is tens of milliseconds, so single-shot ratios are noisy).  The
+cold/warm ``speedup`` is reported and trajectory-checked, not gated: it
+moves with the predictor's speed (a faster BAD shrinks the cold check
+and with it the ratio), while the reuse counts say what the context
+saves on any host.  ``--smoke`` shrinks the loop so CI stays fast.
 
 Run directly (no pytest needed)::
 
-    python benchmarks/bench_incremental.py            # full, gated
+    python benchmarks/bench_incremental.py            # full
     python benchmarks/bench_incremental.py --smoke    # CI mode
 
 Writes ``benchmarks/results/incremental_speedup.txt`` and a
@@ -44,7 +51,12 @@ RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 STAGES = 36
 PARTITIONS = 8
-SPEEDUP_GATE = 3.0
+
+#: ``eval_stats()`` deltas of one warm re-check after one boundary
+#: migration: the 6 untouched partitions' pruned lists are hits, the 2
+#: touched partitions miss their raw and pruned lists, and the new
+#: partitioning gets one task-graph build.
+EXPECTED_REUSE = {"hits": 6, "misses": 4, "taskgraph_builds": 1}
 
 
 def chain_graph(stages: int):
@@ -120,6 +132,25 @@ def boundary_migration(session) -> bool:
     return False
 
 
+def reuse_delta(before: dict, after: dict) -> dict:
+    """The :data:`EXPECTED_REUSE` counters moved between two stats."""
+    return {
+        "hits": after["hits"] - before["hits"],
+        "misses": after["misses"] - before["misses"],
+        "taskgraph_builds": after["taskgraph"]["full_builds"]
+        - before["taskgraph"]["full_builds"],
+    }
+
+
+def timed_recheck(session):
+    """``(result, wall seconds, eval_stats delta)`` of one re-check."""
+    before = session.eval_stats()
+    started = time.perf_counter()
+    result = session.check()
+    elapsed = time.perf_counter() - started
+    return result, elapsed, reuse_delta(before, session.eval_stats())
+
+
 def comparable(result) -> dict:
     doc = result.to_dict()
     doc.pop("cpu_seconds", None)
@@ -140,7 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="identity checks only, no timing gate (the CI mode)",
+        help="fewer cycles and moves, same gates (the CI mode)",
     )
     parser.add_argument(
         "--reps", type=int, default=None,
@@ -158,9 +189,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     moves = args.moves or (2 if args.smoke else 6)
 
     failures = []
+    deltas = []
 
-    # Phase 1 — the gated measurement: one migration, cold vs warm,
-    # median over independent cycles.
+    # Phase 1 — one migration, cold vs warm, median over independent
+    # cycles.
     colds, warms = [], []
     for _ in range(reps):
         session = build_session()
@@ -170,9 +202,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not boundary_migration(session):
             failures.append("no legal boundary migration found")
             break
-        started = time.perf_counter()
-        warm_result = session.check()
-        warms.append(time.perf_counter() - started)
+        warm_result, elapsed, delta = timed_recheck(session)
+        warms.append(elapsed)
+        deltas.append(delta)
         if comparable(warm_result) != comparable(fresh_check(session)):
             failures.append(
                 "warm re-check differs from a fresh session"
@@ -191,14 +223,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not boundary_migration(session):
             failures.append(f"designer loop stalled at move {move}")
             break
-        started = time.perf_counter()
-        result = session.check()
-        elapsed = time.perf_counter() - started
+        result, elapsed, delta = timed_recheck(session)
+        deltas.append(delta)
         if comparable(result) != comparable(fresh_check(session)):
             failures.append(f"move {move} differs from fresh session")
             break
-        move_rows.append((move, elapsed, result.feasible_trials))
+        move_rows.append((move, elapsed, result.feasible_trials, delta))
     stats = session.eval_stats()
+    off = [d for d in deltas if d != EXPECTED_REUSE]
+    reuse_ok = bool(deltas) and not off
 
     graph_ops = STAGES * 2
     lines = [
@@ -211,11 +244,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"speedup           {speedup:>8.2f} x",
         "",
         f"designer loop ({len(move_rows)} moves on one session):",
-        f"{'move':>6} {'wall ms':>9} {'feasible':>9}",
+        f"{'move':>6} {'wall ms':>9} {'feasible':>9} {'hits':>5} "
+        f"{'misses':>7} {'builds':>7}",
     ]
-    for move, elapsed, feasible in move_rows:
+    for move, elapsed, feasible, delta in move_rows:
         lines.append(
-            f"{move:>6} {elapsed * 1000:>9.1f} {feasible:>9}"
+            f"{move:>6} {elapsed * 1000:>9.1f} {feasible:>9} "
+            f"{delta['hits']:>5} {delta['misses']:>7} "
+            f"{delta['taskgraph_builds']:>7}"
         )
     taskgraph = stats["taskgraph"]
     lines.append("")
@@ -225,6 +261,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"({taskgraph['pairs_rebuilt']} cut pairs), "
         f"{taskgraph['reuses']} reuses "
         f"({taskgraph['pairs_reused']} cut pairs)"
+    )
+    lines.append(
+        f"reuse: {len(deltas) - len(off)} of {len(deltas)} warm re-checks "
+        f"moved the context by {EXPECTED_REUSE}"
+        + ("" if reuse_ok else f"; FAILED, e.g. {off[:1]}")
     )
     lines.append(
         "identity: "
@@ -249,13 +290,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "warm_s": round(warm_s, 6),
         "speedup": round(speedup, 3),
         "identity_ok": not failures,
+        "reuse_ok": reuse_ok,
+        "expected_reuse": EXPECTED_REUSE,
         "designer_loop": [
             {
                 "move": move,
                 "wall_s": round(elapsed, 6),
                 "feasible": feasible,
+                **delta,
             }
-            for move, elapsed, feasible in move_rows
+            for move, elapsed, feasible, delta in move_rows
         ],
         "context": {
             "hits": stats["hits"],
@@ -273,15 +317,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         handle.write("\n")
     print(f"wrote {json_path}")
 
-    if failures:
-        return 1
-    if not args.smoke and speedup < SPEEDUP_GATE:
-        print(
-            f"FAILED: expected >= {SPEEDUP_GATE}x warm speedup, "
-            f"measured {speedup:.2f}x"
-        )
-        return 1
-    return 0
+    return 1 if failures or not reuse_ok else 0
 
 
 if __name__ == "__main__":

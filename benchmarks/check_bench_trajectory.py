@@ -63,6 +63,8 @@ SPECS: Dict[str, List[Check]] = {
     ],
     "BENCH_incremental.json": [
         Check("identity_ok", "true"),
+        # Each warm re-check reused exactly the untouched partitions.
+        Check("reuse_ok", "true"),
         # cold/warm ratio on the same machine — host speed cancels.
         Check("speedup", "higher", tol=0.6),
     ],
@@ -230,7 +232,7 @@ def self_test() -> int:
     """Seeded synthetic regression must fail; clean pair must pass."""
     baseline = {
         "BENCH_incremental.json": {
-            "speedup": 4.0, "identity_ok": True,
+            "speedup": 4.0, "identity_ok": True, "reuse_ok": True,
         },
         "BENCH_service.json": {
             "rps": 1000.0, "p95_ms": 1.0, "gates_ok": True,
@@ -239,8 +241,9 @@ def self_test() -> int:
     }
     regressed = {
         "BENCH_incremental.json": {
-            # speedup collapsed below the 60% band, identity broken.
-            "speedup": 1.0, "identity_ok": False,
+            # speedup collapsed below the 60% band, identity broken,
+            # a partition re-predicted that the context should serve.
+            "speedup": 1.0, "identity_ok": False, "reuse_ok": False,
         },
         "BENCH_service.json": {
             # p95 blew past the 4x ceiling.
@@ -251,7 +254,7 @@ def self_test() -> int:
     healthy = {
         "BENCH_incremental.json": {
             # within band: 40% slower speedup, still above the floor.
-            "speedup": 2.4, "identity_ok": True,
+            "speedup": 2.4, "identity_ok": True, "reuse_ok": True,
         },
         "BENCH_service.json": {
             "rps": 800.0, "p95_ms": 2.5, "gates_ok": True,

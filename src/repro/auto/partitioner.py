@@ -52,7 +52,7 @@ from repro.auto.replicate import (
     transfer_bits,
 )
 from repro.bad.styles import ArchitectureStyle, ClockScheme, OperationTiming
-from repro.chips.package import ChipPackage
+from repro.chips.package import ChipPackage, scale_package
 from repro.core.chop import ChopSession
 from repro.core.feasibility import FeasibilityCriteria
 from repro.core.partition import Partition
@@ -236,13 +236,17 @@ def session_like_factory(base: ChopSession) -> SessionFactory:
     The returned factory builds sessions with the same library, clocks,
     style, criteria and memories as ``base`` but a fresh chip set:
     ``base``'s packages are reused round-robin (falling back to
-    :func:`default_auto_package` when it has none) and every memory
-    lands on chip 1.  This is how the CLI and the service auto-partition
-    *an existing project* without losing its constraint context.
+    :func:`default_auto_package` when it has none), each scaled by the
+    optional ``scale`` (:func:`repro.chips.package.scale_package`; 1.0
+    keeps it), and every memory lands on chip 1.  This is how the CLI
+    and the service auto-partition or explore *an existing project*
+    without losing its constraint context.
     """
     packages = [chip.package for chip in base.chips.values()]
 
-    def factory(graph: DataFlowGraph, chips: int) -> ChopSession:
+    def factory(
+        graph: DataFlowGraph, chips: int, scale: float = 1.0
+    ) -> ChopSession:
         session = ChopSession(
             graph=graph,
             library=base.library,
@@ -257,7 +261,9 @@ def session_like_factory(base: ChopSession) -> SessionFactory:
                 if packages
                 else default_auto_package(graph, chips)
             )
-            session.add_chip(f"chip{index + 1}", package)
+            session.add_chip(
+                f"chip{index + 1}", scale_package(package, scale)
+            )
         for memory in base.memories:
             session.assign_memory(memory, "chip1")
         return session

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ChipError
@@ -67,3 +68,24 @@ class ChipPackage:
             f"{self.name}: {self.width_mil:g}x{self.height_mil:g} mil, "
             f"{self.pin_count} pins, pad {self.pad_delay_ns:g} ns"
         )
+
+
+def scale_package(package: ChipPackage, scale: float) -> ChipPackage:
+    """``package`` with its die *area* multiplied by ``scale``.
+
+    Both dimensions stretch by ``sqrt(scale)`` so the aspect ratio is
+    preserved; pins, pad delay and pad area are untouched (a scale is a
+    die-size decision, not a pinout change).  Scale 1.0 returns the
+    package unchanged.
+    """
+    if scale == 1.0:
+        return package
+    side = math.sqrt(scale)
+    return ChipPackage(
+        name=f"{package.name}x{scale:g}",
+        width_mil=package.width_mil * side,
+        height_mil=package.height_mil * side,
+        pin_count=package.pin_count,
+        pad_delay_ns=package.pad_delay_ns,
+        pad_area_mil2=package.pad_area_mil2,
+    )

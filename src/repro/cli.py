@@ -328,13 +328,10 @@ def _cmd_auto(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.explore import (
-        ExploreConfig,
-        explore,
-        project_session_factory,
-    )
+    from repro.auto.partitioner import session_like_factory
+    from repro.explore import ExploreConfig, explore
 
-    graph, factory = _graph_source(args, project_session_factory)
+    graph, factory = _graph_source(args, session_like_factory)
     config = ExploreConfig(
         chip_counts=tuple(range(args.k_min, args.k_max + 1)),
         package_scales=tuple(args.scales),
@@ -725,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on applied replications (default 0: unbounded)",
     )
     auto.add_argument(
-        "--balance", type=float, default=0.3,
+        "--balance", type=_bounded(float, 0), default=0.3,
         help="per-chip size tolerance for refinement (default 0.3)",
     )
     auto.add_argument(

@@ -25,7 +25,6 @@ from repro.explore.sweep import (
     ExploreResult,
     default_session_factory,
     explore,
-    project_session_factory,
     scale_package,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "SEEDINGS",
     "default_session_factory",
     "explore",
-    "project_session_factory",
     "scale_package",
 ]

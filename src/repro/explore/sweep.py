@@ -51,7 +51,7 @@ from typing import (
 
 from repro.cache import check_with_cache
 from repro.chips.cost import CostParameters, CostReport, partition_cost
-from repro.chips.package import ChipPackage
+from repro.chips.package import scale_package
 from repro.core.chop import ChopSession
 from repro.core.schemes import horizontal_cut
 from repro.dfg.graph import DataFlowGraph
@@ -157,27 +157,6 @@ class ExploreConfig:
         self.cost.validate()
 
 
-def scale_package(package: ChipPackage, scale: float) -> ChipPackage:
-    """``package`` with its die *area* multiplied by ``scale``.
-
-    Both dimensions stretch by ``sqrt(scale)`` so the aspect ratio is
-    preserved; pins, pad delay and pad area are untouched (a scale is a
-    die-size decision, not a pinout change).  Scale 1.0 returns the
-    package unchanged.
-    """
-    if scale == 1.0:
-        return package
-    side = math.sqrt(scale)
-    return ChipPackage(
-        name=f"{package.name}x{scale:g}",
-        width_mil=package.width_mil * side,
-        height_mil=package.height_mil * side,
-        pin_count=package.pin_count,
-        pad_delay_ns=package.pad_delay_ns,
-        pad_area_mil2=package.pad_area_mil2,
-    )
-
-
 def default_session_factory(
     graph: DataFlowGraph, chips: int, scale: float
 ) -> ChopSession:
@@ -194,45 +173,6 @@ def default_session_factory(
 
     package = scale_package(default_auto_package(graph, chips), scale)
     return default_auto_session(graph, chips, package=package)
-
-
-def project_session_factory(base: ChopSession) -> SessionFactory:
-    """Candidate sessions inheriting ``base``'s designer inputs.
-
-    Library, clocks, style, criteria and memories come from ``base``;
-    the chip set is rebuilt per candidate — ``base``'s packages reused
-    round-robin and scaled — and every memory lands on chip 1, mirroring
-    :func:`repro.auto.partitioner.session_like_factory`.
-    """
-    packages = [chip.package for chip in base.chips.values()]
-
-    def factory(
-        graph: DataFlowGraph, chips: int, scale: float
-    ) -> ChopSession:
-        from repro.auto.partitioner import default_auto_package
-
-        session = ChopSession(
-            graph=graph,
-            library=base.library,
-            clocks=base.clocks,
-            style=base.style,
-            criteria=base.criteria,
-            memories=base.memories.values(),
-        )
-        for index in range(chips):
-            package = (
-                packages[index % len(packages)]
-                if packages
-                else default_auto_package(graph, chips)
-            )
-            session.add_chip(
-                f"chip{index + 1}", scale_package(package, scale)
-            )
-        for memory in base.memories:
-            session.assign_memory(memory, "chip1")
-        return session
-
-    return factory
 
 
 @dataclass(frozen=True)
@@ -369,9 +309,9 @@ def explore(
 
     ``session_factory(graph, chips, scale)`` supplies each candidate's
     CHOP session (default: :func:`default_session_factory`; use
-    :func:`project_session_factory` to inherit an existing project's
-    designer inputs).  ``engine`` shards each candidate's enumeration
-    across a process pool; ``disk_cache`` (a
+    :func:`repro.auto.partitioner.session_like_factory` to inherit an
+    existing project's designer inputs).  ``engine`` shards each
+    candidate's enumeration across a process pool; ``disk_cache`` (a
     :class:`repro.cache.DiskPredictionCache`) makes repeated sweeps
     warm by persisting every candidate's prediction lists.  ``progress``
     receives ``(candidates_done, candidates_total)``; ``cancel`` is

@@ -13,14 +13,16 @@ This package gives the grown system the same property about itself:
   ("chip area on chip2 killed 81% of combinations, worst margin
   -312 mil²");
 * :mod:`repro.obs.metrics` — the process-wide metrics registry
-  (counters, gauges, labeled histograms with exemplars) every subsystem
-  registers into;
+  (counters, set-only gauges, labeled histograms with exemplars) every
+  subsystem registers into;
 * :mod:`repro.obs.prometheus` — text exposition of the registry for
   ``GET /metrics?format=prometheus``;
-* :mod:`repro.obs.logging` — structured JSONL logging with trace-id
-  correlation, level-filtered via ``$CHOP_LOG``;
-* :mod:`repro.obs.slo` — latency/error-rate objectives evaluated from
-  the registry, exported as burn gauges and ``GET /slo``;
+* :mod:`repro.obs.logging` — structured JSONL logging on the standard
+  library's :mod:`logging`, with trace-id correlation, level-filtered
+  via ``$CHOP_LOG``;
+* :mod:`repro.obs.slo` — the service's p95-latency and error-rate
+  objectives evaluated from the registry, exported as burn gauges and
+  ``GET /slo``;
 * :mod:`repro.obs.flight` — the flight recorder: a bounded ring buffer
   of recent completed requests/jobs (``GET /debug/recent``, ``SIGUSR2``
   and automatic 5xx dumps);
@@ -54,12 +56,7 @@ from repro.obs.metrics import (
 from repro.obs.profiling import SamplingProfiler, peak_rss_bytes
 from repro.obs.prometheus import render_registry
 from repro.obs.render import render_trace
-from repro.obs.slo import (
-    ErrorRateObjective,
-    LatencyObjective,
-    SLOTracker,
-    default_objectives,
-)
+from repro.obs.slo import SLOTracker
 from repro.obs.schema import validate_span, validate_trace
 from repro.obs.tracing import (
     TRACE_SCHEMA_VERSION,
@@ -80,14 +77,12 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "ConstraintTally",
     "Counter",
-    "ErrorRateObjective",
     "ExplainCollector",
     "ExplainReport",
     "FlightRecorder",
     "Gauge",
     "Histogram",
     "JsonlSink",
-    "LatencyObjective",
     "MetricsRegistry",
     "SLOTracker",
     "SamplingProfiler",
@@ -98,7 +93,6 @@ __all__ = [
     "configure_logging",
     "current_span_id",
     "current_tracer",
-    "default_objectives",
     "deterministic_span_id",
     "exponential_buckets",
     "get_logger",

@@ -6,8 +6,7 @@ replaces that patchwork with one typed, thread-safe registry holding
 first-class metric families:
 
 * :class:`Counter` — monotonically increasing totals;
-* :class:`Gauge` — set-to-current values, optionally *pull-style* via a
-  callback evaluated at collection time;
+* :class:`Gauge` — set-to-current values;
 * :class:`Histogram` — fixed exponential buckets, cumulative counts, a
   running sum, bucket-derived quantiles (:meth:`Histogram.quantile`) and
   an optional *exemplar* trace id per label set, so a latency spike in a
@@ -146,18 +145,14 @@ class _Family:
         return out
 
 
-class _CounterChild:
+class _ValueChild:
+    """One float behind a lock: the child of a counter or a gauge."""
+
     __slots__ = ("_lock", "_value")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount}")
-        with self._lock:
-            self._value += amount
 
     @property
     def value(self) -> float:
@@ -166,6 +161,16 @@ class _CounterChild:
 
     def sample(self) -> Dict[str, Any]:
         return {"value": self.value}
+
+
+class _CounterChild(_ValueChild):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counters only go up, got {amount}")
+        with self._lock:
+            self._value += amount
 
 
 class Counter(_Family):
@@ -184,47 +189,16 @@ class Counter(_Family):
         return self._default_child().value
 
 
-class _GaugeChild:
-    __slots__ = ("_lock", "_value", "_fn")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
+class _GaugeChild(_ValueChild):
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
-            self._fn = None
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Pull-style: ``fn`` is called at every collection."""
-        with self._lock:
-            self._fn = fn
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            fn = self._fn
-            if fn is None:
-                return self._value
-        # The callback runs outside the lock: it may touch other locks
-        # (subsystem stats) and must never nest under ours.
-        return float(fn())
-
-    def sample(self) -> Dict[str, Any]:
-        return {"value": self.value}
 
 
 class Gauge(_Family):
-    """A value that can go up and down, or be computed at collect time."""
+    """A current value, replaced by each :meth:`set`."""
 
     kind = GAUGE
 
@@ -233,15 +207,6 @@ class Gauge(_Family):
 
     def set(self, value: float) -> None:
         self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        self._default_child().set_function(fn)
 
     @property
     def value(self) -> float:

@@ -1,13 +1,13 @@
-"""Service-level objectives evaluated from the metrics registry.
+"""The service's two service-level objectives, read from the registry.
 
-An objective is a target over metrics the registry already holds — no
+Both objectives are targets over metrics the registry already holds — no
 second bookkeeping path:
 
-* :class:`LatencyObjective` — "the p95 of (route-filtered) request
-  latency stays under ``threshold_s``", measured from the request
+* ``latency_p95`` — the p95 of request latency over every route stays
+  under ``latency_ms``, measured from the ``request_latency_seconds``
   histogram's buckets;
-* :class:`ErrorRateObjective` — "the 5xx share of responses stays under
-  ``max_ratio``", measured from the per-status response counters.
+* ``error_rate`` — the 5xx share of ``responses_total`` stays under
+  ``error_rate``.
 
 :meth:`SLOTracker.evaluate` computes each objective's **burn ratio** —
 ``measured / objective``, so 1.0 is exactly at target and anything above
@@ -25,66 +25,29 @@ scrape-side derivation (``rate()``) once Prometheus ingests the series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 
-@dataclass(frozen=True)
-class LatencyObjective:
-    """``quantile`` of request latency must stay under ``threshold_s``."""
-
-    name: str
-    threshold_s: float
-    quantile: float = 0.95
-    route: Optional[str] = None  # None aggregates every route
-
-    def __post_init__(self) -> None:
-        if self.threshold_s <= 0:
-            raise ValueError(
-                f"threshold_s must be > 0, got {self.threshold_s}"
-            )
-        if not 0 < self.quantile < 1:
-            raise ValueError(
-                f"quantile must be in (0, 1), got {self.quantile}"
-            )
-
-
-@dataclass(frozen=True)
-class ErrorRateObjective:
-    """The 5xx share of all responses must stay under ``max_ratio``."""
-
-    name: str
-    max_ratio: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.max_ratio <= 1:
-            raise ValueError(
-                f"max_ratio must be in (0, 1], got {self.max_ratio}"
-            )
-
-
-Objective = Union[LatencyObjective, ErrorRateObjective]
-
-
 class SLOTracker:
-    """Evaluates objectives against a registry and exports burn gauges."""
+    """Evaluates the two objectives and exports their burn gauges."""
 
     def __init__(
         self,
         registry: MetricsRegistry,
-        objectives: Sequence[Objective],
-        latency_metric: str = "request_latency_seconds",
-        responses_metric: str = "responses_total",
+        latency_ms: float = 500.0,
+        error_rate: float = 0.01,
     ) -> None:
-        names = [o.name for o in objectives]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate objective names in {names}")
+        if not latency_ms > 0:
+            raise ValueError(f"latency_ms must be > 0, got {latency_ms}")
+        if not 0 < error_rate <= 1:
+            raise ValueError(
+                f"error_rate must be in (0, 1], got {error_rate}"
+            )
         self.registry = registry
-        self.objectives = tuple(objectives)
-        self.latency_metric = latency_metric
-        self.responses_metric = responses_metric
+        self.latency_s = latency_ms / 1000.0
+        self.error_rate = error_rate
         self._burn = registry.gauge(
             "slo_burn_ratio",
             "Measured value over objective; > 1 is out of budget",
@@ -96,90 +59,68 @@ class SLOTracker:
             labelnames=("slo",),
         )
 
-    # ------------------------------------------------------------------
-    def _measure_latency(
-        self, objective: LatencyObjective
-    ) -> Optional[float]:
-        family = self.registry.get(self.latency_metric)
+    def _p95_latency(self) -> Optional[float]:
+        family = self.registry.get("request_latency_seconds")
         if not isinstance(family, Histogram):
             return None
-        where = (
-            {"route": objective.route}
-            if objective.route is not None
-            else None
-        )
-        return family.quantile(objective.quantile, where=where)
+        return family.quantile(0.95)
 
-    def _measure_error_rate(self) -> Optional[float]:
-        family = self.registry.get(self.responses_metric)
+    def _error_share(self) -> Optional[float]:
+        family = self.registry.get("responses_total")
         if family is None or "status" not in family.labelnames:
             return None
-        total = 0.0
-        errors = 0.0
+        total = errors = 0.0
         for sample in family.samples():
-            value = sample["value"]
-            total += value
-            status = sample["labels"].get("status", "")
-            if status.startswith("5"):
-                errors += value
-        if total == 0:
-            return None
-        return errors / total
+            total += sample["value"]
+            if sample["labels"]["status"].startswith("5"):
+                errors += sample["value"]
+        return errors / total if total else None
 
-    # ------------------------------------------------------------------
+    def _report(
+        self, doc: Dict[str, Any], measured: Optional[float], target: float
+    ) -> Dict[str, Any]:
+        """Add ``burn`` and ``ok`` to ``doc`` and set its gauges."""
+        burn = 0.0 if measured is None else measured / target
+        doc["burn"] = round(burn, 6)
+        doc["ok"] = burn <= 1.0
+        self._burn.labels(slo=doc["name"]).set(burn)
+        self._ok.labels(slo=doc["name"]).set(1.0 if doc["ok"] else 0.0)
+        return doc
+
     def evaluate(self) -> Dict[str, Any]:
-        """Measure every objective, update the burn gauges, report.
+        """Measure both objectives, update the burn gauges, report.
 
         An objective with no data yet (nothing observed) reports
         ``measured: null``, burn 0 and ``ok: true`` — an idle service is
         within budget, not in breach.
         """
-        results: List[Dict[str, Any]] = []
-        for objective in self.objectives:
-            if isinstance(objective, LatencyObjective):
-                measured = self._measure_latency(objective)
-                target = objective.threshold_s
-                doc: Dict[str, Any] = {
-                    "name": objective.name,
+        latency = self._p95_latency()
+        errors = self._error_share()
+        results = [
+            self._report(
+                {
+                    "name": "latency_p95",
                     "kind": "latency",
-                    "quantile": objective.quantile,
-                    "route": objective.route,
-                    "objective_s": target,
-                    "measured_s": measured,
-                }
-            else:
-                measured = self._measure_error_rate()
-                target = objective.max_ratio
-                doc = {
-                    "name": objective.name,
+                    "quantile": 0.95,
+                    "route": None,
+                    "objective_s": self.latency_s,
+                    "measured_s": latency,
+                },
+                latency,
+                self.latency_s,
+            ),
+            self._report(
+                {
+                    "name": "error_rate",
                     "kind": "error_rate",
-                    "objective_ratio": target,
-                    "measured_ratio": measured,
-                }
-            burn = 0.0 if measured is None else measured / target
-            ok = burn <= 1.0
-            doc["burn"] = round(burn, 6)
-            doc["ok"] = ok
-            self._burn.labels(slo=objective.name).set(burn)
-            self._ok.labels(slo=objective.name).set(1.0 if ok else 0.0)
-            results.append(doc)
+                    "objective_ratio": self.error_rate,
+                    "measured_ratio": errors,
+                },
+                errors,
+                self.error_rate,
+            ),
+        ]
         return {
             "objectives": results,
             "ok": all(r["ok"] for r in results),
         }
-
-
-def default_objectives(
-    latency_ms: float = 500.0,
-    error_rate: float = 0.01,
-    quantile: float = 0.95,
-) -> List[Objective]:
-    """The service's out-of-the-box SLOs (overridable per deployment)."""
-    return [
-        LatencyObjective(
-            name=f"latency_p{int(round(quantile * 100))}",
-            threshold_s=latency_ms / 1000.0,
-            quantile=quantile,
-        ),
-        ErrorRateObjective(name="error_rate", max_ratio=error_rate),
-    ]

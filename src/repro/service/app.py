@@ -92,7 +92,7 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.profiling import peak_rss_bytes
 from repro.obs.prometheus import render_registry
-from repro.obs.slo import SLOTracker, default_objectives
+from repro.obs.slo import SLOTracker
 from repro.obs.tracing import Tracer, activate
 from repro.service.cache import LRUCache, check_cache_key
 from repro.service.jobs import DONE, FAILED, CANCELLED, Job, JobQueue
@@ -307,10 +307,7 @@ class ChopService:
         )
         self.metrics = Metrics(registry=self.registry)
         self.slo = SLOTracker(
-            self.registry,
-            default_objectives(
-                latency_ms=slo_latency_ms, error_rate=slo_error_rate
-            ),
+            self.registry, latency_ms=slo_latency_ms, error_rate=slo_error_rate
         )
         self.flight = FlightRecorder(capacity=flight_capacity)
         self.flight_dir = flight_dir
@@ -837,17 +834,14 @@ class ChopService:
         ``include_projects`` (embed each front point's full project
         document — off by default, the documents are graph-sized).
         Candidate sessions inherit the project's designer inputs via
-        :func:`repro.explore.project_session_factory`; the sweep runs
+        :func:`repro.auto.partitioner.session_like_factory`; the sweep runs
         under the service engine and disk prediction cache, so repeated
         sweeps of the same project are warm.  Every bad option is an
         immediate 400 with ``type: invalid_option`` — the same contract
         as ``/auto`` — never a failed background job.
         """
-        from repro.explore import (
-            ExploreConfig,
-            explore,
-            project_session_factory,
-        )
+        from repro.auto.partitioner import session_like_factory
+        from repro.explore import ExploreConfig, explore
 
         entry = self._entry(req.ident)
         options = self._options(req.body)
@@ -901,7 +895,7 @@ class ChopService:
             result = explore(
                 entry.session.graph,
                 config,
-                session_factory=project_session_factory(entry.session),
+                session_factory=session_like_factory(entry.session),
                 engine=self.engine,
                 disk_cache=self.disk_cache,
                 progress=job.report_progress,

@@ -146,6 +146,8 @@ class JobQueue:
             max_workers=workers, thread_name_prefix="chop-job"
         )
         self._lock = threading.Lock()
+        # Notified by every _finish: wait() and drain() sleep on it.
+        self._finished_cond = threading.Condition(self._lock)
         # Queued and running jobs, and finished ones in finishing order.
         self._live: Dict[str, Job] = {}
         self._finished: "OrderedDict[str, Job]" = OrderedDict()
@@ -237,6 +239,7 @@ class JobQueue:
         self._finished[job.id] = job
         while len(self._finished) > MAX_FINISHED_JOBS:
             self._finished.popitem(last=False)
+        self._finished_cond.notify_all()
 
     def _run(self, job: Job, fn: Callable[[Job], Any]) -> None:
         with self._lock:
@@ -305,27 +308,37 @@ class JobQueue:
         }
 
     def wait(self, job_id: str, timeout: float = 30.0) -> Job:
-        """Block until a job reaches a terminal state (test helper)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            job = self.get(job_id)
-            if job is not None and job.state in TERMINAL:
-                return job
-            time.sleep(0.01)
-        raise TimeoutError(f"job {job_id} did not finish in {timeout} s")
+        """Block until a job reaches a terminal state (test helper).
+
+        Raises ``KeyError`` at once for an id :meth:`get` does not know
+        (never issued, or its record expired) and ``TimeoutError`` if
+        the job is still live after ``timeout`` seconds.
+        """
+        with self._finished_cond:
+            job = self._live.get(job_id) or self._finished.get(job_id)
+            if job is None:
+                raise KeyError(job_id)
+            if not self._finished_cond.wait_for(
+                lambda: job.state in TERMINAL, timeout
+            ):
+                raise TimeoutError(
+                    f"job {job_id} did not finish in {timeout} s"
+                )
+        return job
 
     # ------------------------------------------------------------------
     # drain and shutdown
     # ------------------------------------------------------------------
-    def _active(self) -> int:
-        with self._lock:
+    def _wait_idle(self, timeout_s: float) -> int:
+        """Wait up to ``timeout_s`` for no live job; the live count."""
+        with self._finished_cond:
+            self._finished_cond.wait_for(
+                lambda: not self._live, max(0.0, timeout_s)
+            )
             return len(self._live)
 
     def drain(
-        self,
-        timeout_s: float = 10.0,
-        grace_s: float = 5.0,
-        poll_s: float = 0.02,
+        self, timeout_s: float = 10.0, grace_s: float = 5.0
     ) -> Dict[str, Any]:
         """Graceful shutdown: stop admissions, wait, cancel, release.
 
@@ -340,18 +353,13 @@ class JobQueue:
         """
         with self._lock:
             self._draining = True
-        deadline = time.monotonic() + max(0.0, timeout_s)
-        while self._active() and time.monotonic() < deadline:
-            time.sleep(poll_s)
-        forced = self._active()
+        forced = self._wait_idle(timeout_s)
         if forced:
             with self._lock:
                 stragglers = list(self._live.values())
             for job in stragglers:
                 job.cancel_event.set()
-            grace_deadline = time.monotonic() + max(0.0, grace_s)
-            while self._active() and time.monotonic() < grace_deadline:
-                time.sleep(poll_s)
+            self._wait_idle(grace_s)
         self.shutdown()
         with self._lock:
             states = [

@@ -61,7 +61,7 @@ class Metrics:
 
     @property
     def latency_histogram(self):
-        """The registry request-latency histogram (SLOs read this)."""
+        """The registry request-latency histogram."""
         return self._latency
 
     def observe(

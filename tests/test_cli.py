@@ -500,12 +500,15 @@ class TestAutoCommand:
 
     @pytest.mark.parametrize("balance", ["nan", "inf", "-inf", "-1"])
     def test_auto_rejects_a_bad_balance_tolerance(self, balance, capsys):
-        # Exit 1 means "infeasible"; a bad option is a typed error, 2.
-        assert main([
-            "auto", "--generate", "layered", "--ops", "60",
-            f"--balance={balance}",
-        ]) == 2
-        assert "balance_tolerance" in capsys.readouterr().err
+        # Exit 1 means "infeasible"; a bad option is a usage error, 2,
+        # raised while parsing, before the graph is built.
+        with pytest.raises(SystemExit) as exit_:
+            main([
+                "auto", "--generate", "layered", "--ops", "60",
+                f"--balance={balance}",
+            ])
+        assert exit_.value.code == 2
+        assert "argument --balance" in capsys.readouterr().err
 
 
 class TestSoftDeadlineOption:
@@ -554,6 +557,8 @@ BAD_OPTIONS = [
     ("auto", "--chips", "0"),
     ("auto", "--max-clones", "-1"),
     ("auto", "--feasibility-moves", "-1"),
+    ("auto", "--balance", "-1"),
+    ("auto", "--balance", "nan"),
     ("explore", "--ops", "-5"),
     ("explore", "--ops", "100000000"),
     ("explore", "--k-min", "0"),
@@ -652,11 +657,11 @@ def test_boundary_auto_and_explore_values_are_accepted(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_explore", lambda args: seen.append(args))
     main([
         "auto", f"--ops={MAX_UNROLLED}", "--chips=1", "--max-clones=0",
-        "--feasibility-moves=0",
+        "--feasibility-moves=0", "--balance=0",
     ])
     main(["explore", "--ops=1", "--k-min=3", "--k-max=3"])
     auto, explore = seen
-    assert (auto.ops, auto.chips) == (MAX_UNROLLED, 1)
+    assert (auto.ops, auto.chips, auto.balance) == (MAX_UNROLLED, 1, 0)
     assert (auto.max_clones, auto.feasibility_moves) == (0, 0)
     assert (explore.ops, explore.k_min, explore.k_max) == (1, 3, 3)
 

@@ -10,12 +10,8 @@ import pytest
 from repro.chips.package import ChipPackage
 from repro.dfg.builders import generate_dfg
 from repro.errors import PartitioningError, SearchCancelled
-from repro.explore import (
-    ExploreConfig,
-    explore,
-    project_session_factory,
-    scale_package,
-)
+from repro.auto.partitioner import session_like_factory
+from repro.explore import ExploreConfig, explore, scale_package
 from repro.experiments import experiment1_session
 from repro.io.project import load_project
 from repro.search.pareto import dominates
@@ -211,7 +207,7 @@ class TestProjectFactory:
         base = experiment1_session(
             package_number=2, partition_count=2
         )
-        factory = project_session_factory(base)
+        factory = session_like_factory(base)
         session = factory(graph, 3, 1.0)
         assert session.library is base.library
         assert session.criteria is base.criteria
@@ -222,11 +218,23 @@ class TestProjectFactory:
             == base.chips["chip1"].package.name
         )
 
+    def test_default_scale_keeps_the_packages(self, graph):
+        base = experiment1_session(
+            package_number=2, partition_count=2
+        )
+        session = session_like_factory(base)(graph, 3)
+        assert [chip.package for chip in session.chips.values()] == [
+            base.chips["chip1"].package,
+            base.chips["chip2"].package,
+            base.chips["chip1"].package,
+        ]
+        assert session.chips["chip1"].package is base.chips["chip1"].package
+
     def test_scale_applied_to_reused_packages(self, graph):
         base = experiment1_session(
             package_number=2, partition_count=2
         )
-        session = project_session_factory(base)(graph, 2, 4.0)
+        session = session_like_factory(base)(graph, 2, 4.0)
         assert session.chips["chip1"].package.project_area_mil2 \
             == pytest.approx(
                 4.0

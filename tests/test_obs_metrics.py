@@ -66,22 +66,13 @@ class TestFamilies:
         with pytest.raises(ValueError, match="expected labels"):
             c.labels(path="x")
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set_overwrites(self):
         registry = MetricsRegistry()
         g = registry.gauge("depth")
+        assert g.value == 0.0
         g.set(10)
-        g.inc(5)
-        g.dec(2)
-        assert g.value == 13
-
-    def test_gauge_pull_function_evaluated_at_read(self):
-        registry = MetricsRegistry()
-        g = registry.gauge("depth")
-        box = {"v": 1}
-        g.set_function(lambda: box["v"])
-        assert g.value == 1
-        box["v"] = 7
-        assert g.value == 7
+        g.set(3)
+        assert g.value == 3.0
 
     def test_get_or_create_returns_same_family(self):
         registry = MetricsRegistry()

@@ -151,6 +151,23 @@ class TestJobRetention:
             release.set()
             queue.shutdown()
 
+    def test_waiting_on_an_expired_id_raises_at_once(self, monkeypatch):
+        monkeypatch.setattr(
+            jobs_module, "MAX_FINISHED_JOBS", 2, raising=False
+        )
+        queue = JobQueue(workers=1, default_timeout_s=30.0)
+        try:
+            quick = [queue.submit(lambda job: "quick") for _ in range(4)]
+            queue.wait(quick[-1].id)
+            started = time.monotonic()
+            with pytest.raises(KeyError):
+                queue.wait(quick[0].id, timeout=5.0)
+            assert time.monotonic() - started < 1.0
+            with pytest.raises(KeyError):
+                queue.wait("job-never-issued", timeout=5.0)
+        finally:
+            queue.shutdown()
+
     def test_expired_job_routes_answer_404(self, monkeypatch):
         monkeypatch.setattr(
             jobs_module, "MAX_FINISHED_JOBS", 1, raising=False
