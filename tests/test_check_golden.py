@@ -5,9 +5,11 @@ Each case is a full ``SearchResult.to_dict()`` without ``cpu_seconds``
 nine cells (experiment 1 at packages 1 and 2 with k = 1..3, experiment 2
 with k = 3..5) under both heuristics, plus the Figure 7 keep-all walk
 (experiment 1, package 2, k = 2, unpruned) with its design-space totals,
-and two memory designs of ``examples/``: the windowed filter of
+two memory designs of ``examples/``: the windowed filter of
 ``memory_partitioning.py`` with M_IN off its reader's chip, and the
-Figure 2 design of ``figure2_scenario.py``.
+Figure 2 design of ``figure2_scenario.py``, and two generated states of
+experiment 2 with k = 5 where two partitions share a chip (see
+:data:`SHARED_CHIP_STATES`).
 
 A refactor of the search, the engine or the integration model must leave
 every document unchanged.  A deliberate model change rewrites the file,
@@ -80,6 +82,43 @@ def shared_chip_session():
     return session
 
 
+#: Experiment 2, k = 5, with one partition moved onto another's chip,
+#: by case name: (partition, chip).  Level 2 fires inside subtrees whose
+#: pipelined rates already conflict, so a walk that skips such subtrees
+#: must still credit each of their combinations to the level-2 screen
+#: when it kills it first.  P3 on chip2: 220 level-2 kills of 5,280,
+#: 208 of them where the rates conflict at list position 1, 3 or 4.
+#: P2 on chip1: 176 kills, 128 of them conflicting at position 3 or 4.
+SHARED_CHIP_STATES = {
+    "exp2_k5_p3_chip2": ("P3", "chip2"),
+    "exp2_k5_p2_chip1": ("P2", "chip1"),
+}
+
+
+def shared_chip_state_session(state: str):
+    """The :data:`SHARED_CHIP_STATES` session named ``state``."""
+    partition, chip = SHARED_CHIP_STATES[state]
+    session = experiment2_session(partition_count=5)
+    session.move_partition(partition, chip)
+    return session
+
+
+def _shared_chip_state_check(state: str):
+    def run():
+        return verdict_doc(
+            shared_chip_state_session(state).check("enumeration")
+        )
+
+    return run
+
+
+def _shared_chip_state_explain(state: str):
+    def run():
+        return shared_chip_state_session(state).explain().to_dict()
+
+    return run
+
+
 def example_session(name: str, *args):
     """``build_session(*args)`` of one script of ``examples/``."""
     return runpy.run_path(str(EXAMPLES / f"{name}.py"))["build_session"](*args)
@@ -141,6 +180,9 @@ def cases() -> Dict[str, Callable[[], Dict[str, object]]]:
         out[f"explain|{cell}"] = _cell_explain(experiment, package, k)
     out["explain|figure7_unpruned"] = _figure7_explain
     out["explain|shared_chip"] = _shared_chip_explain
+    for state in SHARED_CHIP_STATES:
+        out[f"{state}|enumeration"] = _shared_chip_state_check(state)
+        out[f"explain|{state}"] = _shared_chip_state_explain(state)
     for design in MEMORY_DESIGNS:
         for heuristic in HEURISTICS:
             out[f"{design}|{heuristic}"] = _memory_check(design, heuristic)
