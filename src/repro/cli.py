@@ -172,13 +172,17 @@ def _dry_run(session, args) -> int:
     for name, size in sorted(problem.list_sizes().items()):
         print(f"  {name}: {size} predictions")
     print(f"total combinations: {total} (enumeration cap {MAX_COMBINATIONS})")
+    print(
+        f"walkable combinations: {problem.walkable_count()} "
+        "(pipelined rates agree; the pool decision counts these)"
+    )
     if total > MAX_COMBINATIONS:
         print(
             "the product exceeds the enumeration cap; tighten the "
             "constraints or repartition before searching"
         )
         return 1
-    plan = EvaluationEngine(workers=args.workers).plan(total)
+    plan = EvaluationEngine(workers=args.workers).plan(problem)
     detail = plan.reason or (
         f"{args.workers} workers, {len(plan.shards)} shards"
     )

@@ -13,8 +13,9 @@ pure-Python integration pipeline, so the engine fans shards out to a
 * cancellation is cooperative through a shared ``Event`` polled between
   combinations, mirroring the serving layer's ``should_stop`` contract;
 * one method, :meth:`EvaluationEngine.plan`, decides between the pool
-  and the in-process walk: ``workers=1``, a space below
-  :data:`MIN_COMBINATIONS` or a degraded engine stay in process;
+  and the in-process walk: ``workers=1``, fewer than
+  :data:`MIN_COMBINATIONS` walkable combinations or a degraded engine
+  stay in process;
 * the engine degrades gracefully: a pool that cannot be created falls
   back to in-process evaluation and a dead worker's shard is re-run
   once in process (counted in the stats) — callers always get an answer
@@ -23,6 +24,7 @@ pure-Python integration pipeline, so the engine fans shards out to a
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import sys
@@ -69,11 +71,13 @@ from repro.resilience.faults import maybe_inject
 from repro.search.results import FeasibleDesign
 from repro.search.space import DesignPoint, DesignSpace
 
-#: Below this many combinations the walk runs in process.  On a 2-vCPU
-#: host two forked workers ran the paper's 240-600 combination cells at
-#: 0.41-0.77x the serial walk and its 5,376 combination cells at
-#: 1.5-1.8x (docs/performance.md, "Where the pool pays").
-MIN_COMBINATIONS = 4096
+#: Below this many walkable combinations (the ones whose pipelined
+#: rates agree, see :meth:`EvaluationProblem.walkable_count`) the walk
+#: runs in process.  On a 2-vCPU host two forked workers ran the paper
+#: cells of up to 768 walkable combinations at 0.37-0.98x the serial
+#: walk and the 3,840 walkable combination cells at 1.56-1.61x
+#: (docs/performance.md, "Where the pool pays").
+MIN_COMBINATIONS = 2048
 
 #: Shards per worker: more shards than workers so a slow shard cannot
 #: leave the rest of the pool idle at the tail of a search.
@@ -156,6 +160,9 @@ class EvaluationProblem:
     prune: bool
     plan: IntegrationPlan
     area_screen: AreaScreen
+    #: ``rates[i][d]`` is prediction ``d`` of list ``i``'s pipelined
+    #: rate (its ``ii_main``), ``None`` when it is not pipelined.
+    rates: Tuple[Tuple[Optional[int], ...], ...]
 
     @classmethod
     def build(
@@ -182,6 +189,13 @@ class EvaluationProblem:
             prune=prune,
             plan=IntegrationPlan(partitioning, task_graph, clocks, library),
             area_screen=AreaScreen.build(partitioning, names, lists),
+            rates=tuple(
+                tuple(
+                    pred.ii_main if pred.pipelined else None
+                    for pred in options
+                )
+                for options in lists
+            ),
         )
 
     @property
@@ -190,6 +204,29 @@ class EvaluationProblem:
 
     def combination_count(self) -> int:
         return combination_count(self.radices)
+
+    def walkable_count(self) -> int:
+        """How many combinations pass the rate check: those whose
+        pipelined picks share one rate.
+
+        With ``n[i]`` the non-pipelined predictions of list ``i`` and
+        ``p[i](r)`` its pipelined ones at rate ``r``, that is
+        ``Π n[i] + Σ_r (Π (n[i] + p[i](r)) − Π n[i])``: the all-plain
+        combinations, plus, per rate, those that pick at least one
+        pipelined prediction and only at that rate.
+        """
+        plain = [rates.count(None) for rates in self.rates]
+        all_plain = math.prod(plain)
+        pipelined = {
+            rate for rates in self.rates for rate in rates if rate is not None
+        }
+        return all_plain + sum(
+            math.prod(
+                n + rates.count(rate) for n, rates in zip(plain, self.rates)
+            )
+            - all_plain
+            for rate in pipelined
+        )
 
     def list_sizes(self) -> Dict[str, int]:
         return {
@@ -246,6 +283,44 @@ def _record_selection(
     )
 
 
+def _rate_conflict(
+    rates: Sequence[Sequence[Optional[int]]], digits: Sequence[int]
+) -> int:
+    """The first list position whose pick is pipelined at another rate
+    than an earlier pipelined pick, or -1 when they share one rate.
+
+    :func:`integrate` rejects every combination that shares the digits
+    up to that position: their pipelined rates already differ.
+    """
+    fixed: Optional[int] = None
+    for position, digit in enumerate(digits):
+        rate = rates[position][digit]
+        if rate is not None and rate != fixed:
+            if fixed is not None:
+                return position
+            fixed = rate
+    return -1
+
+
+def _subtree_sizes(radices: Sequence[int]) -> List[int]:
+    """``sizes[i]``: how many flat indices share their digits up to
+    position ``i`` (the product of the later radices)."""
+    sizes = [1] * len(radices)
+    for position in range(len(radices) - 2, -1, -1):
+        sizes[position] = sizes[position + 1] * radices[position + 1]
+    return sizes
+
+
+def _count_hopeless(problem: EvaluationProblem, start: int, stop: int) -> int:
+    """How many of the flat indices ``[start, stop)`` level 2 kills."""
+    return sum(
+        chip_area_hopeless(
+            problem.area_screen, decode_combination(flat, problem.radices)
+        )
+        for flat in range(start, stop)
+    )
+
+
 def evaluate_range(
     problem: EvaluationProblem,
     start: int,
@@ -263,12 +338,22 @@ def evaluate_range(
     pruning abandons a combination on the first violated chip-area bound
     before the (more expensive) system integration runs.
 
+    The walk skips what :func:`integrate`'s rate check would reject:
+    where a list position's pipelined rate conflicts with an earlier
+    pick, every combination sharing the digits up to it is infeasible,
+    so the walk jumps to the end of that subtree (clamped to ``stop``)
+    and counts its combinations as visited.  Without ``space`` only:
+    the ``keep_all`` figure mode records one point per combination.
+
     ``collector`` (an :class:`repro.obs.ExplainCollector`-shaped object)
     receives the per-combination outcome — prune kill, integration
     failure, or the full feasibility report.  ``counters`` is a plain
     dict (typically a span's counter map) credited with the loop's
     tallies on exit, cancellation included; both hooks cost nothing when
-    absent, which is the common case.
+    absent, which is the common case.  With either attached, each
+    skipped combination still goes through the level-2 screen and is
+    credited as the per-combination loop would credit it: level 2 runs
+    before integration.
 
     ``soft_stop`` is the graceful-degradation hook (a
     :class:`repro.resilience.SoftDeadline`): where ``cancel`` raises and
@@ -282,8 +367,16 @@ def evaluate_range(
     pruned = 0
     unintegrable = 0
     radices = problem.radices
+    rates = problem.rates
+    subtree = _subtree_sizes(radices)
+    skip = space is None
+    # Only a hook reads how a skipped combination failed.
+    screen_skipped = problem.prune and (
+        collector is not None or counters is not None
+    )
+    flat = start
     try:
-        for flat in range(start, stop):
+        while flat < stop:
             if cancel is not None and cancel():
                 raise SearchCancelled(
                     f"enumeration cancelled after {trials} of "
@@ -291,8 +384,28 @@ def evaluate_range(
                 )
             if soft_stop is not None and trials > 0 and soft_stop():
                 break
-            trials += 1
             digits = decode_combination(flat, radices)
+            conflict = _rate_conflict(rates, digits) if skip else -1
+            if conflict >= 0:
+                size = subtree[conflict]
+                end = min(stop, flat - flat % size + size)
+                skipped = end - flat
+                hopeless = (
+                    _count_hopeless(problem, flat, end)
+                    if screen_skipped else 0
+                )
+                trials += skipped
+                pruned += hopeless
+                unintegrable += skipped - hopeless
+                if collector is not None:
+                    collector.record_pruned(hopeless)
+                    collector.record_integration_infeasible(
+                        skipped - hopeless
+                    )
+                flat = end
+                continue
+            trials += 1
+            flat += 1
             selection = problem.select(digits)
             ii_main = max(pred.ii_main for pred in selection.values())
 
@@ -503,17 +616,24 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def plan(self, total: int) -> EnginePlan:
-        """Decide between the pool and the in-process walk for a space
-        of ``total`` combinations, and plan the pool's shards.
+    def plan(self, problem: EvaluationProblem) -> EnginePlan:
+        """Decide between the pool and the in-process walk for
+        ``problem``, and plan the pool's shards.
 
-        :meth:`run` follows this plan and ``--dry-run`` prints it.
+        The decision counts the walkable combinations, the ones the walk
+        does not skip at the rate check; the shards tile the whole flat
+        space.  :meth:`run` follows this plan and ``--dry-run`` prints it.
         """
+        total = problem.combination_count()
         whole = tuple(plan_shards(total, 1))
         if self.workers <= 1:
             return EnginePlan("serial", "one worker requested", whole)
-        if total < MIN_COMBINATIONS:
-            reason = f"below the pool threshold of {MIN_COMBINATIONS}"
+        walkable = problem.walkable_count()
+        if walkable < MIN_COMBINATIONS:
+            reason = (
+                f"{walkable} walkable combinations, below the pool "
+                f"threshold of {MIN_COMBINATIONS}"
+            )
             return EnginePlan("serial", reason, whole)
         if self.is_degraded():
             # Repeated pool failures: stop fighting the platform and
@@ -544,7 +664,7 @@ class EvaluationEngine:
         with trace_span(
             "engine.run", workers=self.workers, space=total,
         ) as sp:
-            plan = self.plan(total)
+            plan = self.plan(problem)
             if plan.mode == "parallel":
                 run = self._run_parallel(
                     problem, plan.shards, started, cancel, progress,

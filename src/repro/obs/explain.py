@@ -103,15 +103,15 @@ class ExplainCollector:
     # ------------------------------------------------------------------
     # hooks called by the evaluation loop
     # ------------------------------------------------------------------
-    def record_pruned(self) -> None:
-        """Level-2 kill: PU lower bounds alone overflowed some chip."""
-        self.evaluated += 1
-        self.pruned_level2 += 1
+    def record_pruned(self, count: int = 1) -> None:
+        """Level-2 kills: PU lower bounds alone overflowed some chip."""
+        self.evaluated += count
+        self.pruned_level2 += count
 
-    def record_integration_infeasible(self) -> None:
+    def record_integration_infeasible(self, count: int = 1) -> None:
         """Integration itself failed (no constraint ever checked)."""
-        self.evaluated += 1
-        self.integration_infeasible += 1
+        self.evaluated += count
+        self.integration_infeasible += count
 
     def record_report(self, report: Any) -> None:
         """A full constraint evaluation of one combination."""

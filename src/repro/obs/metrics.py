@@ -349,22 +349,12 @@ class Histogram(_Family):
             total_sum += child_sum
         return counts, sum(counts), total_sum
 
-    def quantile(
-        self, q: float, where: Optional[Mapping[str, str]] = None
-    ) -> Optional[float]:
-        """Bucket-derived quantile over (a label subset of) the family."""
-        counts, total, _ = self.aggregate(where)
+    def quantile(self, q: float) -> Optional[float]:
+        """Bucket-derived quantile over every child of the family."""
+        counts, total, _ = self.aggregate()
         if total == 0:
             return None
         return quantile_from_counts(self.buckets, counts, q)
-
-    def bucket_width_at(self, value: float) -> float:
-        """The width of the bucket containing ``value`` (error bound)."""
-        index = bisect.bisect_left(self.buckets, value)
-        if index >= len(self.buckets):
-            return math.inf
-        lower = self.buckets[index - 1] if index else 0.0
-        return self.buckets[index] - lower
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,12 @@ With pruning on, a combination is abandoned on the first violated chip
 area bound before the (more expensive) system integration runs — the
 paper's level-2 pruning.
 
+The section's rejection of combinations whose pipelined implementations
+run at different data rates is a subtree skip: once a partition's pick
+conflicts with an earlier pipelined pick, every combination that shares
+those picks is infeasible, so the walk counts them as tried and moves
+past them without integrating any.
+
 The evaluation loop itself lives in :mod:`repro.engine.workers` so the
 serial path here and the engine's worker processes execute *identical*
 code: handing an :class:`~repro.engine.EvaluationEngine` in through

@@ -263,6 +263,8 @@ class TestSearchCommand:
              "--dry-run"]
         ) == 0
         out = capsys.readouterr().out
+        assert "total combinations: 300 " in out
+        assert "walkable combinations: 191 " in out
         assert "mode: parallel (2 workers" in out
         assert "shard   0: [0," in out
 

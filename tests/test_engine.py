@@ -6,7 +6,9 @@ every project shape, under every degradation path (serial fallback,
 worker death, cancellation).  The pool starts with ``fork`` on Linux;
 one test runs it under ``spawn`` so pickling stays covered for the
 platforms that start workers that way.  Tests that need the pool on a
-small space use the ``pool_always`` fixture.
+small space use the ``pool_always`` fixture.  The walk skips subtrees
+whose pipelined rates conflict; :func:`reference_evaluate_range` keeps
+the per-combination loop it replaced as the oracle of that skip.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import os
 import pickle
 import time
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bad.styles import ArchitectureStyle, ClockScheme, OperationTiming
 from repro.chips.presets import mosis_package
@@ -37,15 +42,25 @@ from repro.engine import (
     plan_shards,
 )
 import repro.engine.workers as workers_module
+from repro.core.feasibility import evaluate_system
+from repro.core.integration import integrate
 from repro.errors import (
     CombinationExplosionError,
     EngineError,
+    InfeasibleError,
     SearchCancelled,
 )
 from repro.experiments import experiment1_session, experiment2_session
 from repro.library.presets import extended_library
 from repro.memory.module import MemoryModule
-from tests.test_check_golden import shared_chip_session
+from repro.obs import ExplainCollector
+from repro.search.results import FeasibleDesign
+from repro.search.space import DesignSpace
+from tests.test_check_golden import (
+    SHARED_CHIP_STATES,
+    shared_chip_session,
+    shared_chip_state_session,
+)
 
 SPEC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -92,6 +107,33 @@ def result_doc(result):
     doc = result.to_dict()
     doc.pop("cpu_seconds", None)
     return doc
+
+
+def build_problem(session: ChopSession) -> EvaluationProblem:
+    """The evaluation problem of ``session``'s pruned enumeration."""
+    return EvaluationProblem.build(
+        session.partitioning(),
+        session.pruned_predictions(),
+        session.clocks,
+        session.library,
+        session.criteria,
+    )
+
+
+#: The paper's cells with k = 2..5, by name.
+PAPER_CELLS = {
+    **{
+        f"exp1_pkg{package}_k{k}": functools.partial(
+            experiment1_session, package_number=package, partition_count=k
+        )
+        for package in (1, 2)
+        for k in (2, 3, 4, 5)
+    },
+    **{
+        f"exp2_k{k}": functools.partial(experiment2_session, partition_count=k)
+        for k in (2, 3, 4, 5)
+    },
+}
 
 
 def no_live_workers(timeout_s: float = 5.0) -> bool:
@@ -208,6 +250,16 @@ class TestEvaluationProblem:
         assert set(sizes) == set(problem.names)
         assert all(size > 0 for size in sizes.values())
 
+    @pytest.mark.parametrize("cell", sorted(PAPER_CELLS))
+    def test_walkable_count_matches_brute_force(self, cell):
+        problem = build_problem(PAPER_CELLS[cell]())
+        agreeing = sum(
+            len({pred.ii_main for pred in combination if pred.pipelined})
+            <= 1
+            for combination in itertools.product(*problem.lists)
+        )
+        assert problem.walkable_count() == agreeing
+
 
 # ----------------------------------------------------------------------
 # parallel == serial
@@ -318,19 +370,185 @@ class TestEquivalence:
 # ----------------------------------------------------------------------
 class TestPlan:
     def test_one_worker_walks_in_process(self):
-        plan = EvaluationEngine(workers=1).plan(10_000)
+        problem = build_problem(PAPER_CELLS["exp1_pkg2_k5"]())
+        plan = EvaluationEngine(workers=1).plan(problem)
         assert plan.mode == "serial"
-        assert plan.shards == (Shard(index=0, start=0, stop=10_000),)
+        assert plan.shards == (Shard(index=0, start=0, stop=5376),)
 
-    def test_threshold_decides_and_shards_per_worker(self):
+    def test_threshold_decides_and_shards_per_worker(self, monkeypatch):
+        problem = build_problem(PAPER_CELLS["exp2_k5"]())
+        walkable = problem.walkable_count()
         engine = EvaluationEngine(workers=2)
-        threshold = workers_module.MIN_COMBINATIONS
-        assert engine.plan(threshold - 1).mode == "serial"
-        plan = engine.plan(threshold)
+        monkeypatch.setattr(workers_module, "MIN_COMBINATIONS", walkable + 1)
+        assert engine.plan(problem).mode == "serial"
+        monkeypatch.setattr(workers_module, "MIN_COMBINATIONS", walkable)
+        plan = engine.plan(problem)
         assert plan.mode == "parallel"
         assert plan.shards == tuple(
-            plan_shards(threshold, 2 * workers_module.SHARDS_PER_WORKER)
+            plan_shards(
+                problem.combination_count(),
+                2 * workers_module.SHARDS_PER_WORKER,
+            )
         )
+
+    def test_exp2_k5_walks_in_process(self):
+        # 5,280 combinations, of which 416 agree on their pipelined
+        # rates: two workers walked it at 0.68-0.99x one process.
+        problem = build_problem(PAPER_CELLS["exp2_k5"]())
+        plan = EvaluationEngine(workers=2).plan(problem)
+        assert plan.mode == "serial"
+        assert plan.reason.startswith("416 walkable combinations")
+        assert plan.shards == (Shard(index=0, start=0, stop=5280),)
+
+    def test_exp1_pkg2_k5_pools(self):
+        # 5,376 combinations, 3,840 walkable: the pool paid 1.4-1.8x.
+        problem = build_problem(PAPER_CELLS["exp1_pkg2_k5"]())
+        assert problem.walkable_count() == 3840
+        plan = EvaluationEngine(workers=2).plan(problem)
+        assert plan.mode == "parallel"
+        assert plan.shards[-1].stop == 5376
+
+
+# ----------------------------------------------------------------------
+# the subtree skip against the per-combination loop
+# ----------------------------------------------------------------------
+def reference_evaluate_range(problem, start, stop, collector=None,
+                             counters=None):
+    """The walk before it skipped rate-conflicting subtrees: decode,
+    screen and integrate every combination of ``[start, stop)``."""
+    feasible = []
+    pruned = unintegrable = 0
+    for flat in range(start, stop):
+        digits = decode_combination(flat, problem.radices)
+        selection = problem.select(digits)
+        ii_main = max(pred.ii_main for pred in selection.values())
+        if problem.prune and workers_module.chip_area_hopeless(
+            problem.area_screen, digits
+        ):
+            pruned += 1
+            if collector is not None:
+                collector.record_pruned()
+            continue
+        try:
+            system = integrate(
+                problem.partitioning, selection, ii_main,
+                problem.clocks, problem.library, plan=problem.plan,
+            )
+        except InfeasibleError:
+            unintegrable += 1
+            if collector is not None:
+                collector.record_integration_infeasible()
+            continue
+        report = evaluate_system(system, problem.criteria)
+        if collector is not None:
+            collector.record_report(report)
+        if report.feasible:
+            feasible.append(
+                FeasibleDesign(selection=selection, system=system,
+                               report=report)
+            )
+    if counters is not None:
+        counters.update(
+            combinations=stop - start, pruned_level2=pruned,
+            integration_infeasible=unintegrable, feasible=len(feasible),
+        )
+    return feasible, stop - start
+
+
+#: States the skip must walk exactly like the per-combination loop:
+#: paper cells with few and many conflicts, and three shared-chip
+#: states where level 2 fires, two of them inside conflicting subtrees.
+ORACLE_STATES = {
+    "exp1_pkg1_k3": PAPER_CELLS["exp1_pkg1_k3"],
+    "exp2_k4": PAPER_CELLS["exp2_k4"],
+    "exp2_k5": PAPER_CELLS["exp2_k5"],
+    "shared_chip": shared_chip_session,
+    **{
+        state: functools.partial(shared_chip_state_session, state)
+        for state in SHARED_CHIP_STATES
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_problem(state):
+    return build_problem(ORACLE_STATES[state]())
+
+
+def walk_doc(feasible, names):
+    """Each feasible design's prediction objects and summary, in order."""
+    return [
+        (
+            tuple(id(design.selection[name]) for name in names),
+            design.to_dict(),
+        )
+        for design in feasible
+    ]
+
+
+class TestSubtreeSkip:
+    @given(
+        state=st.sampled_from(sorted(ORACLE_STATES)),
+        hooked=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_combination_loop(self, state, hooked, data):
+        problem = oracle_problem(state)
+        total = problem.combination_count()
+        start = data.draw(st.integers(0, total), label="start")
+        stop = data.draw(st.integers(start, total), label="stop")
+        hooks = [ExplainCollector(), {}] if hooked else [None, None]
+        expected_hooks = [ExplainCollector(), {}] if hooked else [None, None]
+
+        feasible, trials = workers_module.evaluate_range(
+            problem, start, stop, collector=hooks[0], counters=hooks[1],
+        )
+        expected, expected_trials = reference_evaluate_range(
+            problem, start, stop, *expected_hooks
+        )
+        assert trials == expected_trials
+        assert walk_doc(feasible, problem.names) == walk_doc(
+            expected, problem.names
+        )
+        if hooked:
+            assert hooks[1] == expected_hooks[1]
+            assert (
+                hooks[0].report().to_dict()
+                == expected_hooks[0].report().to_dict()
+            )
+
+    def test_skips_integration_of_conflicting_combinations(
+        self, monkeypatch
+    ):
+        problem = oracle_problem("exp2_k5")
+        calls = []
+
+        def counting_integrate(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(workers_module, "integrate", counting_integrate)
+        _feasible, trials = workers_module.evaluate_range(
+            problem, 0, problem.combination_count()
+        )
+        assert trials == 5280
+        assert len(calls) == problem.walkable_count() == 416
+
+    def test_keep_all_visits_every_combination(self, monkeypatch):
+        problem = oracle_problem("exp2_k4")
+        calls = []
+
+        def counting_integrate(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(workers_module, "integrate", counting_integrate)
+        space = DesignSpace()
+        workers_module.evaluate_range(
+            problem, 0, problem.combination_count(), space=space,
+        )
+        assert space.total == len(calls) == problem.combination_count()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The metrics registry: families, labels, histograms, exposition."""
 
+import bisect
 import math
 import statistics
 import threading
@@ -165,25 +166,6 @@ class TestHistogram:
         # Overflow clamps to the last finite bound.
         assert quantile_from_counts((1.0,), (0, 5), 0.99) == 1.0
 
-    def test_family_quantile_with_label_filter(self):
-        registry = MetricsRegistry()
-        h = registry.histogram(
-            "h", labelnames=("route",), buckets=(1.0, 10.0)
-        )
-        for _ in range(10):
-            h.labels(route="fast").observe(0.5)
-            h.labels(route="slow").observe(5.0)
-        fast = h.quantile(0.5, where={"route": "fast"})
-        slow = h.quantile(0.5, where={"route": "slow"})
-        assert fast < 1.0 < slow
-
-    def test_bucket_width_at(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("h", buckets=(1.0, 4.0))
-        assert h.bucket_width_at(0.5) == 1.0
-        assert h.bucket_width_at(2.0) == 3.0
-        assert h.bucket_width_at(100.0) == math.inf
-
     def test_concurrent_observation_conserves_totals(self):
         registry = MetricsRegistry()
         h = registry.histogram(
@@ -227,7 +209,10 @@ class TestHistogram:
             derived = h.quantile(q)
             exact = exact_percentiles[pct - 1]
             assert derived is not None
-            assert abs(derived - exact) <= h.bucket_width_at(exact)
+            # The width of the bucket containing the exact percentile.
+            index = bisect.bisect_left(h.buckets, exact)
+            lower = h.buckets[index - 1] if index else 0.0
+            assert abs(derived - exact) <= h.buckets[index] - lower
 
 
 # ----------------------------------------------------------------------
