@@ -55,7 +55,6 @@ from repro.library.presets import extended_library
 from repro.memory.module import MemoryModule
 from repro.obs import ExplainCollector
 from repro.search.results import FeasibleDesign
-from repro.search.space import DesignSpace
 from tests.test_check_golden import (
     SHARED_CHIP_STATES,
     shared_chip_session,
@@ -121,7 +120,7 @@ def build_problem(session: ChopSession) -> EvaluationProblem:
 
 
 #: The paper's cells with k = 2..5, by name.
-PAPER_CELLS = {
+PAPER_SESSIONS = {
     **{
         f"exp1_pkg{package}_k{k}": functools.partial(
             experiment1_session, package_number=package, partition_count=k
@@ -250,9 +249,9 @@ class TestEvaluationProblem:
         assert set(sizes) == set(problem.names)
         assert all(size > 0 for size in sizes.values())
 
-    @pytest.mark.parametrize("cell", sorted(PAPER_CELLS))
+    @pytest.mark.parametrize("cell", sorted(PAPER_SESSIONS))
     def test_walkable_count_matches_brute_force(self, cell):
-        problem = build_problem(PAPER_CELLS[cell]())
+        problem = build_problem(PAPER_SESSIONS[cell]())
         agreeing = sum(
             len({pred.ii_main for pred in combination if pred.pipelined})
             <= 1
@@ -370,13 +369,13 @@ class TestEquivalence:
 # ----------------------------------------------------------------------
 class TestPlan:
     def test_one_worker_walks_in_process(self):
-        problem = build_problem(PAPER_CELLS["exp1_pkg2_k5"]())
+        problem = build_problem(PAPER_SESSIONS["exp1_pkg2_k5"]())
         plan = EvaluationEngine(workers=1).plan(problem)
         assert plan.mode == "serial"
         assert plan.shards == (Shard(index=0, start=0, stop=5376),)
 
     def test_threshold_decides_and_shards_per_worker(self, monkeypatch):
-        problem = build_problem(PAPER_CELLS["exp2_k5"]())
+        problem = build_problem(PAPER_SESSIONS["exp2_k5"]())
         walkable = problem.walkable_count()
         engine = EvaluationEngine(workers=2)
         monkeypatch.setattr(workers_module, "MIN_COMBINATIONS", walkable + 1)
@@ -394,7 +393,7 @@ class TestPlan:
     def test_exp2_k5_walks_in_process(self):
         # 5,280 combinations, of which 416 agree on their pipelined
         # rates: two workers walked it at 0.68-0.99x one process.
-        problem = build_problem(PAPER_CELLS["exp2_k5"]())
+        problem = build_problem(PAPER_SESSIONS["exp2_k5"]())
         plan = EvaluationEngine(workers=2).plan(problem)
         assert plan.mode == "serial"
         assert plan.reason.startswith("416 walkable combinations")
@@ -402,7 +401,7 @@ class TestPlan:
 
     def test_exp1_pkg2_k5_pools(self):
         # 5,376 combinations, 3,840 walkable: the pool paid 1.4-1.8x.
-        problem = build_problem(PAPER_CELLS["exp1_pkg2_k5"]())
+        problem = build_problem(PAPER_SESSIONS["exp1_pkg2_k5"]())
         assert problem.walkable_count() == 3840
         plan = EvaluationEngine(workers=2).plan(problem)
         assert plan.mode == "parallel"
@@ -459,9 +458,9 @@ def reference_evaluate_range(problem, start, stop, collector=None,
 #: paper cells with few and many conflicts, and three shared-chip
 #: states where level 2 fires, two of them inside conflicting subtrees.
 ORACLE_STATES = {
-    "exp1_pkg1_k3": PAPER_CELLS["exp1_pkg1_k3"],
-    "exp2_k4": PAPER_CELLS["exp2_k4"],
-    "exp2_k5": PAPER_CELLS["exp2_k5"],
+    "exp1_pkg1_k3": PAPER_SESSIONS["exp1_pkg1_k3"],
+    "exp2_k4": PAPER_SESSIONS["exp2_k4"],
+    "exp2_k5": PAPER_SESSIONS["exp2_k5"],
     "shared_chip": shared_chip_session,
     **{
         state: functools.partial(shared_chip_state_session, state)
@@ -534,21 +533,6 @@ class TestSubtreeSkip:
         )
         assert trials == 5280
         assert len(calls) == problem.walkable_count() == 416
-
-    def test_keep_all_visits_every_combination(self, monkeypatch):
-        problem = oracle_problem("exp2_k4")
-        calls = []
-
-        def counting_integrate(*args, **kwargs):
-            calls.append(1)
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(workers_module, "integrate", counting_integrate)
-        space = DesignSpace()
-        workers_module.evaluate_range(
-            problem, 0, problem.combination_count(), space=space,
-        )
-        assert space.total == len(calls) == problem.combination_count()
 
 
 # ----------------------------------------------------------------------
