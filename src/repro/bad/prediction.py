@@ -11,7 +11,7 @@ guidelines (section 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.bad.controller import PlaEstimate
 from repro.bad.styles import OperationTiming
@@ -45,15 +45,6 @@ class AreaBreakdown:
                 self.wiring,
             )
         )
-
-    def as_dict(self) -> Dict[str, Triplet]:
-        return {
-            "functional_units": self.functional_units,
-            "registers": self.registers,
-            "multiplexers": self.multiplexers,
-            "controller": self.controller,
-            "wiring": self.wiring,
-        }
 
 
 @dataclass(frozen=True, slots=True)

@@ -49,24 +49,6 @@ def critical_path_cycles(
     return _finish_time(asap_schedule(graph, duration, ready), duration)
 
 
-def alap_schedule(
-    graph: DataFlowGraph, duration: Mapping[str, int], deadline: int
-) -> Dict[str, int]:
-    """Latest start times meeting ``deadline``.
-
-    Raises :class:`PredictionError` when the deadline is shorter than the
-    critical path.
-    """
-    cp = critical_path_cycles(graph, duration)
-    if deadline < cp:
-        raise PredictionError(
-            f"deadline {deadline} is below the critical path {cp}"
-        )
-    return _alap(
-        graph.topological_order(), graph.successor_index, duration, deadline
-    )
-
-
 def _asap(
     order: Sequence[str],
     preds: Mapping[str, Sequence[str]],

@@ -60,11 +60,6 @@ class ClockScheme:
         """Datapath clock cycle in nanoseconds."""
         return self.main_cycle_ns * self.dp_multiplier
 
-    @property
-    def transfer_cycle_ns(self) -> float:
-        """Data-transfer clock cycle in nanoseconds."""
-        return self.main_cycle_ns * self.transfer_multiplier
-
     def dp_cycles_to_main(self, dp_cycles: int) -> int:
         """Convert a datapath-cycle count to main-clock cycles."""
         return dp_cycles * self.dp_multiplier

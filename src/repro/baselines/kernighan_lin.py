@@ -36,10 +36,6 @@ def edge_weights(graph: DataFlowGraph) -> Dict[Tuple[str, str], int]:
     return weights
 
 
-#: Backwards-compatible private alias.
-_edge_weights = edge_weights
-
-
 def cut_bits(
     graph: DataFlowGraph,
     side_a: Set[str],
@@ -47,7 +43,7 @@ def cut_bits(
 ) -> int:
     """Total bit width of values crossing the (side_a, rest) boundary.
 
-    ``weights`` accepts the precomputed :func:`_edge_weights` map of
+    ``weights`` accepts the precomputed :func:`edge_weights` map of
     ``graph`` so loops evaluating many cuts of the same graph (the KL
     pass itself, the baseline sweeps) pay the O(values) derivation once
     instead of per call.

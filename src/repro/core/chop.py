@@ -360,18 +360,9 @@ class ChopSession:
                 check_span.put("degraded", True)
             if keep_all and result.space is not None:
                 # The figures count BAD's per-partition predictions too.
-                from repro.search.space import DesignPoint
-
                 for preds in predictions.values():
                     for pred in preds:
-                        result.space.record(
-                            DesignPoint(
-                                kind="partition",
-                                area_mil2=pred.area_total.ml,
-                                delay_cycles=pred.latency_main,
-                                ii_cycles=pred.ii_main,
-                            )
-                        )
+                        result.space.record_prediction(pred)
             return result
 
     def explain(

@@ -206,26 +206,6 @@ class Partitioning:
                 pairs.add((src, dst))
         return sorted(pairs)
 
-    def with_assignment(
-        self, partition_name: str, chip_name: str
-    ) -> "Partitioning":
-        """A copy with one partition moved to another chip (a designer
-        modification of section 2.7)."""
-        if partition_name not in self.partitions:
-            raise PartitioningError(f"unknown partition {partition_name!r}")
-        if chip_name not in self.chips:
-            raise PartitioningError(f"unknown chip {chip_name!r}")
-        assignment = dict(self.partition_chip)
-        assignment[partition_name] = chip_name
-        return Partitioning(
-            graph=self.graph,
-            partitions=self.partitions.values(),
-            chips=self.chips.values(),
-            partition_chip=assignment,
-            memories=self.memories.values(),
-            memory_chip=self.memory_chip,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Partitioning({self.graph.name!r}, "

@@ -130,9 +130,6 @@ class TaskGraph:
             raise PartitioningError("task graph contains a cycle")
         return order
 
-    def data_tasks(self) -> List[TransferTask]:
-        return [t for t in self.tasks.values() if t.moves_data]
-
     def process_tasks(self) -> List[TransferTask]:
         return [
             t for t in self.tasks.values() if t.kind is TaskKind.PROCESS

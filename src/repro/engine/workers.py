@@ -69,7 +69,7 @@ from repro.obs.tracing import (
 )
 from repro.resilience.faults import maybe_inject
 from repro.search.results import FeasibleDesign
-from repro.search.space import DesignPoint, DesignSpace
+from repro.search.space import DesignSpace
 
 #: Below this many walkable combinations (the ones whose pipelined
 #: rates agree, see :meth:`EvaluationProblem.walkable_count`) the walk
@@ -264,25 +264,6 @@ def chip_area_hopeless(screen: AreaScreen, digits: Sequence[int]) -> bool:
     return False
 
 
-def _record_selection(
-    space: Optional[DesignSpace],
-    selection: Mapping[str, DesignPrediction],
-    ii_main: int,
-    feasible_flag: bool,
-) -> None:
-    if space is None:
-        return
-    space.record(
-        DesignPoint(
-            kind="system",
-            area_mil2=sum(p.area_total.ml for p in selection.values()),
-            delay_cycles=max(p.latency_main for p in selection.values()),
-            ii_cycles=ii_main,
-            feasible=feasible_flag,
-        )
-    )
-
-
 def _rate_conflict(
     rates: Sequence[Sequence[Optional[int]]], digits: Sequence[int]
 ) -> int:
@@ -345,15 +326,21 @@ def evaluate_range(
     and counts its combinations as visited.  Without ``space`` only:
     the ``keep_all`` figure mode records one point per combination.
 
+    ``counters`` is a plain dict (a span's counter map, or an explain
+    collector's) credited on exit, cancellation included, with what the
+    walk did: ``combinations`` visited, ``pruned_level2`` kills,
+    ``integration_infeasible`` rejections and ``feasible`` designs.  It
+    is an output only: a walk with counters screens and integrates
+    exactly the combinations a walk without them does.
+
     ``collector`` (an :class:`repro.obs.ExplainCollector`-shaped object)
-    receives the per-combination outcome — prune kill, integration
-    failure, or the full feasibility report.  ``counters`` is a plain
-    dict (typically a span's counter map) credited with the loop's
-    tallies on exit, cancellation included; both hooks cost nothing when
-    absent, which is the common case.  With either attached, each
-    skipped combination still goes through the level-2 screen and is
-    credited as the per-combination loop would credit it: level 2 runs
-    before integration.
+    receives each integrated combination's feasibility report.  It is
+    the one hook that changes the walk: explain counts level 2 before
+    integration, as the paper orders the checks, so with a collector
+    (and ``prune`` on) each skipped combination still goes through the
+    level-2 screen.  Without one, a skipped subtree counts as
+    ``integration_infeasible`` whole, because :func:`integrate` would
+    reject its combinations at its first check.
 
     ``soft_stop`` is the graceful-degradation hook (a
     :class:`repro.resilience.SoftDeadline`): where ``cancel`` raises and
@@ -370,10 +357,7 @@ def evaluate_range(
     rates = problem.rates
     subtree = _subtree_sizes(radices)
     skip = space is None
-    # Only a hook reads how a skipped combination failed.
-    screen_skipped = problem.prune and (
-        collector is not None or counters is not None
-    )
+    screen_skipped = problem.prune and collector is not None
     flat = start
     try:
         while flat < stop:
@@ -397,11 +381,6 @@ def evaluate_range(
                 trials += skipped
                 pruned += hopeless
                 unintegrable += skipped - hopeless
-                if collector is not None:
-                    collector.record_pruned(hopeless)
-                    collector.record_integration_infeasible(
-                        skipped - hopeless
-                    )
                 flat = end
                 continue
             trials += 1
@@ -413,9 +392,8 @@ def evaluate_range(
                 problem.area_screen, digits
             ):
                 pruned += 1
-                if collector is not None:
-                    collector.record_pruned()
-                _record_selection(space, selection, ii_main, False)
+                if space is not None:
+                    space.record_selection(selection, ii_main)
                 continue
             try:
                 system = integrate(
@@ -424,26 +402,14 @@ def evaluate_range(
                 )
             except InfeasibleError:
                 unintegrable += 1
-                if collector is not None:
-                    collector.record_integration_infeasible()
-                _record_selection(space, selection, ii_main, False)
+                if space is not None:
+                    space.record_selection(selection, ii_main)
                 continue
             report = evaluate_system(system, problem.criteria)
             if collector is not None:
                 collector.record_report(report)
             if space is not None:
-                space.record(
-                    DesignPoint(
-                        kind="system",
-                        area_mil2=sum(
-                            u.total_area.ml
-                            for u in system.chip_usage.values()
-                        ),
-                        delay_cycles=system.delay_main,
-                        ii_cycles=system.ii_main,
-                        feasible=report.feasible,
-                    )
-                )
+                space.record_system(system, report.feasible)
             if report.feasible:
                 feasible.append(
                     FeasibleDesign(
@@ -452,18 +418,13 @@ def evaluate_range(
                 )
     finally:
         if counters is not None:
-            counters["combinations"] = (
-                counters.get("combinations", 0) + trials
-            )
-            counters["pruned_level2"] = (
-                counters.get("pruned_level2", 0) + pruned
-            )
-            counters["integration_infeasible"] = (
-                counters.get("integration_infeasible", 0) + unintegrable
-            )
-            counters["feasible"] = (
-                counters.get("feasible", 0) + len(feasible)
-            )
+            for name, count in (
+                ("combinations", trials),
+                ("pruned_level2", pruned),
+                ("integration_infeasible", unintegrable),
+                ("feasible", len(feasible)),
+            ):
+                counters[name] = counters.get(name, 0) + count
     return feasible, trials
 
 

@@ -25,7 +25,6 @@ from repro.explore.sweep import (
     ExploreResult,
     default_session_factory,
     explore,
-    scale_package,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "SEEDINGS",
     "default_session_factory",
     "explore",
-    "scale_package",
 ]

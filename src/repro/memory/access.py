@@ -39,10 +39,6 @@ class MemoryAccessProfile:
         """Total word accesses against ``block``."""
         return self.reads.get(block, 0) + self.writes.get(block, 0)
 
-    @property
-    def total_accesses(self) -> int:
-        return sum(self.reads.values()) + sum(self.writes.values())
-
     def bandwidth_bits(
         self, modules: Mapping[str, MemoryModule]
     ) -> Dict[str, int]:

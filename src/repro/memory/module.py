@@ -68,7 +68,3 @@ class MemoryModule:
     #: dedicated pins by the pin budget).
     def interface_pins(self) -> int:
         return self.width_bits + self.address_bits
-
-    def bandwidth_bits_per_cycle(self) -> int:
-        """Peak bits this block moves per transfer cycle."""
-        return self.ports * self.width_bits

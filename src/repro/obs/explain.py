@@ -5,8 +5,8 @@ feasible/infeasible bit per design — useful for the iteration loop,
 useless for deciding *what to change*.  The collector here rides along
 an enumeration walk (``evaluate_range(collector=...)``) and aggregates,
 per constraint, how many combinations that constraint killed and at what
-probability margin, plus the pre-constraint kill counts (level-2 area
-pruning, integration failures) and the level-1 pruning census.
+probability margin.  Its report adds the walk's own counters (level-2
+area kills, integration failures) and the level-1 pruning census.
 
 The output answers the designer's actual questions: "is it chip area or
 system delay?", "which chip?", "how far off is the worst case?", "would
@@ -84,41 +84,24 @@ class ConstraintTally:
 
 
 class ExplainCollector:
-    """Accumulates per-combination feasibility outcomes during a search.
+    """Accumulates per-constraint feasibility outcomes during a search.
 
     Handed into the evaluation loop through
-    ``evaluate_range(collector=...)``; not thread-safe by design — an
-    explain pass runs the serial walk (the per-combination payload would
-    dwarf shard results, exactly like the ``keep_all`` figure mode).
+    ``evaluate_range(collector=..., counters=collector.counters)``; not
+    thread-safe by design — an explain pass runs the serial walk (the
+    per-combination payload would dwarf shard results, exactly like the
+    ``keep_all`` figure mode).
     """
 
     def __init__(self) -> None:
-        self.evaluated = 0
-        self.pruned_level2 = 0
-        self.integration_infeasible = 0
-        self.checked = 0
-        self.feasible = 0
+        #: The walk's counters (``combinations``, ``pruned_level2``,
+        #: ``integration_infeasible``, ``feasible``), credited by
+        #: ``evaluate_range`` itself.
+        self.counters: Dict[str, int] = {}
         self.constraints: Dict[str, ConstraintTally] = {}
-
-    # ------------------------------------------------------------------
-    # hooks called by the evaluation loop
-    # ------------------------------------------------------------------
-    def record_pruned(self, count: int = 1) -> None:
-        """Level-2 kills: PU lower bounds alone overflowed some chip."""
-        self.evaluated += count
-        self.pruned_level2 += count
-
-    def record_integration_infeasible(self, count: int = 1) -> None:
-        """Integration itself failed (no constraint ever checked)."""
-        self.evaluated += count
-        self.integration_infeasible += count
 
     def record_report(self, report: Any) -> None:
         """A full constraint evaluation of one combination."""
-        self.evaluated += 1
-        self.checked += 1
-        if report.feasible:
-            self.feasible += 1
         first_seen = False
         for check in report.checks:
             tally = self.constraints.get(check.name)
@@ -139,18 +122,21 @@ class ExplainCollector:
         level1: Optional[Dict[str, Dict[str, int]]] = None,
         heuristic: str = "enumeration",
     ) -> "ExplainReport":
+        evaluated = self.counters.get("combinations", 0)
+        pruned = self.counters.get("pruned_level2", 0)
+        unintegrable = self.counters.get("integration_infeasible", 0)
         return ExplainReport(
             heuristic=heuristic,
             combination_count=(
                 combination_count
                 if combination_count is not None
-                else self.evaluated
+                else evaluated
             ),
-            evaluated=self.evaluated,
-            pruned_level2=self.pruned_level2,
-            integration_infeasible=self.integration_infeasible,
-            checked=self.checked,
-            feasible=self.feasible,
+            evaluated=evaluated,
+            pruned_level2=pruned,
+            integration_infeasible=unintegrable,
+            checked=evaluated - pruned - unintegrable,
+            feasible=self.counters.get("feasible", 0),
             constraints=dict(self.constraints),
             level1=dict(level1 or {}),
         )

@@ -6,8 +6,8 @@ second bookkeeping path:
 * ``latency_p95`` — the p95 of request latency over every route stays
   under ``latency_ms``, measured from the ``request_latency_seconds``
   histogram's buckets;
-* ``error_rate`` — the 5xx share of ``responses_total`` stays under
-  ``error_rate``.
+* ``error_rate`` — the share of ``responses_total`` that
+  :func:`is_failure` counts stays under ``error_rate``.
 
 :meth:`SLOTracker.evaluate` computes each objective's **burn ratio** —
 ``measured / objective``, so 1.0 is exactly at target and anything above
@@ -28,6 +28,16 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.obs.metrics import Histogram, MetricsRegistry
+
+
+def is_failure(status: int) -> bool:
+    """Whether a response is a server failure: a 5xx other than 503.
+
+    A 503 is the drain and backpressure contract working
+    (docs/resilience.md), so it neither burns the error budget nor
+    triggers the error log and flight dump.
+    """
+    return status >= 500 and status != 503
 
 
 class SLOTracker:
@@ -72,7 +82,7 @@ class SLOTracker:
         total = errors = 0.0
         for sample in family.samples():
             total += sample["value"]
-            if sample["labels"]["status"].startswith("5"):
+            if is_failure(int(sample["labels"]["status"])):
                 errors += sample["value"]
         return errors / total if total else None
 

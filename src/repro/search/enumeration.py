@@ -48,6 +48,7 @@ from repro.search.space import DesignSpace
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.engine.workers import EvaluationEngine
+    from repro.obs.explain import ExplainCollector
 
 #: Safety valve: enumeration refuses absurdly large products so a typo in
 #: a prune setting cannot hang a session.
@@ -65,7 +66,7 @@ def enumeration_search(
     cancel: Optional[Callable[[], bool]] = None,
     engine: Optional["EvaluationEngine"] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    collector: Optional[object] = None,
+    collector: Optional["ExplainCollector"] = None,
     soft_deadline_s: Optional[float] = None,
     task_graph: Optional[TaskGraph] = None,
 ) -> SearchResult:
@@ -87,6 +88,13 @@ def enumeration_search(
     path — it records the per-combination failure breakdown, which is
     per-combination payload by definition.  ``progress`` (engine runs
     only) receives ``(shards_done, shards_total)`` as shards complete.
+
+    The walk credits its counters to the ``search.enumeration`` span,
+    or, with a collector, to ``collector.counters``, which are then
+    copied onto the span: one count serves the trace and the explain
+    report.  Tracing never changes the walk; only ``keep_all`` and
+    ``collector`` make it visit the combinations it would skip (see
+    :func:`repro.engine.workers.evaluate_range`).
 
     ``soft_deadline_s`` is the graceful-degradation hook (paper framing:
     *interactive* means "fast, or degraded, but never nothing"): once the
@@ -143,11 +151,17 @@ def enumeration_search(
             )
 
         space = DesignSpace() if keep_all else None
-        feasible, trials = evaluate_range(
-            problem, 0, combination_count, cancel=cancel,
-            space=space, collector=collector, counters=sp.counters,
-            soft_stop=soft_stop,
-        )
+        counters = sp.counters if collector is None else collector.counters
+        try:
+            feasible, trials = evaluate_range(
+                problem, 0, combination_count, cancel=cancel,
+                space=space, collector=collector, counters=counters,
+                soft_stop=soft_stop,
+            )
+        finally:
+            if collector is not None:
+                for name, count in counters.items():
+                    sp.add(name, count)
         degraded = trials < combination_count
         if degraded:
             sp.put("degraded", True)

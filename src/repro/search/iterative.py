@@ -40,7 +40,7 @@ from repro.library.library import ComponentLibrary
 from repro.obs.tracing import span as trace_span
 from repro.resilience.degrade import SoftDeadline
 from repro.search.results import FeasibleDesign, SearchResult
-from repro.search.space import DesignPoint, DesignSpace
+from repro.search.space import DesignSpace
 
 #: Bound on serialization rounds per interval; each round either makes
 #: progress through some partition's finite prediction list or stops, so
@@ -252,33 +252,11 @@ def _try_integration(
         )
     except InfeasibleError:
         if space is not None:
-            space.record(
-                DesignPoint(
-                    kind="system",
-                    area_mil2=sum(
-                        p.area_total.ml for p in selection.values()
-                    ),
-                    delay_cycles=max(
-                        p.latency_main for p in selection.values()
-                    ),
-                    ii_cycles=l,
-                    feasible=False,
-                )
-            )
+            space.record_selection(selection, l)
         return None, None
     report = evaluate_system(system, criteria)
     if space is not None:
-        space.record(
-            DesignPoint(
-                kind="system",
-                area_mil2=sum(
-                    u.total_area.ml for u in system.chip_usage.values()
-                ),
-                delay_cycles=system.delay_main,
-                ii_cycles=system.ii_main,
-                feasible=report.feasible,
-            )
-        )
+        space.record_system(system, report.feasible)
     return system, report
 
 

@@ -15,7 +15,11 @@ area-delay scatter series the figures show.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover — typing only
+    from repro.bad.prediction import DesignPrediction
+    from repro.core.integration import SystemPrediction
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,6 +58,47 @@ class DesignSpace:
     def record(self, point: DesignPoint) -> None:
         self._points.append(point)
         self._unique.add(point.signature())
+
+    def record_prediction(self, pred: DesignPrediction) -> None:
+        """One BAD prediction of one partition."""
+        self.record(
+            DesignPoint(
+                kind="partition",
+                area_mil2=pred.area_total.ml,
+                delay_cycles=pred.latency_main,
+                ii_cycles=pred.ii_main,
+            )
+        )
+
+    def record_selection(
+        self, selection: Mapping[str, DesignPrediction], ii_main: int
+    ) -> None:
+        """A selection that never integrated, as its predictions' summed
+        area and longest latency."""
+        predictions = selection.values()
+        self.record(
+            DesignPoint(
+                kind="system",
+                area_mil2=sum(p.area_total.ml for p in predictions),
+                delay_cycles=max(p.latency_main for p in predictions),
+                ii_cycles=ii_main,
+                feasible=False,
+            )
+        )
+
+    def record_system(self, system: SystemPrediction, feasible: bool) -> None:
+        """An integrated system, as its chips' summed area."""
+        self.record(
+            DesignPoint(
+                kind="system",
+                area_mil2=sum(
+                    u.total_area.ml for u in system.chip_usage.values()
+                ),
+                delay_cycles=system.delay_main,
+                ii_cycles=system.ii_main,
+                feasible=feasible,
+            )
+        )
 
     @property
     def total(self) -> int:

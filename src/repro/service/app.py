@@ -92,7 +92,7 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.profiling import peak_rss_bytes
 from repro.obs.prometheus import render_registry
-from repro.obs.slo import SLOTracker
+from repro.obs.slo import SLOTracker, is_failure
 from repro.obs.tracing import Tracer, activate
 from repro.service.cache import LRUCache, check_cache_key
 from repro.service.jobs import DONE, FAILED, CANCELLED, Job, JobQueue
@@ -585,10 +585,10 @@ class ChopService:
         """Account one finished HTTP request everywhere it belongs.
 
         Updates the metrics registry, appends a flight-recorder entry
-        (with the raw ``path`` next to its route template), and — on any
-        5xx — logs the failure and snapshots the flight buffer to
-        ``flight_dir`` so the context around the error survives the
-        process.
+        (with the raw ``path`` next to its route template), and — on a
+        failure (:func:`repro.obs.slo.is_failure`) — logs it and
+        snapshots the flight buffer to ``flight_dir`` so the context
+        around the error survives the process.
         """
         self.metrics.observe(route, seconds, status, trace_id=trace_id)
         self.flight.record(
@@ -599,8 +599,7 @@ class ChopService:
             latency_ms=seconds * 1000.0,
             trace_id=trace_id,
         )
-        if status >= 500 and status != 503:
-            # 503 is the drain/backpressure contract, not a failure.
+        if is_failure(status):
             self.log.error(
                 "request failed",
                 route=route,
@@ -751,7 +750,9 @@ class ChopService:
             finally:
                 # Keep the explain report even when the search failed
                 # or was cancelled — that is when the designer needs it.
-                if collector is not None and collector.evaluated:
+                if collector is not None and collector.counters.get(
+                    "combinations"
+                ):
                     job.artifacts["explain"] = collector.report(
                         heuristic=heuristic
                     ).to_dict()

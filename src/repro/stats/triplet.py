@@ -128,12 +128,6 @@ class Triplet:
             raise ZeroDivisionError("triplet division by zero")
         return self * (1.0 / d)
 
-    def scale_bounds(self, rel_lb: float, rel_ub: float) -> "Triplet":
-        """Widen (or tighten) the bounds around the most-likely value."""
-        lb = min(self.lb * rel_lb, self.ml)
-        ub = max(self.ub * rel_ub, self.ml)
-        return Triplet(lb, self.ml, ub)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -141,18 +135,6 @@ class Triplet:
     def width(self) -> float:
         """Spread between the bounds (zero for exact values)."""
         return self.ub - self.lb
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lb == self.ml == self.ub
-
-    def certainly_le(self, limit: Number) -> bool:
-        """True when even the upper bound satisfies ``X <= limit``."""
-        return self.ub <= float(limit)
-
-    def certainly_gt(self, limit: Number) -> bool:
-        """True when even the lower bound violates ``X <= limit``."""
-        return self.lb > float(limit)
 
     def __format__(self, spec: str) -> str:
         if not spec:

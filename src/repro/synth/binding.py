@@ -39,20 +39,6 @@ class BoundDesign:
     #: Registers actually instantiated.
     register_count: int
 
-    def operations_on(self, cls: str, index: int) -> List[str]:
-        return sorted(
-            op_id
-            for op_id, (c, i) in self.unit_of.items()
-            if c == cls and i == index
-        )
-
-    def values_in(self, register: int) -> List[str]:
-        return sorted(
-            value_id
-            for value_id, r in self.register_of.items()
-            if r == register
-        )
-
 
 def bind_design(
     graph: DataFlowGraph,

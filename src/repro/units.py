@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-MILS_PER_INCH = 1000.0
-
 #: Bit width used throughout the paper's experiments.
 DEFAULT_BIT_WIDTH = 16
 
@@ -64,12 +62,3 @@ def cycles_for_delay(delay_ns: float, cycle_ns: float) -> int:
     if delay_ns == 0:
         return 1
     return max(1, math.ceil(delay_ns / cycle_ns - 1e-9))
-
-
-def rect_area(width_mil: float, height_mil: float) -> float:
-    """Area of a rectangle in square mil."""
-    if width_mil <= 0 or height_mil <= 0:
-        raise ValueError(
-            f"dimensions must be positive, got {width_mil} x {height_mil}"
-        )
-    return width_mil * height_mil

@@ -9,7 +9,9 @@ two memory designs of ``examples/``: the windowed filter of
 ``memory_partitioning.py`` with M_IN off its reader's chip, and the
 Figure 2 design of ``figure2_scenario.py``, and two generated states of
 experiment 2 with k = 5 where two partitions share a chip (see
-:data:`SHARED_CHIP_STATES`).
+:data:`SHARED_CHIP_STATES`).  Beside the corpus, :data:`TRACED_COUNTERS`
+pins the span counters of a traced check of the three states where
+level 2 fires.
 
 A refactor of the search, the engine or the integration model must leave
 every document unchanged.  A deliberate model change rewrites the file,
@@ -29,6 +31,7 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro.experiments.setups import experiment1_session, experiment2_session
+from repro.obs.tracing import Tracer, activate
 
 GOLDEN = Path(__file__).parent / "golden" / "check_results.json"
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -101,6 +104,27 @@ def shared_chip_state_session(state: str):
     session = experiment2_session(partition_count=5)
     session.move_partition(partition, chip)
     return session
+
+
+#: The ``search.enumeration`` span counters of a traced check of each
+#: state where level 2 fires.  Tracing does not change the walk, so a
+#: subtree skipped for conflicting rates counts as integration-infeasible
+#: whole; only explain screens it first, so the ``explain|<state>``
+#: documents count more level-2 kills.
+TRACED_COUNTERS = {
+    "shared_chip": {
+        "combinations": 240, "pruned_level2": 21,
+        "integration_infeasible": 40, "feasible": 6,
+    },
+    "exp2_k5_p3_chip2": {
+        "combinations": 5280, "pruned_level2": 12,
+        "integration_infeasible": 4864, "feasible": 0,
+    },
+    "exp2_k5_p2_chip1": {
+        "combinations": 5280, "pruned_level2": 48,
+        "integration_infeasible": 4864, "feasible": 10,
+    },
+}
 
 
 def _shared_chip_state_check(state: str):
@@ -204,6 +228,21 @@ def test_corpus_covers_every_case():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_check_document(case):
     assert CASES[case]() == _expected()[case]
+
+
+@pytest.mark.parametrize("state", sorted(TRACED_COUNTERS))
+def test_traced_counters(state):
+    if state == "shared_chip":
+        session = shared_chip_session()
+    else:
+        session = shared_chip_state_session(state)
+    tracer = Tracer()
+    with activate(tracer):
+        session.check("enumeration")
+    (walk,) = [
+        s for s in tracer.spans() if s["name"] == "search.enumeration"
+    ]
+    assert walk["counters"] == TRACED_COUNTERS[state]
 
 
 def main(argv: List[str]) -> int:

@@ -9,10 +9,12 @@ platforms that start workers that way.  Tests that need the pool on a
 small space use the ``pool_always`` fixture.  The walk skips subtrees
 whose pipelined rates conflict; :func:`reference_evaluate_range` keeps
 the per-combination loop it replaced as the oracle of that skip.
+Tracing must not change the walk: span counters are an output only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import os
@@ -53,7 +55,7 @@ from repro.errors import (
 from repro.experiments import experiment1_session, experiment2_session
 from repro.library.presets import extended_library
 from repro.memory.module import MemoryModule
-from repro.obs import ExplainCollector
+from repro.obs import ExplainCollector, Tracer, activate
 from repro.search.results import FeasibleDesign
 from tests.test_check_golden import (
     SHARED_CHIP_STATES,
@@ -414,7 +416,12 @@ class TestPlan:
 def reference_evaluate_range(problem, start, stop, collector=None,
                              counters=None):
     """The walk before it skipped rate-conflicting subtrees: decode,
-    screen and integrate every combination of ``[start, stop)``."""
+    screen and integrate every combination of ``[start, stop)``.
+
+    ``collector`` receives each integrated combination's report and
+    ``counters`` the per-combination tallies, as explain counts them:
+    level 2 before integration.
+    """
     feasible = []
     pruned = unintegrable = 0
     for flat in range(start, stop):
@@ -425,8 +432,6 @@ def reference_evaluate_range(problem, start, stop, collector=None,
             problem.area_screen, digits
         ):
             pruned += 1
-            if collector is not None:
-                collector.record_pruned()
             continue
         try:
             system = integrate(
@@ -435,8 +440,6 @@ def reference_evaluate_range(problem, start, stop, collector=None,
             )
         except InfeasibleError:
             unintegrable += 1
-            if collector is not None:
-                collector.record_integration_infeasible()
             continue
         report = evaluate_system(system, problem.criteria)
         if collector is not None:
@@ -474,6 +477,28 @@ def oracle_problem(state):
     return build_problem(ORACLE_STATES[state]())
 
 
+@contextlib.contextmanager
+def counted_walk_calls():
+    """Count the walk's ``chip_area_hopeless`` and ``integrate`` calls."""
+    calls = {"chip_area_hopeless": 0, "integrate": 0}
+    originals = {name: getattr(workers_module, name) for name in calls}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return call
+
+    try:
+        for name in calls:
+            setattr(workers_module, name, counting(name))
+        yield calls
+    finally:
+        for name, original in originals.items():
+            setattr(workers_module, name, original)
+
+
 def walk_doc(feasible, names):
     """Each feasible design's prediction objects and summary, in order."""
     return [
@@ -488,51 +513,79 @@ def walk_doc(feasible, names):
 class TestSubtreeSkip:
     @given(
         state=st.sampled_from(sorted(ORACLE_STATES)),
-        hooked=st.booleans(),
+        explain=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_per_combination_loop(self, state, hooked, data):
+    def test_matches_the_per_combination_loop(self, state, explain, data):
         problem = oracle_problem(state)
         total = problem.combination_count()
         start = data.draw(st.integers(0, total), label="start")
         stop = data.draw(st.integers(start, total), label="stop")
-        hooks = [ExplainCollector(), {}] if hooked else [None, None]
-        expected_hooks = [ExplainCollector(), {}] if hooked else [None, None]
-
-        feasible, trials = workers_module.evaluate_range(
-            problem, start, stop, collector=hooks[0], counters=hooks[1],
-        )
+        oracle = ExplainCollector()
         expected, expected_trials = reference_evaluate_range(
-            problem, start, stop, *expected_hooks
+            problem, start, stop, oracle, oracle.counters
         )
+        with counted_walk_calls() as bare_calls:
+            bare, bare_trials = workers_module.evaluate_range(
+                problem, start, stop
+            )
+        assert bare_trials == expected_trials
+        assert walk_doc(bare, problem.names) == walk_doc(
+            expected, problem.names
+        )
+
+        collector = ExplainCollector() if explain else None
+        counters = {} if collector is None else collector.counters
+        with counted_walk_calls() as calls:
+            feasible, trials = workers_module.evaluate_range(
+                problem, start, stop, collector=collector, counters=counters,
+            )
         assert trials == expected_trials
         assert walk_doc(feasible, problem.names) == walk_doc(
             expected, problem.names
         )
-        if hooked:
-            assert hooks[1] == expected_hooks[1]
+        if explain:
+            # Explain screens every skipped combination: level 2 first.
+            assert counters == oracle.counters
             assert (
-                hooks[0].report().to_dict()
-                == expected_hooks[0].report().to_dict()
+                collector.report().to_dict() == oracle.report().to_dict()
             )
-
-    def test_skips_integration_of_conflicting_combinations(
-        self, monkeypatch
-    ):
-        problem = oracle_problem("exp2_k5")
-        calls = []
-
-        def counting_integrate(*args, **kwargs):
-            calls.append(1)
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(workers_module, "integrate", counting_integrate)
-        _feasible, trials = workers_module.evaluate_range(
-            problem, 0, problem.combination_count()
+            return
+        # Counters alone watch the walk without steering it.
+        assert calls == bare_calls
+        assert counters["combinations"] == oracle.counters["combinations"]
+        assert counters["feasible"] == oracle.counters["feasible"]
+        assert (
+            counters["pruned_level2"] + counters["integration_infeasible"]
+            == oracle.counters["pruned_level2"]
+            + oracle.counters["integration_infeasible"]
         )
+
+    def test_skips_integration_of_conflicting_combinations(self):
+        problem = oracle_problem("exp2_k5")
+        with counted_walk_calls() as calls:
+            _feasible, trials = workers_module.evaluate_range(
+                problem, 0, problem.combination_count()
+            )
         assert trials == 5280
-        assert len(calls) == problem.walkable_count() == 416
+        assert calls["integrate"] == problem.walkable_count() == 416
+
+    def test_traced_check_walks_like_an_untraced_one(self):
+        session = experiment2_session(partition_count=5)
+        tracer = Tracer()
+        with counted_walk_calls() as calls, activate(tracer):
+            session.check("enumeration")
+        assert calls == {"chip_area_hopeless": 416, "integrate": 416}
+        (walk,) = [
+            s for s in tracer.spans() if s["name"] == "search.enumeration"
+        ]
+        assert walk["counters"] == {
+            "combinations": 5280,
+            "pruned_level2": 0,
+            "integration_infeasible": 4864,
+            "feasible": 177,
+        }
 
 
 # ----------------------------------------------------------------------

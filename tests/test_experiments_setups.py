@@ -34,7 +34,6 @@ class TestConstants:
         clocks1 = experiment1_clocks()
         assert clocks1.main_cycle_ns == 300.0
         assert clocks1.dp_cycle_ns == 3_000.0
-        assert clocks1.transfer_cycle_ns == 300.0
         clocks2 = experiment2_clocks()
         assert clocks2.dp_cycle_ns == 300.0
 

@@ -7,11 +7,11 @@ import math
 
 import pytest
 
-from repro.chips.package import ChipPackage
+from repro.chips.package import ChipPackage, scale_package
 from repro.dfg.builders import generate_dfg
 from repro.errors import PartitioningError, SearchCancelled
 from repro.auto.partitioner import session_like_factory
-from repro.explore import ExploreConfig, explore, scale_package
+from repro.explore import ExploreConfig, explore
 from repro.experiments import experiment1_session
 from repro.io.project import load_project
 from repro.search.pareto import dominates

@@ -57,10 +57,6 @@ class TestMemoryModule:
         m = MemoryModule("M", 256, 16, off_the_shelf=True)
         assert m.on_chip_area_mil2() == 0.0
 
-    def test_bandwidth(self):
-        m = MemoryModule("M", 256, 16, ports=2)
-        assert m.bandwidth_bits_per_cycle() == 32
-
     def test_validation(self):
         with pytest.raises(ChipError):
             MemoryModule("M", 0, 16)
@@ -79,7 +75,7 @@ class TestAccessProfile:
         assert profile.writes == {"M_B": 1}
         assert profile.blocks == ("M_A", "M_B")
         assert profile.accesses("M_A") == 2
-        assert profile.total_accesses == 3
+        assert sum(map(profile.accesses, profile.blocks)) == 3
 
     def test_bandwidth_bits(self, memory_graph, modules):
         profile = memory_access_profile(
@@ -98,7 +94,7 @@ class TestAccessProfile:
     def test_empty_profile_for_compute_ops(self, tiny_graph):
         profile = memory_access_profile(tiny_graph, tiny_graph.operations)
         assert profile.blocks == ()
-        assert profile.total_accesses == 0
+        assert not profile.reads and not profile.writes
 
 
 class TestPinLoad:

@@ -25,8 +25,13 @@ class _FakeReport:
 class TestCollector:
     def test_counts_and_first_blocker_attribution(self):
         collector = ExplainCollector()
-        collector.record_pruned()
-        collector.record_integration_infeasible()
+        # The walk credits its own counters; the collector only reads
+        # them.  Five combinations: one level-2 kill, one integration
+        # failure and three checked, one of them feasible.
+        collector.counters.update(
+            combinations=5, pruned_level2=1, integration_infeasible=1,
+            feasible=1,
+        )
         collector.record_report(_FakeReport([
             _FakeCheck("area:chip1", passed=False, probability=0.1,
                        margin=-50.0),
@@ -68,6 +73,10 @@ class TestCollector:
         import json
 
         collector = ExplainCollector()
+        collector.counters.update(
+            combinations=1, pruned_level2=0, integration_infeasible=0,
+            feasible=0,
+        )
         collector.record_report(_FakeReport([
             _FakeCheck("power:chip1", passed=False, probability=0.2,
                        margin=-7.5),

@@ -76,6 +76,15 @@ class TestEvaluate:
         assert doc["burn"] == pytest.approx(10.0)
         assert outcome["ok"] is False
 
+    def test_503_is_not_a_failure(self):
+        registry = make_registry(statuses=[(200, 90), (503, 10)])
+        outcome = SLOTracker(registry, error_rate=0.01).evaluate()
+        doc = outcome["objectives"][1]
+        assert doc["measured_ratio"] == 0.0
+        assert doc["ok"] is True and outcome["ok"] is True
+        ok = registry.get("slo_ok")
+        assert ok.labels(slo="error_rate").value == 1.0
+
     def test_gauges_exported_to_registry(self):
         registry = make_registry(statuses=[(200, 99), (500, 1)])
         tracker = SLOTracker(registry, error_rate=0.05)
@@ -98,7 +107,7 @@ STATES = {
         [("POST /projects/{id}/check", 0.9, 200)] * 20
         + [("GET /healthz", 0.002, 200)] * 20
     ),
-    # 503 (drain, backpressure) counts in the 5xx share like 500.
+    # 503 (drain, backpressure) is no failure: only the 500s burn.
     "errors_burned": (
         [("GET /healthz", 0.002, 200)] * 90
         + [("POST /projects", 0.003, 503)] * 6
@@ -118,7 +127,7 @@ PINNED = [
      (0.0, 0.0, 0.0)),
     ({}, "errors_burned",
      (0.0033333333333333335, 0.006667, 0.006666666666666667),
-     (0.1, 10.0, 10.0)),
+     (0.04, 4.0, 4.0)),
     (dict(slo_latency_ms=50.0, slo_error_rate=0.25), "idle",
      (None, 0.0, 0.0), (None, 0.0, 0.0)),
     (dict(slo_latency_ms=50.0, slo_error_rate=0.25), "within_budget",
@@ -129,7 +138,7 @@ PINNED = [
      (0.0, 0.0, 0.0)),
     (dict(slo_latency_ms=50.0, slo_error_rate=0.25), "errors_burned",
      (0.0033333333333333335, 0.066667, 0.06666666666666667),
-     (0.1, 0.4, 0.4)),
+     (0.04, 0.16, 0.16)),
 ]
 
 

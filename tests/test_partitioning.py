@@ -176,17 +176,6 @@ class TestPartitioningQueries:
         with pytest.raises(PartitioningError):
             pt.chip_of("P9")
 
-    def test_with_assignment(self, pt):
-        moved = pt.with_assignment("P3", "chip1")
-        assert moved.chip_of("P3") == "chip1"
-        assert pt.chip_of("P3") == "chip2"  # original untouched
-
-    def test_with_assignment_validates(self, pt):
-        with pytest.raises(PartitioningError):
-            pt.with_assignment("P9", "chip1")
-        with pytest.raises(PartitioningError):
-            pt.with_assignment("P1", "chip9")
-
 
 class TestSchemes:
     def test_single_partition(self, ar_graph):

@@ -82,7 +82,10 @@ class TestPredictionContents:
 
     def test_area_breakdown_sums(self, exp1_predictor, ar_graph):
         for p in exp1_predictor.predict_partition(ar_graph)[:10]:
-            parts = p.area.as_dict().values()
+            parts = (
+                p.area.functional_units, p.area.registers,
+                p.area.multiplexers, p.area.controller, p.area.wiring,
+            )
             total = p.area_total
             assert total.ml == pytest.approx(
                 sum(part.ml for part in parts)

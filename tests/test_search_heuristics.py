@@ -83,7 +83,7 @@ class TestEnumeration:
         assert verdict_doc(pruned) == verdict_doc(unpruned)
         # Level 1 leaves the screen nothing to kill on one-partition chips
         # of equal size; it fires only where partitions share a chip.
-        fired = collector.pruned_level2 > 0
+        fired = collector.counters["pruned_level2"] > 0
         assert fired == (inputs == "shared_chip_inputs")
 
     def test_empty_predictions_rejected(self, two_way_inputs):

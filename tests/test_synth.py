@@ -39,7 +39,10 @@ class TestUnitBinding:
         bound = bind_design(ar_graph, schedule)
         for cls, used in bound.units_used.items():
             for index in range(used):
-                ops = bound.operations_on(cls, index)
+                ops = [
+                    op_id for op_id, unit in bound.unit_of.items()
+                    if unit == (cls, index)
+                ]
                 spans = sorted(
                     (schedule.start[o], schedule.finish(o)) for o in ops
                 )
@@ -61,7 +64,9 @@ class TestRegisterBinding:
         lifetimes = value_lifetimes(ar_graph, schedule)
         for register in range(bound.register_count):
             spans = sorted(
-                lifetimes[v] for v in bound.values_in(register)
+                lifetimes[v]
+                for v, r in bound.register_of.items()
+                if r == register
             )
             for (b1, e1), (b2, _e2) in zip(spans, spans[1:]):
                 assert e1 <= b2

@@ -109,7 +109,7 @@ class TestTaskCreation:
             {"P1": "chip1"},
         )
         tg = build_task_graph(pt)
-        kinds = {t.kind for t in tg.data_tasks()}
+        kinds = {t.kind for t in tg.tasks.values() if t.moves_data}
         assert kinds == {TaskKind.INPUT, TaskKind.OUTPUT}
 
 

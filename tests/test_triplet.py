@@ -13,7 +13,6 @@ class TestConstruction:
     def test_exact(self):
         t = Triplet.exact(5)
         assert t.lb == t.ml == t.ub == 5.0
-        assert t.is_exact
 
     def test_spread(self):
         t = Triplet.spread(100, 0.9, 1.25)
@@ -91,22 +90,8 @@ class TestQueries:
     def test_width(self):
         assert Triplet(1, 2, 4).width == 3
 
-    def test_certainly_le(self):
-        t = Triplet(10, 20, 30)
-        assert t.certainly_le(30)
-        assert not t.certainly_le(29)
-
-    def test_certainly_gt(self):
-        t = Triplet(10, 20, 30)
-        assert t.certainly_gt(9)
-        assert not t.certainly_gt(10)
-
     def test_format(self):
         assert "100" in format(Triplet.exact(100), ".4g")
-
-    def test_scale_bounds_widen(self):
-        t = Triplet(90, 100, 110).scale_bounds(0.5, 2.0)
-        assert t.lb == 45 and t.ub == 220 and t.ml == 100
 
 
 class TestProperties:

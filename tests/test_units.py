@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.units import ceil_div, cycles_for_delay, rect_area
+from repro.units import ceil_div, cycles_for_delay
 
 
 class TestCeilDiv:
@@ -76,14 +76,3 @@ class TestCyclesForDelay:
         cycles = cycles_for_delay(delay, cycle)
         assert cycles >= 1
         assert cycles * cycle >= delay - 1e-6 * max(delay, 1.0)
-
-
-class TestRectArea:
-    def test_paper_package_area(self):
-        assert rect_area(311.02, 362.20) == pytest.approx(112651.444)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            rect_area(0.0, 10.0)
-        with pytest.raises(ValueError):
-            rect_area(10.0, -1.0)
