@@ -7,11 +7,16 @@ with k = 3..5) under both heuristics, plus the Figure 7 keep-all walk
 (experiment 1, package 2, k = 2, unpruned) with its design-space totals,
 two memory designs of ``examples/``: the windowed filter of
 ``memory_partitioning.py`` with M_IN off its reader's chip, and the
-Figure 2 design of ``figure2_scenario.py``, and two generated states of
+Figure 2 design of ``figure2_scenario.py``, two generated states of
 experiment 2 with k = 5 where two partitions share a chip (see
-:data:`SHARED_CHIP_STATES`).  Beside the corpus, :data:`TRACED_COUNTERS`
-pins the span counters of a traced check of the three states where
-level 2 fires.
+:data:`SHARED_CHIP_STATES`), and two paper cells under edited delay
+criteria (see :data:`DELAY_STATES`): experiment 2 with k = 5 at a
+24,600 ns delay limit, where the delay fails on the critical path alone
+for about half of the walked combinations (check and explain
+documents), and experiment 1, package 1, k = 3 at a delay confidence of
+1e-12, which a delay of probability 0 still meets.  Beside the corpus,
+:data:`TRACED_COUNTERS` pins the span counters of a traced check of the
+three states where level 2 fires.
 
 A refactor of the search, the engine or the integration model must leave
 every document unchanged.  A deliberate model change rewrites the file,
@@ -22,6 +27,7 @@ and its diff is reviewed like code::
 
 from __future__ import annotations
 
+import functools
 import json
 import runpy
 import sys
@@ -31,6 +37,7 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro.experiments.setups import experiment1_session, experiment2_session
+from repro.io.project import load_project, session_to_dict
 from repro.obs.tracing import Tracer, activate
 
 GOLDEN = Path(__file__).parent / "golden" / "check_results.json"
@@ -143,6 +150,51 @@ def _shared_chip_state_explain(state: str):
     return run
 
 
+#: Paper cells under edited criteria, by case name: (session factory,
+#: criteria changes).  ``exp2_k5_delay24600``: 24,600 ns is 82 cycles
+#: at 300 ns, the median main-clock critical path of the cell's 416
+#: walkable combinations (46-177), so about half of them overrun the
+#: limit before any integration overhead; 106 designs stay feasible.
+#: ``exp1_pkg1_k3_conf1e-12``: ``ConstraintCheck.passed`` allows 1e-12
+#: of float noise, so a delay of probability 0 passes a confidence of
+#: 1e-12 and 200 of the 240 combinations are feasible.
+DELAY_STATES = {
+    "exp2_k5_delay24600": (
+        functools.partial(experiment2_session, partition_count=5),
+        {"delay_ns": 24600.0},
+    ),
+    "exp1_pkg1_k3_conf1e-12": (
+        functools.partial(
+            experiment1_session, package_number=1, partition_count=3
+        ),
+        {"delay_confidence": 1e-12},
+    ),
+}
+
+
+def delay_state_session(state: str):
+    """The :data:`DELAY_STATES` session named ``state``, built from its
+    cell's project document with the criteria edited."""
+    factory, changes = DELAY_STATES[state]
+    doc = session_to_dict(factory())
+    doc["criteria"].update(changes)
+    return load_project(doc)
+
+
+def _delay_state_check(state: str):
+    def run():
+        return verdict_doc(delay_state_session(state).check("enumeration"))
+
+    return run
+
+
+def _delay_state_explain(state: str):
+    def run():
+        return delay_state_session(state).explain().to_dict()
+
+    return run
+
+
 def example_session(name: str, *args):
     """``build_session(*args)`` of one script of ``examples/``."""
     return runpy.run_path(str(EXAMPLES / f"{name}.py"))["build_session"](*args)
@@ -207,6 +259,11 @@ def cases() -> Dict[str, Callable[[], Dict[str, object]]]:
     for state in SHARED_CHIP_STATES:
         out[f"{state}|enumeration"] = _shared_chip_state_check(state)
         out[f"explain|{state}"] = _shared_chip_state_explain(state)
+    for state in DELAY_STATES:
+        out[f"{state}|enumeration"] = _delay_state_check(state)
+    out["explain|exp2_k5_delay24600"] = _delay_state_explain(
+        "exp2_k5_delay24600"
+    )
     for design in MEMORY_DESIGNS:
         for heuristic in HEURISTICS:
             out[f"{design}|{heuristic}"] = _memory_check(design, heuristic)
