@@ -40,15 +40,6 @@ def asap_schedule(
     )
 
 
-def critical_path_cycles(
-    graph: DataFlowGraph,
-    duration: Mapping[str, int],
-    ready: Optional[Mapping[str, int]] = None,
-) -> int:
-    """Unconstrained latency: the longest duration-weighted path."""
-    return _finish_time(asap_schedule(graph, duration, ready), duration)
-
-
 def _asap(
     order: Sequence[str],
     preds: Mapping[str, Sequence[str]],

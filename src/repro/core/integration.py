@@ -194,9 +194,10 @@ class IntegrationPlan:
 
     Built once from a partitioning, its task graph, the clocks and the
     library, a plan holds the pin budgets and data capacities, every
-    transfer estimate, the per-chip statics of chip usage, the
-    memory-bandwidth verdict per initiation interval, and a memo of
-    data-transfer modules keyed by (task, chip, mode, wait or hold, II).
+    transfer estimate, the per-chip statics of chip usage, the task
+    graph's critical-path index table, the memory-bandwidth verdict per
+    initiation interval, and a memo of data-transfer modules keyed by
+    (task, chip, mode, wait or hold, II).
     :func:`integrate` then does only the per-selection work.
 
     A selection-independent step that fails does not raise here: the
@@ -236,6 +237,9 @@ class IntegrationPlan:
         self._transfer_failure: Optional[str] = None
         self._usage_failure: Optional[str] = None
         self._dtm_slots: Tuple[Tuple[str, str, str], ...] = ()
+        #: :meth:`critical_path`'s (duration, partition, successors) per
+        #: task, sinks first; a transfer's partition is ``None``.
+        self._path: Tuple[Tuple[int, Optional[str], Tuple[int, ...]], ...] = ()
         self._chips: Tuple[_ChipPlan, ...] = ()
         self._accesses: Dict[str, int] = {}
         if partitioning.memories:
@@ -287,6 +291,18 @@ class IntegrationPlan:
             self._transfer_failure = str(exc)
             return
         self._dtm_slots = self._plan_dtm_slots()
+        tasks = task_graph.tasks
+        order = task_graph.topological_order()[::-1]
+        position = {name: index for index, name in enumerate(order)}
+        self._path = tuple(
+            (
+                self.transfer_durations.get(name, 0),
+                tasks[name].partition
+                if tasks[name].kind is TaskKind.PROCESS else None,
+                tuple(position[succ] for succ in task_graph.successors(name)),
+            )
+            for name in order
+        )
         try:
             self._chips = tuple(
                 self._plan_chip(name, chip)
@@ -364,9 +380,31 @@ class IntegrationPlan:
             driven_pads=max((t.pins for t in chip_tasks), default=0),
         )
 
+    @property
+    def failed(self) -> bool:
+        """Whether a selection-independent step's error is stored."""
+        return (self._pin_failure, self._transfer_failure,
+                self._usage_failure) != (None, None, None)
+
     # ------------------------------------------------------------------
     # per selection
     # ------------------------------------------------------------------
+    def critical_path(self, selection: Mapping[str, DesignPrediction]) -> int:
+        """The task graph's longest path in main cycles, with process
+        tasks at their picks' ``latency_main`` and data tasks at their
+        transfer durations: no urgency schedule is shorter.  Defined
+        only on a plan that has not :attr:`failed`."""
+        length: List[int] = []
+        for duration, partition, successors in self._path:
+            if partition is not None:
+                duration = selection[partition].latency_main
+            downstream = 0
+            for succ in successors:
+                if length[succ] > downstream:
+                    downstream = length[succ]
+            length.append(duration + downstream)
+        return max(length, default=0)
+
     def check(self, ii_main: int) -> None:
         """Raise what the selection-independent steps raise at ``ii_main``.
 

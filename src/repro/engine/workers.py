@@ -76,7 +76,9 @@ from repro.search.space import DesignSpace
 #: runs in process.  On a 2-vCPU host two forked workers ran the paper
 #: cells of up to 768 walkable combinations at 0.37-0.98x the serial
 #: walk and the 3,840 walkable combination cells at 1.56-1.61x
-#: (docs/performance.md, "Where the pool pays").
+#: (docs/performance.md, "Where the pool pays").  Since the walk
+#: screens critical paths, exp1 pkg2 k=5 integrates 275 of its 3,840
+#: and pools at 0.53x (170 ms against 105 ms in process).
 MIN_COMBINATIONS = 2048
 
 #: Shards per worker: more shards than workers so a slow shard cannot
@@ -163,6 +165,10 @@ class EvaluationProblem:
     #: ``rates[i][d]`` is prediction ``d`` of list ``i``'s pipelined
     #: rate (its ``ii_main``), ``None`` when it is not pipelined.
     rates: Tuple[Tuple[Optional[int], ...], ...]
+    #: The delay limit that :func:`evaluate_range` holds each walked
+    #: combination's main clock times critical path to, or ``None``
+    #: where that screen is not sound (see :meth:`build`).
+    delay_limit_ns: Optional[float]
 
     @classmethod
     def build(
@@ -179,6 +185,22 @@ class EvaluationProblem:
         if task_graph is None:
             task_graph = build_task_graph(partitioning)
         lists = tuple(tuple(predictions[name]) for name in names)
+        plan = IntegrationPlan(partitioning, task_graph, clocks, library)
+        pla = plan.pla_params
+        # The critical-path screen is sound where a delay of probability
+        # 0 fails (``ConstraintCheck.passed`` allows 1e-12), no clock
+        # overhead is negative and integrate() raises no error it hides.
+        sound = (
+            prune
+            and criteria.delay_confidence > 1e-12
+            and not plan.failed
+            and min(pla.base_delay_ns, pla.delay_per_input_ns,
+                    pla.delay_per_term_ns) >= 0
+            and all(
+                pred.clock_overhead_ns >= 0 and pred.latency_main >= 0
+                for options in lists for pred in options
+            )
+        )
         return cls(
             partitioning=partitioning,
             names=names,
@@ -187,7 +209,7 @@ class EvaluationProblem:
             library=library,
             criteria=criteria,
             prune=prune,
-            plan=IntegrationPlan(partitioning, task_graph, clocks, library),
+            plan=plan,
             area_screen=AreaScreen.build(partitioning, names, lists),
             rates=tuple(
                 tuple(
@@ -196,6 +218,7 @@ class EvaluationProblem:
                 )
                 for options in lists
             ),
+            delay_limit_ns=criteria.delay_ns if sound else None,
         )
 
     @property
@@ -317,7 +340,10 @@ def evaluate_range(
     This is the one evaluation loop in the system: the serial path runs
     it over the whole space, workers run it over their shard.  Level-2
     pruning abandons a combination on the first violated chip-area bound
-    before the (more expensive) system integration runs.
+    before the (more expensive) system integration runs, and then, where
+    the problem sets ``delay_limit_ns`` and no ``space`` or ``collector``
+    reads how combinations fail, on a main clock times critical path
+    over that limit: the delay check would fail at probability 0.
 
     The walk skips what :func:`integrate`'s rate check would reject:
     where a list position's pipelined rate conflicts with an earlier
@@ -338,9 +364,10 @@ def evaluate_range(
     the one hook that changes the walk: explain counts level 2 before
     integration, as the paper orders the checks, so with a collector
     (and ``prune`` on) each skipped combination still goes through the
-    level-2 screen.  Without one, a skipped subtree counts as
-    ``integration_infeasible`` whole, because :func:`integrate` would
-    reject its combinations at its first check.
+    area screen, and no combination is dropped for its critical path.
+    Without one, a skipped subtree counts as ``integration_infeasible``
+    whole, because :func:`integrate` would reject its combinations at
+    its first check.
 
     ``soft_stop`` is the graceful-degradation hook (a
     :class:`repro.resilience.SoftDeadline`): where ``cancel`` raises and
@@ -358,6 +385,10 @@ def evaluate_range(
     subtree = _subtree_sizes(radices)
     skip = space is None
     screen_skipped = problem.prune and collector is not None
+    delay_limit = (
+        problem.delay_limit_ns if skip and collector is None else None
+    )
+    main_cycle_ns = problem.clocks.main_cycle_ns
     flat = start
     try:
         while flat < stop:
@@ -394,6 +425,12 @@ def evaluate_range(
                 pruned += 1
                 if space is not None:
                     space.record_selection(selection, ii_main)
+                continue
+            if delay_limit is not None and (
+                main_cycle_ns * problem.plan.critical_path(selection)
+                > delay_limit
+            ):
+                pruned += 1
                 continue
             try:
                 system = integrate(

@@ -13,7 +13,9 @@ at its slowest implementation's rate.
 
 With pruning on, a combination is abandoned on the first violated chip
 area bound before the (more expensive) system integration runs — the
-paper's level-2 pruning.
+paper's level-2 pruning — or, unless an explain report or ``keep_all``
+reads how it fails, when its main clock times critical path already
+overruns the delay limit.
 
 The section's rejection of combinations whose pipelined implementations
 run at different data rates is a subtree skip: once a partition's pick
@@ -93,7 +95,8 @@ def enumeration_search(
     or, with a collector, to ``collector.counters``, which are then
     copied onto the span: one count serves the trace and the explain
     report.  Tracing never changes the walk; only ``keep_all`` and
-    ``collector`` make it visit the combinations it would skip (see
+    ``collector`` make it visit the combinations it would skip and
+    integrate those it would screen (see
     :func:`repro.engine.workers.evaluate_range`).
 
     ``soft_deadline_s`` is the graceful-degradation hook (paper framing:

@@ -7,14 +7,17 @@ worker death, cancellation).  The pool starts with ``fork`` on Linux;
 one test runs it under ``spawn`` so pickling stays covered for the
 platforms that start workers that way.  Tests that need the pool on a
 small space use the ``pool_always`` fixture.  The walk skips subtrees
-whose pipelined rates conflict; :func:`reference_evaluate_range` keeps
-the per-combination loop it replaced as the oracle of that skip.
-Tracing must not change the walk: span counters are an output only.
+whose pipelined rates conflict and drops combinations whose main-clock
+critical path already overruns the delay limit;
+:func:`reference_evaluate_range` keeps the per-combination loop without
+either as their oracle.  Tracing must not change the walk: span counters
+are an output only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -46,7 +49,9 @@ from repro.engine import (
 import repro.engine.workers as workers_module
 from repro.core.feasibility import evaluate_system
 from repro.core.integration import integrate
+from repro.core.urgency import _urgency
 from repro.errors import (
+    ChopError,
     CombinationExplosionError,
     EngineError,
     InfeasibleError,
@@ -62,6 +67,7 @@ from tests.test_check_golden import (
     shared_chip_session,
     shared_chip_state_session,
 )
+from tests.test_integration_golden import CASES as INTEGRATION_STATES
 
 SPEC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -411,12 +417,14 @@ class TestPlan:
 
 
 # ----------------------------------------------------------------------
-# the subtree skip against the per-combination loop
+# the subtree skip and the critical-path screen against the
+# per-combination loop
 # ----------------------------------------------------------------------
 def reference_evaluate_range(problem, start, stop, collector=None,
                              counters=None):
-    """The walk before it skipped rate-conflicting subtrees: decode,
-    screen and integrate every combination of ``[start, stop)``.
+    """The walk before it skipped rate-conflicting subtrees and screened
+    critical paths: decode, area-screen and integrate every combination
+    of ``[start, stop)``.
 
     ``collector`` receives each integrated combination's report and
     ``counters`` the per-combination tallies, as explain counts them:
@@ -510,6 +518,59 @@ def walk_doc(feasible, names):
     ]
 
 
+def critical_path(problem, selection):
+    """``selection``'s main-clock critical path, from the task graph:
+    the longest path with each process task at its pick's
+    ``latency_main`` and each data task at its transfer duration."""
+    plan = problem.plan
+    durations = dict(plan.transfer_durations)
+    for task, partition in plan.process_tasks:
+        durations[task] = selection[partition].latency_main
+    graph = plan.task_graph
+    return max(_urgency(graph, durations, graph.topological_order()).values())
+
+
+@functools.lru_cache(maxsize=None)
+def walked_paths(state):
+    """Flat index -> critical path of each combination of ``state`` that
+    reaches the walk's integration step: its pipelined rates agree and
+    level 2's area bound does not kill it."""
+    problem = oracle_problem(state)
+    paths = {}
+    for flat in range(problem.combination_count()):
+        digits = decode_combination(flat, problem.radices)
+        selection = problem.select(digits)
+        rates = {p.ii_main for p in selection.values() if p.pipelined}
+        if len(rates) <= 1 and not workers_module.chip_area_hopeless(
+            problem.area_screen, digits
+        ):
+            paths[flat] = critical_path(problem, selection)
+    return paths
+
+
+def delay_kills(problem, paths, start, stop):
+    """How many of ``paths`` in ``[start, stop)`` overrun ``problem``'s
+    delay limit at the main clock."""
+    main = problem.clocks.main_cycle_ns
+    return sum(
+        start <= flat < stop and main * path > problem.criteria.delay_ns
+        for flat, path in paths.items()
+    )
+
+
+def with_criteria(problem, **changes):
+    """``problem`` rebuilt through :meth:`EvaluationProblem.build` under
+    its criteria with ``changes``, from the same prediction objects."""
+    return EvaluationProblem.build(
+        problem.partitioning,
+        dict(zip(problem.names, problem.lists)),
+        problem.clocks,
+        problem.library,
+        dataclasses.replace(problem.criteria, **changes),
+        task_graph=problem.plan.task_graph,
+    )
+
+
 class TestSubtreeSkip:
     @given(
         state=st.sampled_from(sorted(ORACLE_STATES)),
@@ -552,7 +613,9 @@ class TestSubtreeSkip:
                 collector.report().to_dict() == oracle.report().to_dict()
             )
             return
-        # Counters alone watch the walk without steering it.
+        # Counters alone watch the walk without steering it.  The
+        # critical-path screen credits its kills to level 2, and none
+        # of them would have failed integration.
         assert calls == bare_calls
         assert counters["combinations"] == oracle.counters["combinations"]
         assert counters["feasible"] == oracle.counters["feasible"]
@@ -560,32 +623,166 @@ class TestSubtreeSkip:
             counters["pruned_level2"] + counters["integration_infeasible"]
             == oracle.counters["pruned_level2"]
             + oracle.counters["integration_infeasible"]
+            + delay_kills(problem, walked_paths(state), start, stop)
         )
 
     def test_skips_integration_of_conflicting_combinations(self):
-        problem = oracle_problem("exp2_k5")
-        with counted_walk_calls() as calls:
-            _feasible, trials = workers_module.evaluate_range(
-                problem, 0, problem.combination_count()
-            )
-        assert trials == 5280
-        assert calls["integrate"] == problem.walkable_count() == 416
+        # At a delay confidence of 1e-12 the critical-path screen is off
+        # and the walk integrates every walkable combination; at the
+        # paper's 0.8 it drops 94 of them first.
+        base = oracle_problem("exp2_k5")
+        assert base.walkable_count() == 416
+        for confidence, integrations in ((1e-12, 416), (0.8, 322)):
+            problem = with_criteria(base, delay_confidence=confidence)
+            with counted_walk_calls() as calls:
+                _feasible, trials = workers_module.evaluate_range(
+                    problem, 0, problem.combination_count()
+                )
+            assert trials == 5280
+            assert calls["integrate"] == integrations
 
     def test_traced_check_walks_like_an_untraced_one(self):
         session = experiment2_session(partition_count=5)
         tracer = Tracer()
         with counted_walk_calls() as calls, activate(tracer):
             session.check("enumeration")
-        assert calls == {"chip_area_hopeless": 416, "integrate": 416}
+        assert calls == {"chip_area_hopeless": 416, "integrate": 322}
         (walk,) = [
             s for s in tracer.spans() if s["name"] == "search.enumeration"
         ]
         assert walk["counters"] == {
             "combinations": 5280,
-            "pruned_level2": 0,
+            "pruned_level2": 94,
             "integration_infeasible": 4864,
             "feasible": 177,
         }
+
+
+#: Delay confidences around ``ConstraintCheck.passed``'s 1e-12 float
+#: tolerance, where a delay of probability 0 stops passing, and above.
+DELAY_CONFIDENCES = (1e-13, 1e-12, 2e-12, 0.5, 0.8, 1.0)
+
+
+class TestDelayScreen:
+    @given(
+        state=st.sampled_from(sorted(ORACLE_STATES)),
+        confidence=st.sampled_from(DELAY_CONFIDENCES),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_unscreened_loop(self, state, confidence, data):
+        base = oracle_problem(state)
+        paths = walked_paths(state)
+        low, high = min(paths.values()), max(paths.values())
+        cycles = data.draw(
+            st.sampled_from((low, high)) | st.integers(low, high),
+            label="cycles",
+        )
+        problem = with_criteria(
+            base,
+            delay_ns=base.clocks.main_cycle_ns * cycles,
+            delay_confidence=confidence,
+        )
+        total = problem.combination_count()
+        start = data.draw(st.integers(0, total), label="start")
+        stop = data.draw(st.integers(start, total), label="stop")
+        expected, expected_trials = reference_evaluate_range(
+            problem, start, stop
+        )
+        with counted_walk_calls() as calls:
+            feasible, trials = workers_module.evaluate_range(
+                problem, start, stop
+            )
+        assert trials == expected_trials
+        assert walk_doc(feasible, problem.names) == walk_doc(
+            expected, problem.names
+        )
+        # The screen runs above the 1e-12 tolerance, and only there.
+        kills = (
+            delay_kills(problem, paths, start, stop)
+            if confidence > 1e-12 else 0
+        )
+        walked = sum(start <= flat < stop for flat in paths)
+        assert calls["integrate"] == walked - kills
+
+    @staticmethod
+    def with_first_prediction(**changes):
+        """Experiment 1, package 1, k = 3 under a one-cycle (300 ns)
+        delay limit, which every critical path overruns, with the first
+        prediction of its first list changed."""
+        base = with_criteria(
+            oracle_problem("exp1_pkg1_k3"), delay_ns=300.0
+        )
+        assert base.delay_limit_ns == 300.0
+        first, *rest = base.lists[0]
+        lists = dict(zip(base.names, base.lists))
+        lists[base.names[0]] = (dataclasses.replace(first, **changes), *rest)
+        return EvaluationProblem.build(
+            base.partitioning, lists, base.clocks, base.library,
+            base.criteria,
+        )
+
+    def test_a_negative_clock_overhead_keeps_the_screen_off(self):
+        problem = self.with_first_prediction(clock_overhead_ns=-1.0)
+        assert problem.delay_limit_ns is None
+        total = problem.combination_count()
+        expected, _trials = reference_evaluate_range(problem, 0, total)
+        with counted_walk_calls() as calls:
+            feasible, _trials = workers_module.evaluate_range(
+                problem, 0, total
+            )
+        assert calls["integrate"] == len(walked_paths("exp1_pkg1_k3")) == 200
+        assert walk_doc(feasible, problem.names) == walk_doc(
+            expected, problem.names
+        )
+
+    @staticmethod
+    def raised(walk, problem):
+        """The type and message of the error ``walk`` raises over all of
+        ``problem``'s combinations."""
+        with pytest.raises(ChopError) as caught:
+            walk(problem, 0, problem.combination_count())
+        return type(caught.value), str(caught.value)
+
+    def test_a_negative_latency_keeps_the_screen_off(self):
+        # integrate() rejects the negative duration: the walk must raise
+        # that error, not drop the combinations that carry it.
+        problem = self.with_first_prediction(latency_main=-1)
+        assert problem.delay_limit_ns is None
+        error = self.raised(workers_module.evaluate_range, problem)
+        assert error == self.raised(reference_evaluate_range, problem)
+        assert "negative duration" in error[1]
+
+    def test_keep_all_records_every_combination(self):
+        # A keep_all walk plots a point per combination (240) beside the
+        # 21 partition predictions, so it integrates and records the 155
+        # combinations the screen drops on this cell.
+        result = PAPER_SESSIONS["exp1_pkg1_k3"]().check(
+            "enumeration", keep_all=True
+        )
+        assert result.trials == 240
+        assert result.space.total == 240 + 21
+
+    @pytest.mark.parametrize(
+        "state", ["exp1_pkg1_k3_pins6", "exp1_pkg1_k3_pins400"]
+    )
+    def test_a_stored_plan_failure_keeps_the_screen_off(self, state):
+        # 6 pins fail the pin budget, 400 pads fill the die: the plan
+        # stores a ChipError that integrate() raises before or after
+        # scheduling.  A one-cycle delay limit is overrun by every path.
+        setup = INTEGRATION_STATES[state]()
+        criteria = FeasibilityCriteria(
+            performance_ns=30_000.0, delay_ns=setup.clocks.main_cycle_ns
+        )
+        problem = EvaluationProblem.build(
+            setup.partitioning, setup.lists, setup.clocks, setup.library,
+            criteria,
+        )
+        assert problem.plan.failed
+        assert problem.delay_limit_ns is None
+        assert self.raised(
+            workers_module.evaluate_range, problem
+        ) == self.raised(reference_evaluate_range, problem)
 
 
 # ----------------------------------------------------------------------

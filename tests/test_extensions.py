@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bad.predictor import BADPredictor, PredictorParameters
-from repro.bad.scheduling import asap_schedule, critical_path_cycles
+from repro.bad.scheduling import asap_schedule
 from repro.errors import PredictionError
+from tests.test_scheduling import critical_path_cycles
 
 
 class TestScanDesign:

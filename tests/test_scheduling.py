@@ -7,8 +7,8 @@ import pytest
 from repro.bad.allocation import partition_resource_model
 from repro.bad.scheduling import (
     _alap,
+    _finish_time,
     asap_schedule,
-    critical_path_cycles,
     list_schedule,
 )
 from repro.errors import PredictionError
@@ -16,6 +16,11 @@ from repro.errors import PredictionError
 
 def _unit_durations(graph):
     return {op_id: 1 for op_id in graph.operations}
+
+
+def critical_path_cycles(graph, duration, ready=None):
+    """Unconstrained latency: the longest duration-weighted path."""
+    return _finish_time(asap_schedule(graph, duration, ready), duration)
 
 
 def alap_schedule(graph, duration, deadline):

@@ -17,12 +17,12 @@ from repro.bad.allocation import (
 from repro.bad.scheduling import (
     Schedule,
     SchedulePlan,
-    critical_path_cycles,
     list_schedule,
 )
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import ChopError, PredictionError
 from tests.strategies import dags
+from tests.test_scheduling import critical_path_cycles
 
 
 @given(dags(), st.integers(min_value=1, max_value=4))
