@@ -9,12 +9,14 @@ two memory designs of ``examples/``: the windowed filter of
 ``memory_partitioning.py`` with M_IN off its reader's chip, and the
 Figure 2 design of ``figure2_scenario.py``, two generated states of
 experiment 2 with k = 5 where two partitions share a chip (see
-:data:`SHARED_CHIP_STATES`), and two paper cells under edited delay
+:data:`SHARED_CHIP_STATES`), and four paper cells under edited delay
 criteria (see :data:`DELAY_STATES`): experiment 2 with k = 5 at a
 24,600 ns delay limit, where the delay fails on the critical path alone
 for about half of the walked combinations (check and explain
-documents), and experiment 1, package 1, k = 3 at a delay confidence of
-1e-12, which a delay of probability 0 still meets.  Beside the corpus,
+documents), experiment 1, package 1, k = 3 at a delay confidence of
+1e-12, which a delay of probability 0 still meets, experiment 2 with
+k = 5 at a delay confidence of 1.0, and experiment 2 with k = 3 at a
+21,000 ns delay limit (check and explain documents).  Beside the corpus,
 :data:`TRACED_COUNTERS` pins the span counters of a traced check of the
 three states where level 2 fires.
 
@@ -159,6 +161,13 @@ def _shared_chip_state_explain(state: str):
 #: ``exp1_pkg1_k3_conf1e-12``: ``ConstraintCheck.passed`` allows 1e-12
 #: of float noise, so a delay of probability 0 passes a confidence of
 #: 1e-12 and 200 of the 240 combinations are feasible.
+#: ``exp2_k5_conf1.0``: a delay confidence of 1.0 demands the delay's
+#: upper bound, at 1.15 times the adjusted clock's overhead, meet the
+#: limit; 174 designs stay feasible.  ``exp2_k3_delay21000``: 21,000 ns
+#: (0.7 of the paper's 30,000) leaves 38 feasible designs (check and
+#: explain documents).  Both fail the delay check on combinations whose
+#: critical path alone fits the limit but whose least adjusted clock
+#: does not.
 DELAY_STATES = {
     "exp2_k5_delay24600": (
         functools.partial(experiment2_session, partition_count=5),
@@ -169,6 +178,14 @@ DELAY_STATES = {
             experiment1_session, package_number=1, partition_count=3
         ),
         {"delay_confidence": 1e-12},
+    ),
+    "exp2_k5_conf1.0": (
+        functools.partial(experiment2_session, partition_count=5),
+        {"delay_confidence": 1.0},
+    ),
+    "exp2_k3_delay21000": (
+        functools.partial(experiment2_session, partition_count=3),
+        {"delay_ns": 21000.0},
     ),
 }
 
@@ -262,9 +279,8 @@ def cases() -> Dict[str, Callable[[], Dict[str, object]]]:
         out[f"explain|{state}"] = _shared_chip_state_explain(state)
     for state in DELAY_STATES:
         out[f"{state}|enumeration"] = _delay_state_check(state)
-    out["explain|exp2_k5_delay24600"] = _delay_state_explain(
-        "exp2_k5_delay24600"
-    )
+    for state in ("exp2_k5_delay24600", "exp2_k3_delay21000"):
+        out[f"explain|{state}"] = _delay_state_explain(state)
     for design in MEMORY_DESIGNS:
         for heuristic in HEURISTICS:
             out[f"{design}|{heuristic}"] = _memory_check(design, heuristic)
