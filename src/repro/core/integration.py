@@ -55,6 +55,9 @@ _CLOCK_OVERHEAD_REL_UB = 1.15
 _DTM_MW_PER_BUFFER_BIT = 0.004
 _PAD_DRIVER_MW = 0.6
 
+#: :meth:`IntegrationPlan.delay_floor_table`'s per-chip rows.
+DelayFloorTable = Tuple[Tuple[Tuple[str, ...], float], ...]
+
 
 @dataclass(frozen=True, slots=True)
 class ChipUsage:
@@ -404,6 +407,53 @@ class IntegrationPlan:
                     downstream = length[succ]
             length.append(duration + downstream)
         return max(length, default=0)
+
+    def delay_floor_table(self) -> DelayFloorTable:
+        """Per chip, its partitions and the least transfer overhead any
+        integration charges it: :meth:`chip_usage`'s terms with every
+        DTM controller at wait and hold 0.  Defined only on a plan that
+        has not :attr:`failed`."""
+        slowest: Dict[str, float] = {}
+        for name, chip, mode in self._dtm_slots:
+            # The interval (1 here) sizes the buffer, not the controller.
+            delay = data_transfer_module(
+                self.task_graph.tasks[name], chip, mode, self.transfers[name],
+                0, 1, self.clocks, self.library.register, self.pla_params,
+            ).control_delay_ns
+            slowest[chip] = max(delay, slowest.get(chip, delay))
+        table = []
+        for chip in self._chips:
+            # A chip with a DTM moves data.
+            overhead = chip.pin_delay_ns if chip.moves_data else 0.0
+            if chip.name in slowest:
+                overhead += slowest[chip.name]
+            table.append((chip.partitions, overhead))
+        return tuple(table)
+
+    def delay_floor(
+        self, selection: Mapping[str, DesignPrediction], table: DelayFloorTable
+    ) -> Triplet:
+        """The least delay :func:`integrate` can predict for ``selection``,
+        in its float expressions: the adjusted clock at ``table``'s
+        transfer overheads times the critical path."""
+        dp_multiplier = self.clocks.dp_multiplier
+        overhead = 0.0
+        for partitions, transfer in table:
+            dp_overhead = 0.0
+            for partition in partitions:
+                pick = selection[partition].clock_overhead_ns
+                if pick > dp_overhead:
+                    dp_overhead = pick
+            chip = (dp_overhead + transfer) / dp_multiplier
+            if chip > overhead:
+                overhead = chip
+        main = self.clocks.main_cycle_ns
+        cycles = float(self.critical_path(selection))
+        return Triplet(
+            (main + overhead * _CLOCK_OVERHEAD_REL_LB) * cycles,
+            (main + overhead) * cycles,
+            (main + overhead * _CLOCK_OVERHEAD_REL_UB) * cycles,
+        )
 
     def check(self, ii_main: int) -> None:
         """Raise what the selection-independent steps raise at ``ii_main``.

@@ -48,7 +48,7 @@ from repro.bad.prediction import DesignPrediction
 from repro.bad.styles import ClockScheme
 from repro.chips.chip import POWER_GROUND_PINS
 from repro.core.feasibility import FeasibilityCriteria, evaluate_system
-from repro.core.integration import IntegrationPlan, integrate
+from repro.core.integration import DelayFloorTable, IntegrationPlan, integrate
 from repro.core.partitioning import Partitioning
 from repro.core.tasks import TaskGraph, build_task_graph
 from repro.engine.merge import ShardResult, merge_shard_results
@@ -70,6 +70,7 @@ from repro.obs.tracing import (
 from repro.resilience.faults import maybe_inject
 from repro.search.results import FeasibleDesign
 from repro.search.space import DesignSpace
+from repro.stats import ConstraintCheck, Triplet, prob_le
 
 #: Below this many walkable combinations (the ones whose pipelined
 #: rates agree, see :meth:`EvaluationProblem.walkable_count`) the walk
@@ -77,8 +78,8 @@ from repro.search.space import DesignSpace
 #: cells of up to 768 walkable combinations at 0.37-0.98x the serial
 #: walk and the 3,840 walkable combination cells at 1.56-1.61x
 #: (docs/performance.md, "Where the pool pays").  Since the walk
-#: screens critical paths, exp1 pkg2 k=5 integrates 275 of its 3,840
-#: and pools at 0.53x (170 ms against 105 ms in process).
+#: screens delay floors, exp1 pkg2 k=5 integrates 121 of its 3,840
+#: and pools at 0.55x (173 ms against 96 ms in process).
 MIN_COMBINATIONS = 2048
 
 #: Shards per worker: more shards than workers so a slow shard cannot
@@ -165,10 +166,10 @@ class EvaluationProblem:
     #: ``rates[i][d]`` is prediction ``d`` of list ``i``'s pipelined
     #: rate (its ``ii_main``), ``None`` when it is not pipelined.
     rates: Tuple[Tuple[Optional[int], ...], ...]
-    #: The delay limit that :func:`evaluate_range` holds each walked
-    #: combination's main clock times critical path to, or ``None``
-    #: where that screen is not sound (see :meth:`build`).
-    delay_limit_ns: Optional[float]
+    #: The plan's :meth:`~IntegrationPlan.delay_floor_table`, whose
+    #: delay floor :func:`evaluate_range` holds each walked combination
+    #: to, or ``None`` where that screen is not sound (see :meth:`build`).
+    delay_floor_table: Optional[DelayFloorTable]
 
     @classmethod
     def build(
@@ -187,12 +188,11 @@ class EvaluationProblem:
         lists = tuple(tuple(predictions[name]) for name in names)
         plan = IntegrationPlan(partitioning, task_graph, clocks, library)
         pla = plan.pla_params
-        # The critical-path screen is sound where a delay of probability
-        # 0 fails (``ConstraintCheck.passed`` allows 1e-12), no clock
-        # overhead is negative and integrate() raises no error it hides.
+        # The delay floor is sound where no clock overhead, latency or
+        # PLA delay constant is negative (no controller then speeds up
+        # as its wait grows) and integrate() raises no error it hides.
         sound = (
             prune
-            and criteria.delay_confidence > 1e-12
             and not plan.failed
             and min(pla.base_delay_ns, pla.delay_per_input_ns,
                     pla.delay_per_term_ns) >= 0
@@ -218,7 +218,7 @@ class EvaluationProblem:
                 )
                 for options in lists
             ),
-            delay_limit_ns=criteria.delay_ns if sound else None,
+            delay_floor_table=plan.delay_floor_table() if sound else None,
         )
 
     @property
@@ -287,6 +287,24 @@ def chip_area_hopeless(screen: AreaScreen, digits: Sequence[int]) -> bool:
     return False
 
 
+def delay_hopeless(floor: Triplet, criteria: FeasibilityCriteria) -> bool:
+    """Level-2 quick check: the delay check fails every system whose
+    delay triplet is at least ``floor`` in each field.
+
+    The triangular CDF at a fixed limit does not rise with lb, ml or ub,
+    so a floor probability of 0 is exact for such a system; a positive
+    one only up to a few ulps of rounding (``tests/test_distributions.py``
+    bounds them by 1e-15), so it must fail with a 1e-9 margin added.
+    """
+    probability = prob_le(floor, criteria.delay_ns)
+    if probability > 0.0:
+        probability += 1e-9
+    return not ConstraintCheck(
+        "delay", floor, criteria.delay_ns, criteria.delay_confidence,
+        probability,
+    ).passed
+
+
 def _rate_conflict(
     rates: Sequence[Sequence[Optional[int]]], digits: Sequence[int]
 ) -> int:
@@ -341,9 +359,10 @@ def evaluate_range(
     it over the whole space, workers run it over their shard.  Level-2
     pruning abandons a combination on the first violated chip-area bound
     before the (more expensive) system integration runs, and then, where
-    the problem sets ``delay_limit_ns`` and no ``space`` or ``collector``
-    reads how combinations fail, on a main clock times critical path
-    over that limit: the delay check would fail at probability 0.
+    the problem sets ``delay_floor_table`` and no ``space`` or
+    ``collector`` reads how combinations fail, on a delay floor that
+    fails the delay check: the least adjusted clock times the critical
+    path, below every delay its integration could predict.
 
     The walk skips what :func:`integrate`'s rate check would reject:
     where a list position's pipelined rate conflicts with an earlier
@@ -364,7 +383,7 @@ def evaluate_range(
     the one hook that changes the walk: explain counts level 2 before
     integration, as the paper orders the checks, so with a collector
     (and ``prune`` on) each skipped combination still goes through the
-    area screen, and no combination is dropped for its critical path.
+    area screen, and no combination is dropped for its delay floor.
     Without one, a skipped subtree counts as ``integration_infeasible``
     whole, because :func:`integrate` would reject its combinations at
     its first check.
@@ -385,10 +404,9 @@ def evaluate_range(
     subtree = _subtree_sizes(radices)
     skip = space is None
     screen_skipped = problem.prune and collector is not None
-    delay_limit = (
-        problem.delay_limit_ns if skip and collector is None else None
+    floor_table = (
+        problem.delay_floor_table if skip and collector is None else None
     )
-    main_cycle_ns = problem.clocks.main_cycle_ns
     flat = start
     try:
         while flat < stop:
@@ -426,9 +444,9 @@ def evaluate_range(
                 if space is not None:
                     space.record_selection(selection, ii_main)
                 continue
-            if delay_limit is not None and (
-                main_cycle_ns * problem.plan.critical_path(selection)
-                > delay_limit
+            if floor_table is not None and delay_hopeless(
+                problem.plan.delay_floor(selection, floor_table),
+                problem.criteria,
             ):
                 pruned += 1
                 continue

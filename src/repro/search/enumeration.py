@@ -14,8 +14,9 @@ at its slowest implementation's rate.
 With pruning on, a combination is abandoned on the first violated chip
 area bound before the (more expensive) system integration runs — the
 paper's level-2 pruning — or, unless an explain report or ``keep_all``
-reads how it fails, when its main clock times critical path already
-overruns the delay limit.
+reads how it fails, when its delay floor (the least adjusted clock any
+integration of it can have, times its critical path) already fails the
+delay check.
 
 The section's rejection of combinations whose pipelined implementations
 run at different data rates is a subtree skip: once a partition's pick

@@ -118,20 +118,21 @@ def shared_chip_state_session(state: str):
 #: The ``search.enumeration`` span counters of a traced check of each
 #: state where level 2 fires.  Tracing does not change the walk, so a
 #: subtree skipped for conflicting rates counts as integration-infeasible
-#: whole, and a combination whose main-clock critical path overruns the
-#: delay limit counts as a level-2 kill; explain does neither, so the
-#: ``explain|<state>`` documents count other level-2 kills.
+#: whole, and a combination whose delay floor (least adjusted clock
+#: times critical path) fails the delay check counts as a level-2 kill;
+#: explain does neither, so the ``explain|<state>`` documents count
+#: other level-2 kills.
 TRACED_COUNTERS = {
     "shared_chip": {
         "combinations": 240, "pruned_level2": 168,
         "integration_infeasible": 40, "feasible": 6,
     },
     "exp2_k5_p3_chip2": {
-        "combinations": 5280, "pruned_level2": 106,
+        "combinations": 5280, "pruned_level2": 216,
         "integration_infeasible": 4864, "feasible": 0,
     },
     "exp2_k5_p2_chip1": {
-        "combinations": 5280, "pruned_level2": 140,
+        "combinations": 5280, "pruned_level2": 243,
         "integration_infeasible": 4864, "feasible": 10,
     },
 }

@@ -64,6 +64,32 @@ class TestTriangularCdf:
         values = [triangular_cdf(x, lb, ml, ub) for x in xs]
         assert values == sorted(values)
 
+    @given(
+        parts=triplet_parts(),
+        field=st.sampled_from((0, 1, 2)),
+        step=st.floats(min_value=0.0, max_value=1.0),
+        data=st.data(),
+    )
+    def test_cdf_does_not_rise_as_a_parameter_rises(
+        self, parts, field, step, data
+    ):
+        # The walk's delay floor rests on this: at a fixed limit, a
+        # triangle no lower in any of lb, ml or ub is no likelier to
+        # meet it, up to the CDF's float rounding.
+        lb, ml, ub = parts
+        span = max(ub - lb, 1.0)
+        ceiling = (ml, ub, ub + span)[field]
+        raised = list(parts)
+        raised[field] = min(
+            ceiling, parts[field] + (ceiling - parts[field]) * step
+        )
+        x = data.draw(
+            st.sampled_from((lb, ml, ub, raised[field]))
+            | st.floats(min_value=lb - span, max_value=ub + 2 * span),
+            label="x",
+        )
+        assert triangular_cdf(x, *raised) <= triangular_cdf(x, *parts) + 1e-15
+
 
 class TestMoments:
     def test_mean_symmetric(self):

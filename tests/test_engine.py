@@ -7,11 +7,11 @@ worker death, cancellation).  The pool starts with ``fork`` on Linux;
 one test runs it under ``spawn`` so pickling stays covered for the
 platforms that start workers that way.  Tests that need the pool on a
 small space use the ``pool_always`` fixture.  The walk skips subtrees
-whose pipelined rates conflict and drops combinations whose main-clock
-critical path already overruns the delay limit;
-:func:`reference_evaluate_range` keeps the per-combination loop without
-either as their oracle.  Tracing must not change the walk: span counters
-are an output only.
+whose pipelined rates conflict and drops combinations whose delay floor
+(least adjusted clock times critical path) already fails the delay
+check; :func:`reference_evaluate_range` keeps the per-combination loop
+without either as their oracle.  Tracing must not change the walk: span
+counters are an output only.
 """
 
 from __future__ import annotations
@@ -417,13 +417,13 @@ class TestPlan:
 
 
 # ----------------------------------------------------------------------
-# the subtree skip and the critical-path screen against the
+# the subtree skip and the delay-floor screen against the
 # per-combination loop
 # ----------------------------------------------------------------------
 def reference_evaluate_range(problem, start, stop, collector=None,
                              counters=None):
     """The walk before it skipped rate-conflicting subtrees and screened
-    critical paths: decode, area-screen and integrate every combination
+    delay floors: decode, area-screen and integrate every combination
     of ``[start, stop)``.
 
     ``collector`` receives each integrated combination's report and
@@ -549,12 +549,17 @@ def walked_paths(state):
 
 
 def delay_kills(problem, paths, start, stop):
-    """How many of ``paths`` in ``[start, stop)`` overrun ``problem``'s
-    delay limit at the main clock."""
-    main = problem.clocks.main_cycle_ns
+    """How many of ``paths`` in ``[start, stop)`` the walk drops for a
+    delay floor that fails ``problem``'s delay check."""
+    table = problem.delay_floor_table
+    if table is None:
+        return 0
     return sum(
-        start <= flat < stop and main * path > problem.criteria.delay_ns
-        for flat, path in paths.items()
+        start <= flat < stop and workers_module.delay_hopeless(
+            problem.plan.delay_floor(problem.selection(flat), table),
+            problem.criteria,
+        )
+        for flat in paths
     )
 
 
@@ -614,8 +619,8 @@ class TestSubtreeSkip:
             )
             return
         # Counters alone watch the walk without steering it.  The
-        # critical-path screen credits its kills to level 2, and none
-        # of them would have failed integration.
+        # delay-floor screen credits its kills to level 2, and none of
+        # them would have failed integration.
         assert calls == bare_calls
         assert counters["combinations"] == oracle.counters["combinations"]
         assert counters["feasible"] == oracle.counters["feasible"]
@@ -627,12 +632,12 @@ class TestSubtreeSkip:
         )
 
     def test_skips_integration_of_conflicting_combinations(self):
-        # At a delay confidence of 1e-12 the critical-path screen is off
-        # and the walk integrates every walkable combination; at the
-        # paper's 0.8 it drops 94 of them first.
+        # At a delay confidence of 1e-12 no delay floor fails and the
+        # walk integrates every walkable combination; at the paper's 0.8
+        # it drops 209 of them first.
         base = oracle_problem("exp2_k5")
         assert base.walkable_count() == 416
-        for confidence, integrations in ((1e-12, 416), (0.8, 322)):
+        for confidence, integrations in ((1e-12, 416), (0.8, 207)):
             problem = with_criteria(base, delay_confidence=confidence)
             with counted_walk_calls() as calls:
                 _feasible, trials = workers_module.evaluate_range(
@@ -646,13 +651,13 @@ class TestSubtreeSkip:
         tracer = Tracer()
         with counted_walk_calls() as calls, activate(tracer):
             session.check("enumeration")
-        assert calls == {"chip_area_hopeless": 416, "integrate": 322}
+        assert calls == {"chip_area_hopeless": 416, "integrate": 207}
         (walk,) = [
             s for s in tracer.spans() if s["name"] == "search.enumeration"
         ]
         assert walk["counters"] == {
             "combinations": 5280,
-            "pruned_level2": 94,
+            "pruned_level2": 209,
             "integration_infeasible": 4864,
             "feasible": 177,
         }
@@ -661,6 +666,32 @@ class TestSubtreeSkip:
 #: Delay confidences around ``ConstraintCheck.passed``'s 1e-12 float
 #: tolerance, where a delay of probability 0 stops passing, and above.
 DELAY_CONFIDENCES = (1e-13, 1e-12, 2e-12, 0.5, 0.8, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def delay_points(state):
+    """The delay limits where a walked combination of ``state`` sits on
+    an edge of the delay check: each field of its delay floor and, where
+    it integrates, of its predicted delay."""
+    problem = oracle_problem(state)
+    points = set()
+    for flat in walked_paths(state):
+        selection = problem.selection(flat)
+        floor = problem.plan.delay_floor(
+            selection, problem.delay_floor_table
+        )
+        points.update((floor.lb, floor.ml, floor.ub))
+        try:
+            system = integrate(
+                problem.partitioning, selection,
+                max(pred.ii_main for pred in selection.values()),
+                problem.clocks, problem.library, plan=problem.plan,
+            )
+        except InfeasibleError:
+            continue
+        delay = system.delay_ns
+        points.update((delay.lb, delay.ml, delay.ub))
+    return tuple(sorted(points))
 
 
 class TestDelayScreen:
@@ -673,15 +704,16 @@ class TestDelayScreen:
     def test_matches_the_unscreened_loop(self, state, confidence, data):
         base = oracle_problem(state)
         paths = walked_paths(state)
+        main = base.clocks.main_cycle_ns
         low, high = min(paths.values()), max(paths.values())
-        cycles = data.draw(
-            st.sampled_from((low, high)) | st.integers(low, high),
-            label="cycles",
+        delay_ns = data.draw(
+            st.sampled_from(delay_points(state))
+            | st.integers(low, high * 3 // 2).map(lambda c: main * c)
+            | st.floats(main * low, main * high * 1.5),
+            label="delay_ns",
         )
         problem = with_criteria(
-            base,
-            delay_ns=base.clocks.main_cycle_ns * cycles,
-            delay_confidence=confidence,
+            base, delay_ns=delay_ns, delay_confidence=confidence
         )
         total = problem.combination_count()
         start = data.draw(st.integers(0, total), label="start")
@@ -689,7 +721,15 @@ class TestDelayScreen:
         expected, expected_trials = reference_evaluate_range(
             problem, start, stop
         )
-        with counted_walk_calls() as calls:
+        integrated = set()
+        walk_integrate = workers_module.integrate
+
+        def recording(partitioning, selection, *args, **kwargs):
+            integrated.add(tuple(id(selection[n]) for n in problem.names))
+            return walk_integrate(partitioning, selection, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(workers_module, "integrate", recording)
             feasible, trials = workers_module.evaluate_range(
                 problem, start, stop
             )
@@ -697,13 +737,42 @@ class TestDelayScreen:
         assert walk_doc(feasible, problem.names) == walk_doc(
             expected, problem.names
         )
-        # The screen runs above the 1e-12 tolerance, and only there.
-        kills = (
-            delay_kills(problem, paths, start, stop)
-            if confidence > 1e-12 else 0
-        )
-        walked = sum(start <= flat < stop for flat in paths)
-        assert calls["integrate"] == walked - kills
+        dropped = []
+        for flat in paths:
+            selection = problem.selection(flat)
+            key = tuple(id(selection[n]) for n in problem.names)
+            if start <= flat < stop and key not in integrated:
+                dropped.append(flat)
+        assert len(dropped) == delay_kills(problem, paths, start, stop)
+        # Every dropped combination fails its delay check once it is
+        # integrated, or fails integration itself.
+        for flat in dropped:
+            selection = problem.selection(flat)
+            try:
+                system = integrate(
+                    problem.partitioning, selection,
+                    max(pred.ii_main for pred in selection.values()),
+                    problem.clocks, problem.library, plan=problem.plan,
+                )
+            except InfeasibleError:
+                continue
+            (delay,) = [
+                check
+                for check in evaluate_system(system, problem.criteria).checks
+                if check.name == "delay"
+            ]
+            assert not delay.passed
+        # The floor drops all that a main clock times critical path over
+        # the limit drops, above the 1e-12 tolerance; at or below it,
+        # nothing.
+        overrun = {
+            flat for flat, path in paths.items()
+            if start <= flat < stop and main * path > delay_ns
+        }
+        if confidence > 1e-12:
+            assert overrun <= set(dropped)
+        else:
+            assert dropped == []
 
     @staticmethod
     def with_first_prediction(**changes):
@@ -713,7 +782,7 @@ class TestDelayScreen:
         base = with_criteria(
             oracle_problem("exp1_pkg1_k3"), delay_ns=300.0
         )
-        assert base.delay_limit_ns == 300.0
+        assert base.delay_floor_table is not None
         first, *rest = base.lists[0]
         lists = dict(zip(base.names, base.lists))
         lists[base.names[0]] = (dataclasses.replace(first, **changes), *rest)
@@ -724,7 +793,7 @@ class TestDelayScreen:
 
     def test_a_negative_clock_overhead_keeps_the_screen_off(self):
         problem = self.with_first_prediction(clock_overhead_ns=-1.0)
-        assert problem.delay_limit_ns is None
+        assert problem.delay_floor_table is None
         total = problem.combination_count()
         expected, _trials = reference_evaluate_range(problem, 0, total)
         with counted_walk_calls() as calls:
@@ -748,14 +817,14 @@ class TestDelayScreen:
         # integrate() rejects the negative duration: the walk must raise
         # that error, not drop the combinations that carry it.
         problem = self.with_first_prediction(latency_main=-1)
-        assert problem.delay_limit_ns is None
+        assert problem.delay_floor_table is None
         error = self.raised(workers_module.evaluate_range, problem)
         assert error == self.raised(reference_evaluate_range, problem)
         assert "negative duration" in error[1]
 
     def test_keep_all_records_every_combination(self):
         # A keep_all walk plots a point per combination (240) beside the
-        # 21 partition predictions, so it integrates and records the 155
+        # 21 partition predictions, so it integrates and records the 172
         # combinations the screen drops on this cell.
         result = PAPER_SESSIONS["exp1_pkg1_k3"]().check(
             "enumeration", keep_all=True
@@ -779,7 +848,7 @@ class TestDelayScreen:
             criteria,
         )
         assert problem.plan.failed
-        assert problem.delay_limit_ns is None
+        assert problem.delay_floor_table is None
         assert self.raised(
             workers_module.evaluate_range, problem
         ) == self.raised(reference_evaluate_range, problem)

@@ -145,6 +145,27 @@ class TestDataTransferModule:
         )
         assert long.buffer_bits > short.buffer_bits
 
+    @pytest.mark.parametrize("mode", ["output", "input"])
+    @pytest.mark.parametrize("transfer_multiplier", [1, 3])
+    def test_controller_never_speeds_up_as_the_wait_grows(
+        self, mode, transfer_multiplier
+    ):
+        # The walk's delay floor sizes each controller at wait (or hold)
+        # 0; no longer wait may give a faster one.
+        clocks = ClockScheme(300.0, transfer_multiplier=transfer_multiplier)
+        budgets = {"chip1": _budget(32), "chip2": _budget(32)}
+        estimate = estimate_transfer(_task(), budgets, {}, clocks)
+        ii_main = 20
+        delays = [
+            data_transfer_module(
+                _task(), "chip2", mode, estimate, wait, ii_main, clocks,
+                REGISTER,
+            ).control_delay_ns
+            for wait in range(3 * ii_main + 1)
+        ]
+        assert delays == sorted(delays)
+        assert delays[-1] > delays[0]
+
     def test_invalid_mode_rejected(self):
         estimate, clocks = self._estimate()
         with pytest.raises(PredictionError):
