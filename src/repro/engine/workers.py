@@ -79,7 +79,7 @@ from repro.stats import ConstraintCheck, Triplet, prob_le
 #: walk and the 3,840 walkable combination cells at 1.56-1.61x
 #: (docs/performance.md, "Where the pool pays").  Since the walk
 #: screens delay floors, exp1 pkg2 k=5 integrates 121 of its 3,840
-#: and pools at 0.55x (173 ms against 96 ms in process).
+#: and pools at 0.54x (146 ms against 79 ms in process).
 MIN_COMBINATIONS = 2048
 
 #: Shards per worker: more shards than workers so a slow shard cannot
@@ -292,9 +292,9 @@ def delay_hopeless(floor: Triplet, criteria: FeasibilityCriteria) -> bool:
     delay triplet is at least ``floor`` in each field.
 
     The triangular CDF at a fixed limit does not rise with lb, ml or ub,
-    so a floor probability of 0 is exact for such a system; a positive
-    one only up to a few ulps of rounding (``tests/test_distributions.py``
-    bounds them by 1e-15), so it must fail with a 1e-9 margin added.
+    so a floor probability of 0 is exact for such a system.  A positive
+    one holds up to rounding under 1e-15 (``tests/test_distributions.py``),
+    so it must fail with a 1e-9 margin added.
     """
     probability = prob_le(floor, criteria.delay_ns)
     if probability > 0.0:

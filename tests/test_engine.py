@@ -668,6 +668,19 @@ class TestSubtreeSkip:
 DELAY_CONFIDENCES = (1e-13, 1e-12, 2e-12, 0.5, 0.8, 1.0)
 
 
+def integrated(problem, selection):
+    """``selection`` integrated as the walk integrates it, or ``None``
+    where :func:`integrate` rejects it."""
+    try:
+        return integrate(
+            problem.partitioning, selection,
+            max(pred.ii_main for pred in selection.values()),
+            problem.clocks, problem.library, plan=problem.plan,
+        )
+    except InfeasibleError:
+        return None
+
+
 @functools.lru_cache(maxsize=None)
 def delay_points(state):
     """The delay limits where a walked combination of ``state`` sits on
@@ -681,16 +694,10 @@ def delay_points(state):
             selection, problem.delay_floor_table
         )
         points.update((floor.lb, floor.ml, floor.ub))
-        try:
-            system = integrate(
-                problem.partitioning, selection,
-                max(pred.ii_main for pred in selection.values()),
-                problem.clocks, problem.library, plan=problem.plan,
-            )
-        except InfeasibleError:
-            continue
-        delay = system.delay_ns
-        points.update((delay.lb, delay.ml, delay.ub))
+        system = integrated(problem, selection)
+        if system is not None:
+            delay = system.delay_ns
+            points.update((delay.lb, delay.ml, delay.ub))
     return tuple(sorted(points))
 
 
@@ -721,11 +728,13 @@ class TestDelayScreen:
         expected, expected_trials = reference_evaluate_range(
             problem, start, stop
         )
-        integrated = set()
+        integrated_keys = set()
         walk_integrate = workers_module.integrate
 
         def recording(partitioning, selection, *args, **kwargs):
-            integrated.add(tuple(id(selection[n]) for n in problem.names))
+            integrated_keys.add(
+                tuple(id(selection[n]) for n in problem.names)
+            )
             return walk_integrate(partitioning, selection, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -741,20 +750,14 @@ class TestDelayScreen:
         for flat in paths:
             selection = problem.selection(flat)
             key = tuple(id(selection[n]) for n in problem.names)
-            if start <= flat < stop and key not in integrated:
+            if start <= flat < stop and key not in integrated_keys:
                 dropped.append(flat)
         assert len(dropped) == delay_kills(problem, paths, start, stop)
         # Every dropped combination fails its delay check once it is
         # integrated, or fails integration itself.
         for flat in dropped:
-            selection = problem.selection(flat)
-            try:
-                system = integrate(
-                    problem.partitioning, selection,
-                    max(pred.ii_main for pred in selection.values()),
-                    problem.clocks, problem.library, plan=problem.plan,
-                )
-            except InfeasibleError:
+            system = integrated(problem, problem.selection(flat))
+            if system is None:
                 continue
             (delay,) = [
                 check
