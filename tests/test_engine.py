@@ -62,6 +62,7 @@ from repro.library.presets import extended_library
 from repro.memory.module import MemoryModule
 from repro.obs import ExplainCollector, Tracer, activate
 from repro.search.results import FeasibleDesign
+from repro.stats import Triplet
 from tests.test_check_golden import (
     SHARED_CHIP_STATES,
     shared_chip_session,
@@ -793,6 +794,28 @@ class TestDelayScreen:
             base.partitioning, lists, base.clocks, base.library,
             base.criteria,
         )
+
+    @pytest.mark.parametrize(
+        "floor, confidence, hopeless",
+        [
+            # Probability exactly 0: hopeless wherever 0 fails the check.
+            ((2.0, 3.0, 4.0), 2e-12, True),
+            ((2.0, 3.0, 4.0), 1e-12, False),
+            # Probability 0.5: hopeless only 1e-9 below the threshold.
+            ((0.0, 1.0, 2.0), 0.5 + 1e-12, False),
+            ((0.0, 1.0, 2.0), 0.5 + 1e-12 + 5e-10, False),
+            ((0.0, 1.0, 2.0), 0.5 + 1e-12 + 2e-9, True),
+        ],
+    )
+    def test_hopeless_keeps_a_margin_above_probability_zero(
+        self, floor, confidence, hopeless
+    ):
+        criteria = FeasibilityCriteria(
+            performance_ns=1.0, delay_ns=1.0, delay_confidence=confidence
+        )
+        assert workers_module.delay_hopeless(
+            Triplet(*floor), criteria
+        ) is hopeless
 
     def test_a_negative_clock_overhead_keeps_the_screen_off(self):
         problem = self.with_first_prediction(clock_overhead_ns=-1.0)
