@@ -9,14 +9,17 @@ two memory designs of ``examples/``: the windowed filter of
 ``memory_partitioning.py`` with M_IN off its reader's chip, and the
 Figure 2 design of ``figure2_scenario.py``, two generated states of
 experiment 2 with k = 5 where two partitions share a chip (see
-:data:`SHARED_CHIP_STATES`), and four paper cells under edited delay
+:data:`SHARED_CHIP_STATES`), and five paper cells under edited delay
 criteria (see :data:`DELAY_STATES`): experiment 2 with k = 5 at a
 24,600 ns delay limit, where the delay fails on the critical path alone
 for about half of the walked combinations (check and explain
 documents), experiment 1, package 1, k = 3 at a delay confidence of
 1e-12, which a delay of probability 0 still meets, experiment 2 with
-k = 5 at a delay confidence of 1.0, and experiment 2 with k = 3 at a
-21,000 ns delay limit (check and explain documents).  Beside the corpus,
+k = 5 at a delay confidence of 1.0, experiment 2 with k = 3 at a
+21,000 ns delay limit (check and explain documents), and experiment 2
+with k = 5 at a delay confidence of 0.5 and a 30,529 ns limit, where a
+delay floor that over-reads its DTM controllers drops a feasible
+design.  Beside the corpus,
 :data:`TRACED_COUNTERS` pins the span counters of a traced check of the
 three states where level 2 fires.
 
@@ -187,6 +190,10 @@ DELAY_STATES = {
     "exp2_k3_delay21000": (
         functools.partial(experiment2_session, partition_count=3),
         {"delay_ns": 21000.0},
+    ),
+    "exp2_k5_conf0.5_delay30529": (
+        functools.partial(experiment2_session, partition_count=5),
+        {"delay_confidence": 0.5, "delay_ns": 30529.0},
     ),
 }
 
