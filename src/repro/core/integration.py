@@ -20,7 +20,9 @@ the designer's criteria lives in :mod:`repro.core.feasibility`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.bad.controller import PlaParameters
 from repro.bad.prediction import DesignPrediction
@@ -39,7 +41,16 @@ from repro.core.transfer import (
     data_transfer_module,
     estimate_transfer,
 )
-from repro.core.urgency import TaskSchedule, urgency_schedule
+# ``urgency_schedule`` runs the same scheduler from name-keyed maps; it
+# stays importable here, where perfbench's traced run wraps it by name.
+from repro.core.urgency import (  # noqa: F401
+    PinTable,
+    TaskSchedule,
+    pin_table,
+    schedule_tasks,
+    task_urgency,
+    urgency_schedule,
+)
 from repro.errors import ChipError, InfeasibleError, PredictionError
 from repro.library.library import ComponentLibrary
 from repro.memory.access import memory_access_profile
@@ -141,15 +152,8 @@ def integrate(
             partitioning, build_task_graph(partitioning), clocks, library
         )
     plan.check(ii_main)
-
-    durations = dict(plan.transfer_durations)
-    for name, partition in plan.process_tasks:
-        durations[name] = selection[partition].latency_main
-    schedule = urgency_schedule(
-        plan.task_graph, durations, plan.pin_needs, plan.capacity, ii_main
-    )
-    modules = plan.transfer_modules(schedule, ii_main)
-    chip_usage = plan.chip_usage(selection, modules)
+    timing = plan.timing(selection, ii_main)
+    chip_usage = plan.chip_usage(selection, timing)
 
     overhead = max(
         (usage.clock_overhead_ns for usage in chip_usage.values()),
@@ -165,12 +169,12 @@ def integrate(
         partitioning=partitioning,
         selection=dict(selection),
         ii_main=ii_main,
-        delay_main=schedule.makespan,
+        delay_main=timing.schedule.makespan,
         clock_cycle_ns=clock,
         chip_usage=chip_usage,
         transfers=dict(plan.transfers),
-        transfer_modules=tuple(modules),
-        schedule=schedule,
+        transfer_modules=timing.modules,
+        schedule=timing.schedule,
     )
 
 
@@ -192,16 +196,43 @@ class _ChipPlan:
     driven_pads: int
 
 
+class _ChipTerms(NamedTuple):
+    """One chip's share of a :class:`Timing`: what its DTMs add."""
+
+    dtm_area: Triplet
+    #: Pin delay plus the slowest DTM controller, where data moves.
+    transfer_overhead_ns: float
+    #: The DTM buffer and driven-pad power, as (lb, ml, ub), if any.
+    integration_power: Optional[Tuple[float, float, float]]
+
+
+class Timing(NamedTuple):
+    """What one timing key fixes: the urgency schedule, its DTMs, and
+    each chip's DTM terms (empty where chip usage fails)."""
+
+    schedule: TaskSchedule
+    modules: Tuple[DataTransferModule, ...]
+    chips: Tuple[_ChipTerms, ...]
+
+
 class IntegrationPlan:
     """The selection-independent half of :func:`integrate`, for one search.
 
     Built once from a partitioning, its task graph, the clocks and the
     library, a plan holds the pin budgets and data capacities, every
-    transfer estimate, the per-chip statics of chip usage, the task
-    graph's critical-path index table, the memory-bandwidth verdict per
+    transfer estimate, the scheduler's duration and pin tables, the
+    per-chip statics of chip usage, the memory-bandwidth verdict per
     initiation interval, and a memo of data-transfer modules keyed by
     (task, chip, mode, wait or hold, II).
-    :func:`integrate` then does only the per-selection work.
+
+    Everything :func:`integrate` derives from the urgency schedule
+    depends only on the timing key: ``ii_main`` and each process task's
+    ``latency_main``, in :attr:`process_tasks` order.  :meth:`timing`
+    keeps, per key, the schedule, its DTMs and each chip's DTM terms, or
+    the schedule's :class:`InfeasibleError` message (a
+    :class:`PredictionError` is not kept).  :func:`integrate` then does
+    only the per-selection work: the selection's area, power and clock
+    overhead per chip.
 
     A selection-independent step that fails does not raise here: the
     plan keeps the error's type and message, and :meth:`check` (or
@@ -240,10 +271,17 @@ class IntegrationPlan:
         self._transfer_failure: Optional[str] = None
         self._usage_failure: Optional[str] = None
         self._dtm_slots: Tuple[Tuple[str, str, str], ...] = ()
-        #: :meth:`critical_path`'s (duration, partition, successors) per
-        #: task, sinks first; a transfer's partition is ``None``.
-        self._path: Tuple[Tuple[int, Optional[str], Tuple[int, ...]], ...] = ()
+        #: Each task's duration by task number, process tasks at 0, and
+        #: the process tasks' numbers in :attr:`process_tasks` order.
+        self._durations: List[int] = []
+        self._process_numbers: Tuple[int, ...] = ()
+        self._partitions: Tuple[Optional[str], ...] = tuple(
+            partition for _, partition in self.process_tasks
+        )
+        self._pins: PinTable = (0, ())
         self._chips: Tuple[_ChipPlan, ...] = ()
+        #: Per chip, the places of its DTMs in :meth:`_plan_dtm_slots`.
+        self._chip_slots: Tuple[Tuple[int, ...], ...] = ()
         self._accesses: Dict[str, int] = {}
         if partitioning.memories:
             profile = memory_access_profile(
@@ -256,6 +294,7 @@ class IntegrationPlan:
         self._modules: Dict[
             Tuple[str, str, str, int, int], DataTransferModule
         ] = {}
+        self._timings: Dict[Tuple[int, ...], Union[Timing, str]] = {}
         self._plan()
 
     # ------------------------------------------------------------------
@@ -294,18 +333,15 @@ class IntegrationPlan:
             self._transfer_failure = str(exc)
             return
         self._dtm_slots = self._plan_dtm_slots()
-        tasks = task_graph.tasks
-        order = task_graph.topological_order()[::-1]
-        position = {name: index for index, name in enumerate(order)}
-        self._path = tuple(
-            (
-                self.transfer_durations.get(name, 0),
-                tasks[name].partition
-                if tasks[name].kind is TaskKind.PROCESS else None,
-                tuple(position[succ] for succ in task_graph.successors(name)),
-            )
-            for name in order
+        names = task_graph.index().names
+        number = {name: task for task, name in enumerate(names)}
+        self._durations = [
+            self.transfer_durations.get(name, 0) for name in names
+        ]
+        self._process_numbers = tuple(
+            number[name] for name, _ in self.process_tasks
         )
+        self._pins = pin_table(task_graph, self.pin_needs, self.capacity)
         try:
             self._chips = tuple(
                 self._plan_chip(name, chip)
@@ -313,6 +349,14 @@ class IntegrationPlan:
             )
         except ChipError as exc:
             self._usage_failure = str(exc)
+            return
+        self._chip_slots = tuple(
+            tuple(
+                place for place, (_, on, _) in enumerate(self._dtm_slots)
+                if on == chip.name
+            )
+            for chip in self._chips
+        )
 
     def _plan_dtm_slots(self) -> Tuple[Tuple[str, str, str], ...]:
         """(task, chip, mode) of every DTM, in the order modules list.
@@ -397,16 +441,21 @@ class IntegrationPlan:
         tasks at their picks' ``latency_main`` and data tasks at their
         transfer durations: no urgency schedule is shorter.  Defined
         only on a plan that has not :attr:`failed`."""
-        length: List[int] = []
-        for duration, partition, successors in self._path:
-            if partition is not None:
-                duration = selection[partition].latency_main
-            downstream = 0
-            for succ in successors:
-                if length[succ] > downstream:
-                    downstream = length[succ]
-            length.append(duration + downstream)
-        return max(length, default=0)
+        durations = self._task_durations(
+            [selection[partition].latency_main
+             for partition in self._partitions]
+        )
+        return max(
+            task_urgency(self.task_graph.index(), durations), default=0
+        )
+
+    def _task_durations(self, latencies: Sequence[int]) -> List[int]:
+        """Every task's duration by task number, process tasks at
+        ``latencies`` (in :attr:`process_tasks` order)."""
+        durations = list(self._durations)
+        for task, latency in zip(self._process_numbers, latencies):
+            durations[task] = latency
+        return durations
 
     def delay_floor_table(self) -> DelayFloorTable:
         """Per chip, its partitions and the least transfer overhead any
@@ -488,6 +537,75 @@ class IntegrationPlan:
                 )
         return None
 
+    def timing(
+        self, selection: Mapping[str, DesignPrediction], ii_main: int
+    ) -> Timing:
+        """The :class:`Timing` of ``selection``'s timing key, from the
+        memo; raises the schedule's error, a fresh one each call."""
+        key = (ii_main, *[
+            selection[partition].latency_main
+            for partition in self._partitions
+        ])
+        timing = self._timings.get(key)
+        if timing is None:
+            try:
+                timing = self._time(ii_main, key[1:])
+            except InfeasibleError as exc:
+                timing = str(exc)
+            self._timings[key] = timing
+        if isinstance(timing, str):
+            raise InfeasibleError(timing)
+        return timing
+
+    def _time(self, ii_main: int, latencies: Sequence[int]) -> Timing:
+        schedule = schedule_tasks(
+            self.task_graph.index(), self._task_durations(latencies),
+            self._pins, ii_main,
+        )
+        modules = tuple(self.transfer_modules(schedule, ii_main))
+        # No chip has terms where chip usage fails: chip_usage raises
+        # before it reads any.
+        return Timing(schedule, modules, tuple(
+            self._chip_terms(chip, [modules[place] for place in places])
+            for chip, places in zip(self._chips, self._chip_slots)
+        ))
+
+    @staticmethod
+    def _chip_terms(
+        chip: _ChipPlan, modules: List[DataTransferModule]
+    ) -> _ChipTerms:
+        # The area is folded in plain floats, in Triplet.sum's order,
+        # and the slowest controller is max()'s pick.
+        area_lb = area_ml = area_ub = 0.0
+        buffer_bits = 0
+        slowest = None
+        for module in modules:
+            area = module.area_mil2
+            area_lb += area.lb
+            area_ml += area.ml
+            area_ub += area.ub
+            buffer_bits += module.buffer_bits
+            delay = module.control_delay_ns
+            if slowest is None or delay > slowest:
+                slowest = delay
+        transfer_overhead = 0.0
+        if chip.moves_data:
+            transfer_overhead = chip.pin_delay_ns
+            if slowest is not None:
+                transfer_overhead += slowest
+        power = None
+        if buffer_bits or chip.driven_pads:
+            # DTM buffers and driven pads, spread as
+            # Triplet.spread(integration, 0.8, 1.3) spreads them.
+            integration = float(
+                buffer_bits * _DTM_MW_PER_BUFFER_BIT
+                + chip.driven_pads * _PAD_DRIVER_MW
+            )
+            power = (integration * 0.8, integration, integration * 1.3)
+        return _ChipTerms(
+            Triplet(area_lb, area_ml, area_ub), transfer_overhead, power
+        )
+
     def transfer_modules(
         self, schedule: TaskSchedule, ii_main: int
     ) -> List[DataTransferModule]:
@@ -512,46 +630,25 @@ class IntegrationPlan:
         return modules
 
     def chip_usage(
-        self,
-        selection: Mapping[str, DesignPrediction],
-        modules: List[DataTransferModule],
+        self, selection: Mapping[str, DesignPrediction], timing: Timing
     ) -> Dict[str, ChipUsage]:
-        """Per-chip occupancy of one selection with its DTMs."""
+        """Per-chip occupancy of one selection with its timing's DTMs."""
         if self._usage_failure is not None:
             raise ChipError(self._usage_failure)
-        by_chip: Dict[str, List[DataTransferModule]] = {
-            chip.name: [] for chip in self._chips
-        }
-        for module in modules:
-            by_chip[module.chip].append(module)
         dp_multiplier = self.clocks.dp_multiplier
         usage: Dict[str, ChipUsage] = {}
-        for chip in self._chips:
-            chosen = [selection[p] for p in chip.partitions]
-            chip_modules = by_chip[chip.name]
-            dp_overhead = max(
-                (pred.clock_overhead_ns for pred in chosen), default=0.0
-            )
-            transfer_overhead = 0.0
-            if chip.moves_data:
-                transfer_overhead = chip.pin_delay_ns
-                if chip_modules:
-                    transfer_overhead += max(
-                        m.control_delay_ns for m in chip_modules
-                    )
-            # Transfers synchronize to datapath-cycle boundaries, so the
-            # whole integration overhead is absorbed once per datapath
-            # cycle: the reported main clock stretches by overhead /
-            # dp_multiplier.  This reproduces the paper's adjusted clocks
-            # (~310 ns in experiment 1 where dp = 10x main, ~374-400 ns
-            # in experiment 2 where dp = main).
-            overhead = (dp_overhead + transfer_overhead) / dp_multiplier
-
+        for chip, terms in zip(self._chips, timing.chips):
             # Each field is folded in plain floats, in Triplet.sum's
-            # order, and built as one Triplet.
+            # order, and built as one Triplet; the datapath overhead is
+            # max()'s pick, or 0 on a chip without partitions.
+            dp_overhead = None
             pu_lb = pu_ml = pu_ub = 0.0
             power_lb = power_ml = power_ub = 0.0
-            for pred in chosen:
+            for partition in chip.partitions:
+                pred = selection[partition]
+                pick = pred.clock_overhead_ns
+                if dp_overhead is None or pick > dp_overhead:
+                    dp_overhead = pick
                 area = pred.area_total
                 pu_lb += area.lb
                 pu_ml += area.ml
@@ -560,30 +657,26 @@ class IntegrationPlan:
                 power_lb += power.lb
                 power_ml += power.ml
                 power_ub += power.ub
-            dtm_lb = dtm_ml = dtm_ub = 0.0
-            buffer_bits = 0
-            for module in chip_modules:
-                area = module.area_mil2
-                dtm_lb += area.lb
-                dtm_ml += area.ml
-                dtm_ub += area.ub
-                buffer_bits += module.buffer_bits
-            if buffer_bits or chip.driven_pads:
-                # DTM buffers and driven pads, spread as
-                # Triplet.spread(integration, 0.8, 1.3) spreads them.
-                integration = float(
-                    buffer_bits * _DTM_MW_PER_BUFFER_BIT
-                    + chip.driven_pads * _PAD_DRIVER_MW
-                )
-                power_lb += integration * 0.8
-                power_ml += integration
-                power_ub += integration * 1.3
-
+            if terms.integration_power is not None:
+                lb, ml, ub = terms.integration_power
+                power_lb += lb
+                power_ml += ml
+                power_ub += ub
+            # Transfers synchronize to datapath-cycle boundaries, so the
+            # whole integration overhead is absorbed once per datapath
+            # cycle: the reported main clock stretches by overhead /
+            # dp_multiplier.  This reproduces the paper's adjusted clocks
+            # (~310 ns in experiment 1 where dp = 10x main, ~374-400 ns
+            # in experiment 2 where dp = main).
+            overhead = (
+                (0.0 if dp_overhead is None else dp_overhead)
+                + terms.transfer_overhead_ns
+            ) / dp_multiplier
             usage[chip.name] = ChipUsage(
                 chip=chip.name,
                 partitions=chip.partitions,
                 pu_area=Triplet(pu_lb, pu_ml, pu_ub),
-                dtm_area=Triplet(dtm_lb, dtm_ml, dtm_ub),
+                dtm_area=terms.dtm_area,
                 pin_mux_area=chip.pin_mux_area,
                 memory_area=chip.memory_area,
                 usable_area_mil2=chip.usable_area_mil2,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.partitioning import Partitioning
@@ -65,6 +66,29 @@ class TransferTask:
         return self.kind is not TaskKind.PROCESS
 
 
+@dataclass(frozen=True, slots=True)
+class TaskIndex:
+    """A task graph's index tables, built once per graph.
+
+    Tasks are numbered in name order, so ``number - urgency *
+    len(names)`` is one int that sorts like ``(-urgency, name)``, and
+    that int modulo ``len(names)`` is the task's number again.
+    """
+
+    #: Task names, sorted; a task's number is its place here.
+    names: Tuple[str, ...]
+    #: Task numbers in dependency order, ties broken by name.
+    order: Tuple[int, ...]
+    #: Each task's successors, as numbers.
+    successors: Tuple[Tuple[int, ...], ...]
+    #: Each task's number of predecessors.
+    predecessor_counts: Tuple[int, ...]
+    #: Task numbers in the order the graph declares the tasks.
+    declared: Tuple[int, ...]
+    #: The data-moving tasks' numbers, in declaration order.
+    movers: Tuple[int, ...]
+
+
 class TaskGraph:
     """Tasks plus precedence edges plus per-chip memory pin load."""
 
@@ -93,7 +117,7 @@ class TaskGraph:
         self._predecessors: Dict[str, Tuple[str, ...]] = {
             t: tuple(p) for t, p in predecessors.items()
         }
-        self._order: Optional[Tuple[str, ...]] = None
+        self._index: Optional[TaskIndex] = None
 
     def successors(self, task: str) -> Tuple[str, ...]:
         return self._successors[task]
@@ -102,33 +126,53 @@ class TaskGraph:
         return self._predecessors[task]
 
     def topological_order(self) -> List[str]:
-        """Tasks in dependency order, ties broken by name.
+        """Tasks in dependency order, ties broken by name."""
+        index = self.index()
+        return [index.names[task] for task in index.order]
 
-        A task graph is never changed after construction, so the order
-        is derived once and kept; every integration of a search reuses
-        it.
+    def index(self) -> TaskIndex:
+        """The graph's :class:`TaskIndex`.
+
+        A task graph is never changed after construction, so the tables
+        are derived once and kept; every schedule of a search reads them.
         """
-        if self._order is None:
-            self._order = tuple(self._derive_order())
-        return list(self._order)
+        if self._index is None:
+            self._index = self._derive_index()
+        return self._index
 
-    def _derive_order(self) -> List[str]:
-        indegree = {t: len(self._predecessors[t]) for t in self.tasks}
-        ready = sorted(t for t, d in indegree.items() if d == 0)
-        order: List[str] = []
+    def _derive_index(self) -> TaskIndex:
+        names = tuple(sorted(self.tasks))
+        number = {name: task for task, name in enumerate(names)}
+        successors = tuple(
+            tuple(number[succ] for succ in self._successors[name])
+            for name in names
+        )
+        counts = tuple(len(self._predecessors[name]) for name in names)
+        remaining = list(counts)
+        # Sorted, so already a heap: the least-named ready task goes next.
+        ready = [task for task, count in enumerate(counts) if count == 0]
+        order: List[int] = []
         while ready:
-            task = ready.pop(0)
+            task = heappop(ready)
             order.append(task)
-            fresh = []
-            for succ in self._successors[task]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    fresh.append(succ)
-            ready.extend(sorted(fresh))
-            ready.sort()
-        if len(order) != len(self.tasks):
+            for succ in successors[task]:
+                remaining[succ] -= 1
+                if remaining[succ] == 0:
+                    heappush(ready, succ)
+        if len(order) != len(names):
             raise PartitioningError("task graph contains a cycle")
-        return order
+        return TaskIndex(
+            names=names,
+            order=tuple(order),
+            successors=successors,
+            predecessor_counts=counts,
+            declared=tuple(number[name] for name in self.tasks),
+            movers=tuple(
+                number[name]
+                for name, task in self.tasks.items()
+                if task.moves_data
+            ),
+        )
 
     def process_tasks(self) -> List[TransferTask]:
         return [

@@ -20,13 +20,16 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.tasks import TaskGraph
+from repro.core.tasks import TaskGraph, TaskIndex
 from repro.errors import InfeasibleError, PredictionError
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TaskSchedule:
-    """Start/finish times (main cycles) of every task, plus derived waits."""
+    """Start/finish times (main cycles) of every task, plus derived waits.
+
+    Frozen, because the system predictions of one timing key share it.
+    """
 
     start: Dict[str, int]
     finish: Dict[str, int]
@@ -37,6 +40,16 @@ class TaskSchedule:
     #: For data tasks: cycles between transfer end and the consuming
     #: process task's start (the input-side DTM's hold time).
     hold: Dict[str, int]
+
+
+#: A data task's pins, its lanes up to the first chip without a pin
+#: capacity, and that chip (reaching it is a :class:`PredictionError`).
+#: A lane is a chip's number and its room: the most pins in use in a
+#: modulo slot that still leave space for the task.
+_Mover = Tuple[int, Tuple[Tuple[int, int], ...], Optional[str]]
+#: :func:`pin_table`'s chip count, and each task's mover by task number
+#: (``None`` for a process task).
+PinTable = Tuple[int, Tuple[Optional[_Mover], ...]]
 
 
 def urgency_schedule(
@@ -53,7 +66,67 @@ def urgency_schedule(
     chips; ``pin_capacity`` the shareable data pins per chip (after
     memory I/O).  Raises :class:`InfeasibleError` when a transfer exceeds
     the initiation interval (data clash) or the pins cannot be shared at
-    this rate.
+    this rate.  This is :func:`schedule_tasks` on the graph's index
+    tables and :func:`pin_table`.
+    """
+    index = task_graph.index()
+    return schedule_tasks(
+        index,
+        [durations.get(name) for name in index.names],
+        pin_table(task_graph, pin_needs, pin_capacity),
+        ii_main,
+    )
+
+
+def pin_table(
+    task_graph: TaskGraph,
+    pin_needs: Mapping[str, int],
+    pin_capacity: Mapping[str, int],
+) -> PinTable:
+    """The data tasks' pins and chip rooms, numbered for
+    :func:`schedule_tasks`; a missing pin need is 0."""
+    index = task_graph.index()
+    chips: Dict[str, int] = {}
+    movers: List[Optional[_Mover]] = [None] * len(index.names)
+    for task in index.movers:
+        name = index.names[task]
+        pins = pin_needs.get(name, 0)
+        lanes: List[Tuple[int, int]] = []
+        uncapped = None
+        for chip in task_graph.tasks[name].chips:
+            cap = pin_capacity.get(chip)
+            if cap is None:
+                uncapped = chip
+                break
+            lanes.append((chips.setdefault(chip, len(chips)), cap - pins))
+        movers[task] = (pins, tuple(lanes), uncapped)
+    return len(chips), tuple(movers)
+
+
+def task_urgency(index: TaskIndex, durations: Sequence[int]) -> List[int]:
+    """Critical-path-to-sink length of every task (inclusive), by task
+    number; the largest is the graph's longest path."""
+    urgency = [0] * len(index.names)
+    successors = index.successors
+    for task in reversed(index.order):
+        downstream = 0
+        for succ in successors[task]:
+            if urgency[succ] > downstream:
+                downstream = urgency[succ]
+        urgency[task] = durations[task] + downstream
+    return urgency
+
+
+def schedule_tasks(
+    index: TaskIndex,
+    durations: Sequence[Optional[int]],
+    pins: PinTable,
+    ii_main: int,
+) -> TaskSchedule:
+    """The urgency schedule of a task graph given by its index tables.
+
+    ``durations`` holds each task's length by task number (``None``
+    where it has none).
 
     Each time point tries the ready tasks pass by pass, most urgent first
     and ties by name.  A pass walks the ready snapshot it started with
@@ -70,79 +143,84 @@ def urgency_schedule(
         raise PredictionError(
             f"initiation interval must be positive, got {ii_main}"
         )
-    usage: Dict[str, List[int]] = {
-        chip: [0] * ii_main for chip in pin_capacity
-    }
-    movers: Dict[str, _Mover] = {}
-    for name, task in task_graph.tasks.items():
-        if name not in durations:
-            raise PredictionError(f"task {name!r} has no duration")
-        if durations[name] < 0:
-            raise PredictionError(f"task {name!r} has negative duration")
-        if task.moves_data:
-            if durations[name] > ii_main:
-                raise InfeasibleError(
-                    f"task {name!r} needs {durations[name]} cycles but the "
-                    f"initiation interval is {ii_main}; a longer transfer "
-                    "would cause data clashes"
-                )
-            movers[name] = _mover(
-                task.chips, pin_needs.get(name, 0), usage, pin_capacity
+    names = index.names
+    count = len(names)
+    chip_count, movers = pins
+    usage = [[0] * ii_main for _ in range(chip_count)]
+    for task in index.declared:
+        duration = durations[task]
+        if duration is None:
+            raise PredictionError(f"task {names[task]!r} has no duration")
+        if duration < 0:
+            raise PredictionError(
+                f"task {names[task]!r} has negative duration"
+            )
+        if duration > ii_main and movers[task] is not None:
+            raise InfeasibleError(
+                f"task {names[task]!r} needs {duration} cycles but the "
+                f"initiation interval is {ii_main}; a longer transfer "
+                "would cause data clashes"
             )
 
-    order = task_graph.topological_order()
-    urgency = _urgency(task_graph, durations, order)
-    # Most urgent first, ties by name; the key is fixed per schedule.
-    rank = {name: (-urgency[name], name) for name in order}
-    remaining = {
-        name: len(task_graph.predecessors(name)) for name in order
-    }
-    data_ready: Dict[str, int] = {}
-    ready = sorted(rank[name] for name in order if remaining[name] == 0)
+    # Most urgent first, ties by name, as one int per task (see
+    # TaskIndex); the key is fixed per schedule.
+    rank = [
+        task - urgency * count
+        for task, urgency in enumerate(task_urgency(index, durations))
+    ]
+    remaining = list(index.predecessor_counts)
+    data_ready = [0] * count
+    begin = [0] * count
+    ready = sorted(
+        rank[task] for task in range(count) if remaining[task] == 0
+    )
     start: Dict[str, int] = {}
     finish: Dict[str, int] = {}
+    horizon = sum(durations) + ii_main * max(1, count) + 1
 
-    total_duration = sum(durations.values())
-    horizon = total_duration + ii_main * max(1, len(order)) + 1
-
-    successors = task_graph.successors
+    successors = index.successors
     time = 0
     while True:
         # Every pass but the first tries only the tasks the pass before
         # made ready: the others already failed at this time, and a
         # placement can only take pins away.
-        batch: Sequence[Tuple[int, str]] = tuple(ready)
+        batch: Sequence[int] = tuple(ready)
         while batch:
-            fresh: List[Tuple[int, str]] = []
+            fresh: List[int] = []
             for key in batch:
-                name = key[1]
-                if data_ready.get(name, 0) > time:
+                task = key % count
+                if data_ready[task] > time:
                     continue
-                duration = durations[name]
-                mover = movers.get(name)
+                duration = durations[task]
+                mover = movers[task]
                 if mover is not None:
-                    pins, lanes, uncapped = mover
-                    if _blocked(lanes, time, duration, ii_main):
+                    need, lanes, uncapped = mover
+                    if _blocked(usage, lanes, time, duration, ii_main):
                         continue
                     if uncapped is not None:
                         raise PredictionError(
                             f"no pin capacity for chip {uncapped!r}"
                         )
-                    _occupy(lanes, pins, time, duration, ii_main)
+                    _occupy(usage, lanes, need, time, duration, ii_main)
+                begin[task] = time
+                name = names[task]
                 start[name] = time
                 end = finish[name] = time + duration
                 ready.remove(key)
-                for succ in successors(name):
+                for succ in successors[task]:
                     remaining[succ] -= 1
-                    if end > data_ready.get(succ, 0):
+                    if end > data_ready[succ]:
                         data_ready[succ] = end
                     if remaining[succ] == 0:
                         insort(ready, rank[succ])
                         fresh.append(rank[succ])
-            batch = sorted(fresh)
+            fresh.sort()
+            batch = fresh
         if not ready:
             break
-        time = _next_event(ready, time, data_ready, durations, movers, ii_main)
+        time = _next_event(
+            ready, count, time, data_ready, durations, usage, movers, ii_main
+        )
         if time is None or time > horizon:
             raise InfeasibleError(
                 f"urgency scheduling cannot share the data pins at "
@@ -152,119 +230,81 @@ def urgency_schedule(
     makespan = max(finish.values(), default=0)
     wait: Dict[str, int] = {}
     hold: Dict[str, int] = {}
-    for name in movers:
-        wait[name] = start[name] - data_ready.get(name, 0)
+    for task in index.movers:
+        name = names[task]
+        wait[name] = begin[task] - data_ready[task]
         # The hold lasts until the last consuming process task starts.
         consumed = -1
-        for succ in successors(name):
-            if succ not in movers and start[succ] > consumed:
-                consumed = start[succ]
+        for succ in successors[task]:
+            if movers[succ] is None and begin[succ] > consumed:
+                consumed = begin[succ]
         hold[name] = consumed - finish[name] if consumed >= 0 else 0
     return TaskSchedule(
         start=start, finish=finish, makespan=makespan, wait=wait, hold=hold
     )
 
 
-#: One chip's modulo pin slots, and the most pins in use in a slot that
-#: still leave room for the task.
-_Lane = Tuple[List[int], int]
-#: A data task's pins, its lanes up to the first chip without a pin
-#: capacity, and that chip (reaching it is a :class:`PredictionError`).
-_Mover = Tuple[int, Tuple[_Lane, ...], Optional[str]]
-
-
-def _mover(
-    chips: Tuple[str, ...],
-    pins: int,
-    usage: Dict[str, List[int]],
-    capacity: Mapping[str, int],
-) -> _Mover:
-    lanes = []
-    for chip in chips:
-        cap = capacity.get(chip)
-        if cap is None:
-            return pins, tuple(lanes), chip
-        lanes.append((usage[chip], cap - pins))
-    return pins, tuple(lanes), None
-
-
 def _next_event(
-    ready: List[Tuple[int, str]],
+    ready: List[int],
+    count: int,
     time: int,
-    data_ready: Mapping[str, int],
-    durations: Mapping[str, int],
-    movers: Mapping[str, _Mover],
+    data_ready: List[int],
+    durations: Sequence[int],
+    usage: List[List[int]],
+    movers: Sequence[Optional[_Mover]],
     ii_main: int,
 ) -> Optional[int]:
     """The first time after ``time`` at which some ready task could be
     placed, or ``None`` when every ready task is a transfer whose pins
     fit in no slot of the interval."""
     best: Optional[int] = None
-    for _, name in ready:
-        begin = max(time + 1, data_ready.get(name, 0))
+    for key in ready:
+        task = key % count
+        begin = max(time + 1, data_ready[task])
         if best is not None and begin >= best:
             continue
-        mover = movers.get(name)
+        mover = movers[task]
         if mover is None:
             best = begin
             continue
         # Pin occupancy repeats every interval, so one interval's worth
         # of start times covers every slot.
         stop = begin + ii_main if best is None else min(begin + ii_main, best)
-        duration = durations[name]
+        duration = durations[task]
         lanes = mover[1]
         for slot in range(begin, stop):
-            if not _blocked(lanes, slot, duration, ii_main):
+            if not _blocked(usage, lanes, slot, duration, ii_main):
                 best = slot
                 break
     return best
 
 
-def _urgency(
-    task_graph: TaskGraph,
-    durations: Mapping[str, int],
-    order: List[str],
-) -> Dict[str, int]:
-    """Critical-path-to-sink length of every task (inclusive)."""
-    urgency: Dict[str, int] = {}
-    successors = task_graph.successors
-    for name in reversed(order):
-        downstream = 0
-        for succ in successors(name):
-            if urgency[succ] > downstream:
-                downstream = urgency[succ]
-        urgency[name] = durations[name] + downstream
-    return urgency
-
-
 def _blocked(
-    lanes: Tuple[_Lane, ...],
+    usage: List[List[int]],
+    lanes: Tuple[Tuple[int, int], ...],
     begin: int,
     duration: int,
     ii_main: int,
 ) -> bool:
     """Whether some chip lacks the pins in a cycle of ``[begin, begin +
-    duration)``; a data task never outlasts the interval, so the window
-    wraps around the modulo slots at most once."""
-    first = begin % ii_main
-    last = first + duration
-    for slots, room in lanes:
-        if last <= ii_main:
-            window = slots[first:last]
-        else:
-            window = slots[first:] + slots[: last - ii_main]
-        if window and max(window) > room:
-            return True
+    duration)``, taken modulo the interval."""
+    for chip, room in lanes:
+        slots = usage[chip]
+        for cycle in range(begin, begin + duration):
+            if slots[cycle % ii_main] > room:
+                return True
     return False
 
 
 def _occupy(
-    lanes: Tuple[_Lane, ...],
+    usage: List[List[int]],
+    lanes: Tuple[Tuple[int, int], ...],
     pins: int,
     begin: int,
     duration: int,
     ii_main: int,
 ) -> None:
-    for slots, _ in lanes:
+    for chip, _ in lanes:
+        slots = usage[chip]
         for cycle in range(begin, begin + duration):
             slots[cycle % ii_main] += pins

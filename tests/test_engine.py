@@ -49,7 +49,6 @@ from repro.engine import (
 import repro.engine.workers as workers_module
 from repro.core.feasibility import evaluate_system
 from repro.core.integration import integrate
-from repro.core.urgency import _urgency
 from repro.errors import (
     ChopError,
     CombinationExplosionError,
@@ -528,7 +527,12 @@ def critical_path(problem, selection):
     for task, partition in plan.process_tasks:
         durations[task] = selection[partition].latency_main
     graph = plan.task_graph
-    return max(_urgency(graph, durations, graph.topological_order()).values())
+    length = {}
+    for task in reversed(graph.topological_order()):
+        length[task] = durations[task] + max(
+            (length[succ] for succ in graph.successors(task)), default=0
+        )
+    return max(length.values())
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.chips.chip import Chip
 from repro.chips.presets import mosis_package
+from repro.core import integration
 from repro.core.feasibility import FeasibilityCriteria, evaluate_system
-from repro.core.integration import integrate
+from repro.core.integration import IntegrationPlan, integrate
 from repro.core.partitioning import Partitioning
 from repro.core.schemes import horizontal_cut, single_partition
+from repro.core.tasks import build_task_graph
+from repro.engine import workers
 from repro.errors import InfeasibleError, PredictionError
+from repro.experiments.setups import experiment2_session
 
 
 def _chips(n, pkg=2):
@@ -211,3 +217,70 @@ class TestEvaluate:
         report = evaluate_system(system, criteria)
         if not report.feasible:
             assert set(report.violated_chips()) <= {"chip1", "chip2"}
+
+
+class TestTimingMemo:
+    """A plan schedules each timing key (``ii_main`` and each process
+    task's ``latency_main``) once and shares what follows from it."""
+
+    @pytest.mark.parametrize(
+        "partition_count, integrations, schedules",
+        [(3, 139, 114), (5, 207, 185)],
+    )
+    def test_enumeration_schedules_once_per_key(
+        self, monkeypatch, partition_count, integrations, schedules
+    ):
+        counts = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            integration, "schedule_tasks",
+            counted("schedule", integration.schedule_tasks),
+        )
+        monkeypatch.setattr(
+            workers, "integrate", counted("integrate", workers.integrate)
+        )
+        experiment2_session(partition_count=partition_count).check(
+            "enumeration"
+        )
+        assert counts == {"integrate": integrations, "schedule": schedules}
+
+    def test_one_key_shares_one_schedule(self):
+        # Experiment 2, k = 3: P1's pipelined and plain picks both take
+        # 22 main cycles, so at II 22 the two selections share a key.
+        session = experiment2_session(partition_count=3)
+        partitioning = session.partitioning()
+        lists = session.pruned_predictions()
+        plan = IntegrationPlan(
+            partitioning, build_task_graph(partitioning), session.clocks,
+            session.library,
+        )
+
+        def pick(name, latency, pipelined):
+            return next(
+                pred for pred in lists[name]
+                if pred.latency_main == latency and pred.pipelined == pipelined
+            )
+
+        base = {"P2": pick("P2", 12, False), "P3": pick("P3", 13, True)}
+        systems = [
+            integrate(
+                partitioning, {**base, "P1": pick("P1", 22, pipelined)}, 22,
+                session.clocks, session.library, plan=plan,
+            )
+            for pipelined in (True, False)
+        ]
+        first, second = systems
+        assert first.selection["P1"] is not second.selection["P1"]
+        assert second.schedule is first.schedule
+        assert second.transfer_modules is first.transfer_modules
+        assert first.chip_usage["chip1"].pu_area != (
+            second.chip_usage["chip1"].pu_area
+        )
+

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Mapping, Tuple
 
 import pytest
@@ -76,6 +77,15 @@ class TestBasicScheduling:
         )
         for src, dst in linear_graph.edges:
             assert schedule.finish[src] <= schedule.start[dst]
+
+    def test_schedule_is_frozen(self, linear_graph):
+        durations = dict.fromkeys(linear_graph.tasks, 1)
+        schedule = urgency_schedule(
+            linear_graph, durations, {}, {"chip1": 8, "chip2": 8},
+            ii_main=4,
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schedule.makespan = 0
 
     def test_waits_zero_in_unconstrained_chain(self, linear_graph):
         durations = {"in:A": 2, "pu:A": 10, "xfer:A->B": 2, "pu:B": 8,
