@@ -31,9 +31,11 @@ class Triplet:
     ub: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.lb) or math.isnan(self.ml) or math.isnan(self.ub):
-            raise ValueError("triplet fields must not be NaN")
+        # A NaN fails every comparison, so the chain alone accepts every
+        # valid triplet; only a failed chain needs telling apart.
         if not (self.lb <= self.ml <= self.ub):
+            if math.isnan(self.lb) or math.isnan(self.ml) or math.isnan(self.ub):
+                raise ValueError("triplet fields must not be NaN")
             raise ValueError(
                 f"triplet ordering violated: lb={self.lb} ml={self.ml} ub={self.ub}"
             )

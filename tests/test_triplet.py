@@ -8,6 +8,9 @@ from hypothesis import given, strategies as st
 from repro.stats import Triplet
 from tests.strategies import triplet_parts
 
+NAN = float("nan")
+NAN_MESSAGE = "triplet fields must not be NaN"
+
 
 class TestConstruction:
     def test_exact(self):
@@ -37,6 +40,30 @@ class TestConstruction:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             Triplet(float("nan"), 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((NAN, 1.0, 2.0), NAN_MESSAGE),
+            ((1.0, NAN, 2.0), NAN_MESSAGE),
+            ((1.0, 2.0, NAN), NAN_MESSAGE),
+            # A NaN is named even where the other fields misorder.
+            ((NAN, 3.0, 1.0), NAN_MESSAGE),
+        ] + [
+            (
+                fields,
+                "triplet ordering violated: lb={} ml={} ub={}".format(*fields),
+            )
+            for fields in [
+                (2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (2.0, 3.0, 1.0),
+                (3.0, 1.0, 2.0), (3.0, 2.0, 1.0),
+            ]
+        ],
+    )
+    def test_rejection_message(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            Triplet(*fields)
+        assert str(info.value) == message
 
     def test_zero(self):
         assert Triplet.zero() == Triplet.exact(0)
