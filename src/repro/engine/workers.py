@@ -79,7 +79,9 @@ from repro.stats import ConstraintCheck, Triplet, prob_le
 #: walk and the 3,840 walkable combination cells at 1.56-1.61x
 #: (docs/performance.md, "Where the pool pays").  Since the walk
 #: screens delay floors, exp1 pkg2 k=5 integrates 121 of its 3,840
-#: and pools at 0.54x (146 ms against 79 ms in process).
+#: and pools at 0.54x (146 ms against 79 ms in process); with the
+#: timing-key memo, at 0.58-1.03x over five rounds of 7-9 alternating
+#: runs (median 0.86x: 100 ms against 90 ms in process).
 MIN_COMBINATIONS = 2048
 
 #: Shards per worker: more shards than workers so a slow shard cannot
