@@ -10,7 +10,7 @@ pure-Python integration pipeline, so the engine fans shards out to a
 * workers run the *same* :func:`evaluate_range` code the serial path
   uses (level-2 pruning included), so parallel results merge to a
   byte-identical :class:`~repro.search.results.SearchResult`;
-* cancellation is cooperative through a shared ``Event`` polled between
+* cancellation is cooperative through a shared flag polled between
   combinations, mirroring the serving layer's ``should_stop`` contract;
 * one method, :meth:`EvaluationEngine.plan`, decides between the pool
   and the in-process walk: ``workers=1``, fewer than
@@ -489,10 +489,34 @@ def evaluate_range(
 # worker-process side
 # ----------------------------------------------------------------------
 _WORKER_PROBLEM: Optional[EvaluationProblem] = None
-_WORKER_CANCEL: Optional[Any] = None
+_WORKER_CANCEL: Optional["_CancelFlag"] = None
 
 
-def _init_worker(problem: EvaluationProblem, cancel_event: Any) -> None:
+class _CancelFlag:
+    """The pool's cancel flag: one byte of shared memory, no lock.
+
+    A pool whose worker dies terminates the others, and a worker
+    terminated while it held a ``multiprocessing.Event``'s lock (it
+    polls between combinations) left that lock taken for good: the
+    parent's ``set()`` then blocked forever.  One byte is read and
+    written whole, so it needs no lock.
+    """
+
+    __slots__ = ("_byte",)
+
+    def __init__(self, context: Any) -> None:
+        self._byte = context.RawValue("b", 0)
+
+    def set(self) -> None:
+        self._byte.value = 1
+
+    def is_set(self) -> bool:
+        return self._byte.value != 0
+
+
+def _init_worker(
+    problem: EvaluationProblem, cancel_event: "_CancelFlag"
+) -> None:
     """Pool initializer: receive the problem once, keep it in a global."""
     global _WORKER_PROBLEM, _WORKER_CANCEL
     _WORKER_PROBLEM = problem
@@ -755,10 +779,10 @@ class EvaluationEngine:
 
     def _make_executor(
         self, problem: EvaluationProblem
-    ) -> Tuple[ProcessPoolExecutor, Any]:
+    ) -> Tuple[ProcessPoolExecutor, _CancelFlag]:
         """Create the pool (separated out so tests can inject failure)."""
         context = multiprocessing.get_context(START_METHOD)
-        cancel_event = context.Event()
+        cancel_event = _CancelFlag(context)
         executor = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=context,

@@ -22,6 +22,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 
 import functools
@@ -937,6 +938,31 @@ class TestDegradation:
         assert result_doc(survived) == result_doc(serial)
         assert engine.stats()["shards_retried"] >= 1
         assert no_live_workers()
+
+
+    def test_cancel_flag_outlives_a_terminated_poller(self):
+        # A pool whose worker dies terminates the others mid-walk, where
+        # they poll the cancel flag; the parent sets it afterwards and
+        # must not block on anything a terminated poller held.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        context = multiprocessing.get_context("fork")
+        flag = workers_module._CancelFlag(context)
+        poller = context.Process(target=_poll_forever, args=(flag,))
+        poller.start()
+        time.sleep(0.2)
+        poller.terminate()
+        poller.join(5)
+        setter = threading.Thread(target=flag.set, daemon=True)
+        setter.start()
+        setter.join(5)
+        assert not setter.is_alive()
+        assert flag.is_set()
+
+
+def _poll_forever(flag):
+    while not flag.is_set():
+        pass
 
 
 def _crash_first_shard(shard, trace_id=None):
