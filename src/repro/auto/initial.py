@@ -68,9 +68,10 @@ def part_weights(cg: ClusterGraph, part_of: Dict[int, int], parts: int) -> List[
 def verify_chain(cg: ClusterGraph, part_of: Dict[int, int]) -> None:
     """Assert the chain invariant; raises on any violating edge.
 
-    Cheap (O(E)) and run after every refinement pass in debug paths —
-    a violation means a legality-check bug that would surface later as
-    an opaque ``PartitioningError`` from CHOP's validator.
+    Cheap (O(E)); :func:`repro.auto.auto_partition` runs it after
+    refining every level.  A violation means a legality-check bug that
+    would surface later as an opaque ``PartitioningError`` from CHOP's
+    validator.
     """
     for u, targets in cg.succ.items():
         for v in targets:

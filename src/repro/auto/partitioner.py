@@ -311,12 +311,11 @@ def _repair_loop(
     operations for its die), migrate its best chain-legal boundary
     operation to the lighter adjacent partition and re-check.  Each
     iteration changes only the two touched partitions, so the warm
-    evaluation context re-predicts just those.
+    evaluation context re-predicts just those.  The operation-level
+    cluster graph is built only when the first migration is needed.
     """
-    base = base_cluster_graph(graph)
-    cluster_part = {
-        cid: assignment[min(ops)] for cid, ops in base.members.items()
-    }
+    base: Optional[ClusterGraph] = None
+    cluster_part: Dict[int, int] = {}
     parts = config.chips
 
     for _move in range(config.feasibility_moves):
@@ -348,6 +347,12 @@ def _repair_loop(
             empty, key=lambda name: (len(session._partitions[name]), name)
         )
         donor = int(donor_name[1:]) - 1
+        if base is None:
+            base = base_cluster_graph(graph)
+            cluster_part = {
+                cid: assignment[min(ops)]
+                for cid, ops in base.members.items()
+            }
         weights = [0] * parts
         for part in cluster_part.values():
             weights[part] += 1
