@@ -334,26 +334,28 @@ class ChopSession:
                     f"for partitions {empty}; relax the constraints or "
                     f"repartition"
                 )
+            if heuristic not in ("enumeration", "iterative"):
+                raise PredictionError(
+                    f"unknown heuristic {heuristic!r}; use 'iterative' "
+                    "or 'enumeration'"
+                )
             task_graph = self._eval.task_graph(partitioning)
+            plan = self._eval.integration_plan(partitioning, task_graph)
             if heuristic == "enumeration":
                 result = enumeration_search(
                     partitioning, predictions, self.clocks, self.library,
                     self.criteria, prune=prune, keep_all=keep_all,
                     cancel=cancel, engine=engine, progress=progress,
                     collector=collector, soft_deadline_s=soft_deadline_s,
-                    task_graph=task_graph,
+                    plan=plan,
                 )
-            elif heuristic == "iterative":
+            else:
                 result = iterative_search(
                     partitioning, predictions, self.clocks, self.library,
                     self.criteria, keep_all=keep_all, cancel=cancel,
-                    soft_deadline_s=soft_deadline_s, task_graph=task_graph,
+                    soft_deadline_s=soft_deadline_s, plan=plan,
                 )
-            else:
-                raise PredictionError(
-                    f"unknown heuristic {heuristic!r}; use 'iterative' "
-                    "or 'enumeration'"
-                )
+            self._eval.keep_plan(plan)
             check_span.add("combinations", result.trials)
             check_span.add("feasible", len(result.feasible))
             if result.degraded:

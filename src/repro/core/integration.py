@@ -7,8 +7,9 @@ the urgency schedule over shared pins, data-transfer modules and their
 buffers, per-chip area with pin multiplexing, the adjusted clock cycle,
 and the resulting system performance and delay.  The part of that work
 that does not depend on the selection lives in an
-:class:`IntegrationPlan`, which the search heuristics build once per
-search.
+:class:`IntegrationPlan`, built once per partitioning state: the
+evaluation context keeps a re-checked state's plan, memos and all, for
+its next check.
 
 Hard impossibilities — data-rate mismatches between pipelined partitions,
 transfers longer than the initiation interval, pins oversubscribed at the
@@ -24,7 +25,7 @@ from typing import (
     Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
-from repro.bad.controller import PlaParameters
+from repro.bad.controller import PlaEstimate, PlaParameters
 from repro.bad.prediction import DesignPrediction
 from repro.bad.styles import ClockScheme
 from repro.chips.chip import Chip, PinBudget, pin_budget
@@ -142,9 +143,10 @@ def integrate(
     cycles; it must be at least every selected implementation's interval
     and exactly the common rate of all pipelined implementations.
     ``plan`` carries the selection-independent work for this
-    partitioning, clocks and library (see :class:`IntegrationPlan`); the
-    search heuristics build one per search and pass it to every call.
-    Without one, a one-shot plan is built here.
+    partitioning, clocks and library (see :class:`IntegrationPlan`); a
+    check hands its search one plan, the state's kept plan where the
+    evaluation context holds one, and the search passes it to every
+    call.  Without one, a one-shot plan is built here.
     """
     _check_selection(partitioning, selection, ii_main)
     if plan is None:
@@ -216,14 +218,18 @@ class Timing(NamedTuple):
 
 
 class IntegrationPlan:
-    """The selection-independent half of :func:`integrate`, for one search.
+    """The selection-independent half of :func:`integrate`, for one
+    partitioning state.
 
     Built once from a partitioning, its task graph, the clocks and the
     library, a plan holds the pin budgets and data capacities, every
     transfer estimate, the scheduler's duration and pin tables, the
     per-chip statics of chip usage, the memory-bandwidth verdict per
     initiation interval, and a memo of data-transfer modules keyed by
-    (task, chip, mode, wait or hold, II).
+    (task, chip, mode, wait or hold, II).  Every memo is a pure function
+    of its key, so a plan serves any number of searches of its state;
+    :class:`repro.eval.EvaluationContext` keeps a re-checked state's
+    plan for the next check.
 
     Everything :func:`integrate` derives from the urgency schedule
     depends only on the timing key: ``ii_main`` and each process task's
@@ -232,7 +238,10 @@ class IntegrationPlan:
     the schedule's :class:`InfeasibleError` message (a
     :class:`PredictionError` is not kept).  :func:`integrate` then does
     only the per-selection work: the selection's area, power and clock
-    overhead per chip.
+    overhead per chip.  The timings share equal chip terms, and the
+    DTMs share PLA estimates of equal dimensions, both keyed by value.
+    :meth:`delay_floor_table` is built once and :meth:`critical_path`
+    is kept per tuple of process latencies.
 
     A selection-independent step that fails does not raise here: the
     plan keeps the error's type and message, and :meth:`check` (or
@@ -295,6 +304,17 @@ class IntegrationPlan:
             Tuple[str, str, str, int, int], DataTransferModule
         ] = {}
         self._timings: Dict[Tuple[int, ...], Union[Timing, str]] = {}
+        #: Equal chip terms and PLA estimates of equal dimensions, one
+        #: object each.  Keyed by value: a plan pickled into a worker
+        #: keeps them valid there.
+        self._terms: Dict[_ChipTerms, _ChipTerms] = {}
+        self._controllers: Dict[Tuple[int, int, int], PlaEstimate] = {}
+        #: Equal schedule waits and holds, one dict each, keyed by their
+        #: values (every schedule lists the same data tasks in order).
+        self._waits: Dict[Tuple[int, ...], Dict[str, int]] = {}
+        self._holds: Dict[Tuple[int, ...], Dict[str, int]] = {}
+        self._floor_table: Optional[DelayFloorTable] = None
+        self._critical_paths: Dict[Tuple[int, ...], int] = {}
         self._plan()
 
     # ------------------------------------------------------------------
@@ -439,15 +459,23 @@ class IntegrationPlan:
     def critical_path(self, selection: Mapping[str, DesignPrediction]) -> int:
         """The task graph's longest path in main cycles, with process
         tasks at their picks' ``latency_main`` and data tasks at their
-        transfer durations: no urgency schedule is shorter.  Defined
-        only on a plan that has not :attr:`failed`."""
-        durations = self._task_durations(
-            [selection[partition].latency_main
-             for partition in self._partitions]
+        transfer durations: no urgency schedule is shorter.  Kept per
+        tuple of process latencies.  Defined only on a plan that has
+        not :attr:`failed`."""
+        latencies = tuple(
+            selection[partition].latency_main
+            for partition in self._partitions
         )
-        return max(
-            task_urgency(self.task_graph.index(), durations), default=0
-        )
+        path = self._critical_paths.get(latencies)
+        if path is None:
+            path = max(
+                task_urgency(
+                    self.task_graph.index(), self._task_durations(latencies)
+                ),
+                default=0,
+            )
+            self._critical_paths[latencies] = path
+        return path
 
     def _task_durations(self, latencies: Sequence[int]) -> List[int]:
         """Every task's duration by task number, process tasks at
@@ -460,14 +488,17 @@ class IntegrationPlan:
     def delay_floor_table(self) -> DelayFloorTable:
         """Per chip, its partitions and the least transfer overhead any
         integration charges it: :meth:`chip_usage`'s terms with every
-        DTM controller at wait and hold 0.  Defined only on a plan that
-        has not :attr:`failed`."""
+        DTM controller at wait and hold 0.  Built once.  Defined only on
+        a plan that has not :attr:`failed`."""
+        if self._floor_table is not None:
+            return self._floor_table
         slowest: Dict[str, float] = {}
         for name, chip, mode in self._dtm_slots:
             # The interval (1 here) sizes the buffer, not the controller.
             delay = data_transfer_module(
                 self.task_graph.tasks[name], chip, mode, self.transfers[name],
                 0, 1, self.clocks, self.library.register, self.pla_params,
+                controllers=self._controllers,
             ).control_delay_ns
             slowest[chip] = max(delay, slowest.get(chip, delay))
         table = []
@@ -477,7 +508,8 @@ class IntegrationPlan:
             if chip.name in slowest:
                 overhead += slowest[chip.name]
             table.append((chip.partitions, overhead))
-        return tuple(table)
+        self._floor_table = tuple(table)
+        return self._floor_table
 
     def delay_floor(
         self, selection: Mapping[str, DesignPrediction], table: DelayFloorTable
@@ -557,18 +589,37 @@ class IntegrationPlan:
             raise InfeasibleError(timing)
         return timing
 
+    @property
+    def timing_keys(self) -> int:
+        """How many timing keys the memo holds."""
+        return len(self._timings)
+
     def _time(self, ii_main: int, latencies: Sequence[int]) -> Timing:
         schedule = schedule_tasks(
             self.task_graph.index(), self._task_durations(latencies),
             self._pins, ii_main,
         )
+        wait = self._waits.setdefault(
+            tuple(schedule.wait.values()), schedule.wait
+        )
+        hold = self._holds.setdefault(
+            tuple(schedule.hold.values()), schedule.hold
+        )
+        if wait is not schedule.wait or hold is not schedule.hold:
+            schedule = TaskSchedule(
+                schedule.start, schedule.finish, schedule.makespan,
+                wait, hold,
+            )
         modules = tuple(self.transfer_modules(schedule, ii_main))
         # No chip has terms where chip usage fails: chip_usage raises
         # before it reads any.
-        return Timing(schedule, modules, tuple(
-            self._chip_terms(chip, [modules[place] for place in places])
-            for chip, places in zip(self._chips, self._chip_slots)
-        ))
+        terms = []
+        for chip, places in zip(self._chips, self._chip_slots):
+            chip_terms = self._chip_terms(
+                chip, [modules[place] for place in places]
+            )
+            terms.append(self._terms.setdefault(chip_terms, chip_terms))
+        return Timing(schedule, modules, tuple(terms))
 
     @staticmethod
     def _chip_terms(
@@ -623,7 +674,7 @@ class IntegrationPlan:
                 module = data_transfer_module(
                     self.task_graph.tasks[name], chip, mode, estimate,
                     delay, ii_main, self.clocks, self.library.register,
-                    self.pla_params,
+                    self.pla_params, controllers=self._controllers,
                 )
                 self._modules[key] = module
             modules.append(module)
@@ -640,7 +691,9 @@ class IntegrationPlan:
         for chip, terms in zip(self._chips, timing.chips):
             # Each field is folded in plain floats, in Triplet.sum's
             # order, and built as one Triplet; the datapath overhead is
-            # max()'s pick, or 0 on a chip without partitions.
+            # max()'s pick, or 0 on a chip without partitions.  A pick's
+            # area is its five components folded as area_total folds
+            # them (from 0.0, which changes no sum).
             dp_overhead = None
             pu_lb = pu_ml = pu_ub = 0.0
             power_lb = power_ml = power_ub = 0.0
@@ -649,10 +702,15 @@ class IntegrationPlan:
                 pick = pred.clock_overhead_ns
                 if dp_overhead is None or pick > dp_overhead:
                     dp_overhead = pick
-                area = pred.area_total
-                pu_lb += area.lb
-                pu_ml += area.ml
-                pu_ub += area.ub
+                area = pred.area
+                fu = area.functional_units
+                reg = area.registers
+                mux = area.multiplexers
+                ctrl = area.controller
+                wiring = area.wiring
+                pu_lb += (((fu.lb + reg.lb) + mux.lb) + ctrl.lb) + wiring.lb
+                pu_ml += (((fu.ml + reg.ml) + mux.ml) + ctrl.ml) + wiring.ml
+                pu_ub += (((fu.ub + reg.ub) + mux.ub) + ctrl.ub) + wiring.ub
                 power = pred.power_mw
                 power_lb += power.lb
                 power_ml += power.ml

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.bad.controller import PlaEstimate, PlaParameters, pla_estimate
 from repro.bad.styles import ClockScheme
@@ -143,8 +143,16 @@ def data_transfer_module(
     clocks: ClockScheme,
     register: Cell,
     pla_params: PlaParameters = PlaParameters(),
+    controllers: Optional[
+        Dict[Tuple[int, int, int], PlaEstimate]
+    ] = None,
 ) -> DataTransferModule:
-    """Predict one data-transfer module's buffer, controller and area."""
+    """Predict one data-transfer module's buffer, controller and area.
+
+    ``controllers`` shares PLA estimates by their (inputs, outputs,
+    terms): an estimate found there is reused, a new one is added.  All
+    its estimates must come from ``pla_params``.
+    """
     if mode not in ("input", "output"):
         raise PredictionError(f"invalid DTM mode {mode!r}")
     bits = buffer_bits(task.bits, wait_main, estimate.duration_main, ii_main)
@@ -157,7 +165,13 @@ def data_transfer_module(
     inputs = max(1, math.ceil(math.log2(steps + 1))) + 2
     outputs = max(1, ceil_div(estimate.pins, 8)) + 2
     terms = steps + max(1, outputs // 2)
-    controller = pla_estimate(inputs, outputs, terms, pla_params)
+    if controllers is None:
+        controller = pla_estimate(inputs, outputs, terms, pla_params)
+    else:
+        controller = controllers.get((inputs, outputs, terms))
+        if controller is None:
+            controller = pla_estimate(inputs, outputs, terms, pla_params)
+            controllers[inputs, outputs, terms] = controller
     buffer_area = Triplet.spread(
         register.area_for_bits(bits), 0.95, 1.10
     ) if bits else Triplet.zero()

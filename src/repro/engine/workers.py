@@ -50,7 +50,7 @@ from repro.chips.chip import POWER_GROUND_PINS
 from repro.core.feasibility import FeasibilityCriteria, evaluate_system
 from repro.core.integration import DelayFloorTable, IntegrationPlan, integrate
 from repro.core.partitioning import Partitioning
-from repro.core.tasks import TaskGraph, build_task_graph
+from repro.core.tasks import build_task_graph
 from repro.engine.merge import ShardResult, merge_shard_results
 from repro.engine.sharding import (
     Shard,
@@ -152,8 +152,10 @@ class EvaluationProblem:
 
     Immutable and picklable: the pool initializer ships one copy to each
     worker, after which tasks are index ranges only.  The copy carries
-    the search's :class:`IntegrationPlan`, so workers never redo the
-    selection-independent integration work.
+    the search's :class:`IntegrationPlan`, memos included where the
+    evaluation context kept it from an earlier check, so workers never
+    redo the selection-independent integration work.  Only the plan's
+    memos change as the walk runs.
     """
 
     partitioning: Partitioning
@@ -182,13 +184,16 @@ class EvaluationProblem:
         library: ComponentLibrary,
         criteria: FeasibilityCriteria,
         prune: bool = True,
-        task_graph: Optional[TaskGraph] = None,
+        plan: Optional[IntegrationPlan] = None,
     ) -> "EvaluationProblem":
+        """The problem of one search; ``plan`` is an integration plan of
+        ``partitioning`` (built from scratch when omitted)."""
         names = tuple(sorted(partitioning.partitions))
-        if task_graph is None:
-            task_graph = build_task_graph(partitioning)
+        if plan is None:
+            plan = IntegrationPlan(
+                partitioning, build_task_graph(partitioning), clocks, library
+            )
         lists = tuple(tuple(predictions[name]) for name in names)
-        plan = IntegrationPlan(partitioning, task_graph, clocks, library)
         pla = plan.pla_params
         # The delay floor is sound where no clock overhead, latency or
         # PLA delay constant is negative (no controller then speeds up

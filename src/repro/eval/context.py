@@ -15,9 +15,15 @@ Two prediction caches, both bounded by one LRU capacity:
 * **pruned predictions** — level-1 pruned lists, keyed on
   (content, usable area, drop_inferior) so `add_chip` self-invalidates.
 
-The task graph comes from :func:`repro.core.tasks.build_task_graph`;
-the context keeps the last one and returns it while the partition
-contents and the chip and memory placement are unchanged.
+A third, small LRU store keeps per-state entries, keyed on the
+partition contents in order plus the partition, memory and chip
+placement.  Each entry holds the state's task graph (from
+:func:`repro.core.tasks.build_task_graph`) and, from the state's second
+check on, its :class:`~repro.core.integration.IntegrationPlan` with
+every memo, so a check that returns to a state checked before reuses
+its schedules.  The store holds at most :data:`STATE_CAPACITY` states,
+and a plan whose timing memo outgrows :data:`PLAN_TIMING_CAP` keys is
+not kept.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.bad.prediction import DesignPrediction
 from repro.bad.predictor import BADPredictor, PredictorParameters
 from repro.bad.styles import ArchitectureStyle, ClockScheme
 from repro.core.feasibility import FeasibilityCriteria
+from repro.core.integration import IntegrationPlan
 from repro.core.partition import Partition
 from repro.core.partitioning import Partitioning
 from repro.core.tasks import TaskGraph, build_task_graph
@@ -45,11 +52,34 @@ from repro.obs.tracing import span as trace_span
 #: without limit.
 DEFAULT_CACHE_CAPACITY = 1024
 
+#: States the store keeps.  A paper cell's base state and its four
+#: boundary moves fit.
+STATE_CAPACITY = 8
+
+#: A plan whose timing memo holds more keys than this when its check
+#: returns is not kept.  The pruned paper cells need at most 186 keys
+#: (exp2 k=5, both heuristics); the unpruned exp2 k=3 walk, which the
+#: service accepts as ``prune: false``, reaches 4,228.
+PLAN_TIMING_CAP = 1024
+
 ContentKey = FrozenSet[str]
 
 
+class _State:
+    """One store entry: a state's task graph, its cut-pair count, how
+    many checks have asked for its plan, and the kept plan."""
+
+    __slots__ = ("graph", "pairs", "checks", "plan")
+
+    def __init__(self, graph: TaskGraph) -> None:
+        self.graph = graph
+        self.pairs = _cut_pairs(graph)
+        self.checks = 0
+        self.plan: Optional[IntegrationPlan] = None
+
+
 class EvaluationContext:
-    """Content-addressed prediction caches + the kept task graph.
+    """Content-addressed prediction caches + the per-state store.
 
     Not thread-safe (matching :class:`~repro.core.chop.ChopSession`);
     the serving layer serializes access per session entry.
@@ -69,6 +99,7 @@ class EvaluationContext:
         if cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
         self.graph = graph
+        self.library = library
         self.clocks = clocks
         self.criteria = criteria
         self.capacity = cache_capacity
@@ -85,10 +116,8 @@ class EvaluationContext:
         self._pruned: "OrderedDict[Tuple, List[DesignPrediction]]" = (
             OrderedDict()
         )
-        # -- the kept task graph, its memo key and its cut-pair count --
-        self._graph: Optional[TaskGraph] = None
-        self._graph_key: Optional[Tuple] = None
-        self._graph_pairs = 0
+        # -- the per-state store, least recently used first --
+        self._states: "OrderedDict[Tuple, _State]" = OrderedDict()
         # -- counters (exported through stats() / the /metrics gauge) --
         self._hits = 0
         self._misses = 0
@@ -215,52 +244,75 @@ class EvaluationContext:
         return out
 
     def clear(self) -> None:
-        """Drop every cache and the kept task graph (benchmark cold paths)."""
+        """Drop every cache and the state store (benchmark cold paths)."""
         self._raw.clear()
         self._pruned.clear()
-        self._graph = None
-        self._graph_key = None
+        self._states.clear()
         self._invalidations += 1
 
     # ------------------------------------------------------------------
-    # task graph
+    # the per-state store
     # ------------------------------------------------------------------
     def task_graph(self, partitioning: Partitioning) -> TaskGraph:
-        """``build_task_graph(partitioning)``, kept while unchanged.
+        """``build_task_graph(partitioning)``, kept in the state store.
 
-        The memo key is the partition contents (in partition order) plus
-        the partition, memory and chip placement, so any section-2.7
-        mutation misses and rebuilds; the dropped graph counts as one
-        invalidation.  Emits an ``eval.taskgraph.delta`` span whose
-        ``mode`` is ``reused`` or ``full``; the ``pairs_reused`` and
+        A state the store holds returns its kept graph (a hit); any
+        other is built and stored, and the least recently used state
+        leaves a full store.  A miss on a non-empty store counts as one
+        invalidation: the partitioning left every state the context
+        holds.  Emits an ``eval.taskgraph.delta`` span whose ``mode``
+        is ``reused`` or ``full``; the ``pairs_reused`` and
         ``pairs_rebuilt`` stats count the cut partition pairs of every
         graph returned and built.
         """
-        key = (
-            tuple(
-                (name, partition.op_ids)
-                for name, partition in partitioning.partitions.items()
-            ),
-            tuple(sorted(partitioning.partition_chip.items())),
-            tuple(sorted(partitioning.memory_chip.items())),
-            tuple(sorted(partitioning.chips)),
-        )
+        key = _state_key(partitioning)
         with trace_span("eval.taskgraph.delta") as sp:
-            if self._graph is not None and key == self._graph_key:
+            state = self._states.get(key)
+            if state is not None:
+                self._states.move_to_end(key)
                 self._tg_reuses += 1
-                self._pairs_reused += self._graph_pairs
+                self._pairs_reused += state.pairs
                 sp.put("mode", "reused")
-                return self._graph
-            if self._graph is not None:
+                return state.graph
+            if self._states:
                 self._invalidations += 1
-            graph = build_task_graph(partitioning)
-            self._graph = graph
-            self._graph_key = key
-            self._graph_pairs = _cut_pairs(graph)
+            state = _State(build_task_graph(partitioning))
+            self._states[key] = state
+            if len(self._states) > STATE_CAPACITY:
+                self._states.popitem(last=False)
             self._tg_full_builds += 1
-            self._pairs_rebuilt += self._graph_pairs
+            self._pairs_rebuilt += state.pairs
             sp.put("mode", "full")
-            return graph
+            return state.graph
+
+    def integration_plan(
+        self, partitioning: Partitioning, task_graph: TaskGraph
+    ) -> IntegrationPlan:
+        """The plan one check of ``partitioning`` searches with.
+
+        ``task_graph`` is what :meth:`task_graph` just returned for it.
+        Counts the check against the state; returns the state's kept
+        plan, or a fresh one that :meth:`keep_plan` may keep once the
+        check returns.
+        """
+        state = self._states.get(_state_key(partitioning))
+        if state is not None:
+            state.checks += 1
+            if state.plan is not None:
+                return state.plan
+        return IntegrationPlan(
+            partitioning, task_graph, self.clocks, self.library
+        )
+
+    def keep_plan(self, plan: IntegrationPlan) -> None:
+        """Keep ``plan`` for the next check of its state, once a check
+        has returned: only from the state's second check on, and only
+        while its timing memo holds at most :data:`PLAN_TIMING_CAP`
+        keys."""
+        state = self._states.get(_state_key(plan.partitioning))
+        if state is not None:
+            keep = state.checks >= 2 and plan.timing_keys <= PLAN_TIMING_CAP
+            state.plan = plan if keep else None
 
     # ------------------------------------------------------------------
     # stats
@@ -272,6 +324,10 @@ class EvaluationContext:
             "entries": {
                 "raw": len(self._raw),
                 "pruned": len(self._pruned),
+                "states": len(self._states),
+                "plans": sum(
+                    state.plan is not None for state in self._states.values()
+                ),
             },
             "hits": self._hits,
             "misses": self._misses,
@@ -285,6 +341,20 @@ class EvaluationContext:
                 "pairs_rebuilt": self._pairs_rebuilt,
             },
         }
+
+
+def _state_key(partitioning: Partitioning) -> Tuple:
+    """The store key: partition contents in partition order, plus the
+    partition, memory and chip placement."""
+    return (
+        tuple(
+            (name, partition.op_ids)
+            for name, partition in partitioning.partitions.items()
+        ),
+        tuple(sorted(partitioning.partition_chip.items())),
+        tuple(sorted(partitioning.memory_chip.items())),
+        tuple(sorted(partitioning.chips)),
+    )
 
 
 def _cut_pairs(graph: TaskGraph) -> int:

@@ -39,8 +39,8 @@ from typing import Callable, Mapping, Optional, Sequence, TYPE_CHECKING
 from repro.bad.prediction import DesignPrediction
 from repro.bad.styles import ClockScheme
 from repro.core.feasibility import FeasibilityCriteria
+from repro.core.integration import IntegrationPlan
 from repro.core.partitioning import Partitioning
-from repro.core.tasks import TaskGraph
 from repro.engine.workers import EvaluationProblem, evaluate_range
 from repro.errors import CombinationExplosionError, PredictionError
 from repro.library.library import ComponentLibrary
@@ -71,7 +71,7 @@ def enumeration_search(
     progress: Optional[Callable[[int, int], None]] = None,
     collector: Optional["ExplainCollector"] = None,
     soft_deadline_s: Optional[float] = None,
-    task_graph: Optional[TaskGraph] = None,
+    plan: Optional[IntegrationPlan] = None,
 ) -> SearchResult:
     """Try every combination of per-partition implementations.
 
@@ -108,9 +108,10 @@ def enumeration_search(
     forces the serial path — shard boundaries would make the visited
     prefix nondeterministic.
 
-    ``task_graph`` accepts a pre-built graph for ``partitioning`` (the
-    one kept by :class:`repro.eval.EvaluationContext`); when
-    omitted the graph is built from scratch.
+    ``plan`` accepts an :class:`~repro.core.integration.IntegrationPlan`
+    of ``partitioning`` (the one :meth:`ChopSession.check` takes from
+    :class:`repro.eval.EvaluationContext`, kept from an earlier check
+    of the state or fresh); when omitted a plan is built from scratch.
     """
     names = sorted(partitioning.partitions)
     missing = [n for n in names if not predictions.get(n)]
@@ -120,7 +121,7 @@ def enumeration_search(
         )
     problem = EvaluationProblem.build(
         partitioning, predictions, clocks, library, criteria,
-        prune=prune, task_graph=task_graph,
+        prune=prune, plan=plan,
     )
     combination_count = problem.combination_count()
     if combination_count > MAX_COMBINATIONS:

@@ -34,7 +34,7 @@ from repro.bad.styles import ClockScheme
 from repro.core.feasibility import FeasibilityCriteria, evaluate_system
 from repro.core.integration import IntegrationPlan, integrate
 from repro.core.partitioning import Partitioning
-from repro.core.tasks import TaskGraph, build_task_graph
+from repro.core.tasks import build_task_graph
 from repro.errors import InfeasibleError, PredictionError, SearchCancelled
 from repro.library.library import ComponentLibrary
 from repro.obs.tracing import span as trace_span
@@ -57,7 +57,7 @@ def iterative_search(
     keep_all: bool = False,
     cancel: Optional[Callable[[], bool]] = None,
     soft_deadline_s: Optional[float] = None,
-    task_graph: Optional[TaskGraph] = None,
+    plan: Optional[IntegrationPlan] = None,
 ) -> SearchResult:
     """Run the Figure 5 algorithm over every feasible initiation interval.
 
@@ -71,9 +71,10 @@ def iterative_search(
     integration trial always runs, so a degraded verdict is never empty
     of evidence.
 
-    ``task_graph`` accepts a pre-built graph for ``partitioning`` (the
-    one kept by :class:`repro.eval.EvaluationContext`); when
-    omitted the graph is built from scratch.
+    ``plan`` accepts an :class:`IntegrationPlan` of ``partitioning``
+    (the one :meth:`ChopSession.check` takes from
+    :class:`repro.eval.EvaluationContext`, kept from an earlier check
+    of the state or fresh); when omitted a plan is built from scratch.
     """
     names = sorted(partitioning.partitions)
     missing = [n for n in names if not predictions.get(n)]
@@ -84,9 +85,10 @@ def iterative_search(
         for name in names
     }
 
-    if task_graph is None:
-        task_graph = build_task_graph(partitioning)
-    plan = IntegrationPlan(partitioning, task_graph, clocks, library)
+    if plan is None:
+        plan = IntegrationPlan(
+            partitioning, build_task_graph(partitioning), clocks, library
+        )
     space = DesignSpace() if keep_all else None
     feasible: List[FeasibleDesign] = []
     trials = 0

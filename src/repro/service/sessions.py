@@ -8,9 +8,11 @@ memory proportional to the number of *active* designer sessions, not the
 number of documents ever uploaded.
 
 Because the session owns its :class:`repro.eval.EvaluationContext`, its
-prediction caches and kept task graph survive across checks and jobs on
-the same project.  :meth:`SessionRegistry.eval_stats` aggregates every
-resident context's counters for the ``/metrics`` ``eval`` gauge.
+prediction caches and its store of task graphs and integration plans
+survive across checks and jobs on the same project: a re-check of a
+state the session has checked twice reuses that state's schedules.
+:meth:`SessionRegistry.eval_stats` aggregates every resident context's
+counters for the ``/metrics`` ``eval`` gauge.
 
 ``ChopSession`` itself is not thread-safe, so each entry carries a lock
 that the serving layer holds while a check runs against that session.

@@ -327,6 +327,25 @@ class TestEquivalence:
         assert stats["fallbacks"] == stats["shards_retried"] == 0
         assert no_live_workers()
 
+    def test_spawn_pool_recheck_on_a_kept_plan(self, monkeypatch, pool_always):
+        # The second in-process check keeps the state's plan, so the
+        # pool's workers unpickle it with every memo filled.
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no spawn start method on this platform")
+        monkeypatch.setattr(workers_module, "START_METHOD", "spawn")
+        session = experiment2_session(partition_count=5)
+        serial = session.check(heuristic="enumeration")
+        session.check(heuristic="enumeration")
+        (state,) = session._eval._states.values()
+        assert state.plan is not None and state.plan.timing_keys == 185
+        engine = EvaluationEngine(workers=2)
+        spawned = session.check(heuristic="enumeration", engine=engine)
+        assert result_doc(spawned) == result_doc(serial)
+        stats = engine.stats()
+        assert stats["searches_parallel"] == 1
+        assert stats["fallbacks"] == stats["shards_retried"] == 0
+        assert no_live_workers()
+
     def test_progress_reports_monotonically(self, pool_always):
         session = experiment2_session(partition_count=3)
         engine = EvaluationEngine(workers=2)
@@ -578,7 +597,7 @@ def with_criteria(problem, **changes):
         problem.clocks,
         problem.library,
         dataclasses.replace(problem.criteria, **changes),
-        task_graph=problem.plan.task_graph,
+        plan=problem.plan,
     )
 
 

@@ -1,22 +1,25 @@
-"""The kept task graph vs the from-scratch builder.
+"""The state store's task graphs and plans vs the from-scratch builder.
 
 The identity guarantee of ``repro.eval``: whatever sequence of
-section-2.7 mutations a session goes through, the task graph the
-context returns is identical — same task dict *order*, same edge list,
-same memory pin loads — to ``build_task_graph`` run fresh on the
-resulting partitioning, and a check through the warm session answers
-exactly as a fresh session does.
+section-2.7 mutations a session goes through, revisits included, the
+task graph the context returns is identical — same task dict *order*,
+same edge list, same memory pin loads — to ``build_task_graph`` run
+fresh on the resulting partitioning, and a check through the warm
+session, on a kept integration plan or a fresh one, answers exactly as
+a fresh session does.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bad.styles import ArchitectureStyle, ClockScheme, OperationTiming
 from repro.chips.presets import mosis_package
+from repro.core import integration
 from repro.core.chop import ChopSession
 from repro.core.feasibility import FeasibilityCriteria
 from repro.core.partition import Partition
@@ -24,9 +27,11 @@ from repro.core.schemes import horizontal_cut
 from repro.core.tasks import build_task_graph
 from repro.dfg.benchmarks import ar_lattice_filter
 from repro.dfg.builders import GraphBuilder
+from repro.engine import workers
 from repro.errors import PartitioningError, PredictionError
 from repro.eval import EvaluationContext
-from repro.experiments import experiment1_session
+from repro.eval import context as context_module
+from repro.experiments import experiment1_session, experiment2_session
 from repro.io.project import load_project, session_to_dict
 from repro.library.presets import table1_library
 from repro.memory.module import MemoryModule
@@ -139,14 +144,30 @@ def fresh_clone(session):
     return clone
 
 
-def check_outcome(session):
+def check_outcome(session, heuristic="iterative"):
     """The check's document minus ``cpu_seconds``, or its error."""
     try:
-        doc = session.check().to_dict()
+        doc = session.check(heuristic).to_dict()
     except PredictionError as exc:
         return f"{type(exc).__name__}: {exc}"
     doc.pop("cpu_seconds", None)
     return doc
+
+
+def snapshot(session):
+    """What :func:`restore` needs to bring ``session`` back here."""
+    return (
+        list(session._partitions.values()),
+        dict(session._partition_chip),
+        dict(session.memory_chip),
+    )
+
+
+def restore(session, state):
+    partitions, assignment, memory_chip = state
+    for memory, chip in memory_chip.items():
+        session.assign_memory(memory, chip)
+    session.set_partitions(partitions, assignment)
 
 
 class TestColdIdentity:
@@ -175,7 +196,7 @@ class TestIncrementalIdentity:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(sorted(MUTATORS)),
+                st.sampled_from(sorted(MUTATORS) + ["undo"]),
                 st.integers(min_value=0, max_value=2**16),
             ),
             min_size=1,
@@ -184,25 +205,35 @@ class TestIncrementalIdentity:
     )
     @settings(max_examples=40, deadline=None)
     def test_random_migrations(self, steps):
-        """Random sequences of all four section-2.7 mutators: op and
-        partition migrations, memory moves and repartitions."""
+        """Random sequences of all four section-2.7 mutators (op and
+        partition migrations, memory moves and repartitions) and of
+        undos, which return to a state the session checked before, so
+        its checks run on the state's kept plan."""
         session = memory_session()
         context = session._eval
-        # Prime the kept graph, then mutate repeatedly.
+        # Prime the store, then mutate repeatedly.
         context.task_graph(session.partitioning())
+        history = []
         for mutator, seed in steps:
-            try:
-                MUTATORS[mutator](session, random.Random(seed))
-            except PartitioningError:
-                pass  # rejected and restored; the state still holds
+            if mutator == "undo":
+                if history:
+                    restore(session, history.pop())
+            else:
+                history.append(snapshot(session))
+                try:
+                    MUTATORS[mutator](session, random.Random(seed))
+                except PartitioningError:
+                    pass  # rejected and restored; the state still holds
             partitioning = session.partitioning()
             assert_graphs_identical(
                 context.task_graph(partitioning),
                 build_task_graph(partitioning),
             )
-            assert check_outcome(session) == check_outcome(
-                fresh_clone(session)
-            )
+            clone = fresh_clone(session)
+            for heuristic in ("iterative", "enumeration"):
+                assert check_outcome(session, heuristic) == check_outcome(
+                    clone, heuristic
+                )
 
     def test_chip_move_rebuilds_and_counts_one_invalidation(self):
         session = experiment1_session(partition_count=3)
@@ -361,3 +392,112 @@ class TestContextCaches:
         now = result.to_dict()
         now.pop("cpu_seconds", None)
         assert base == now
+
+
+def counting(monkeypatch):
+    """Count the urgency schedules and the walk's integrations."""
+    counts = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        integration, "schedule_tasks",
+        counted("schedule", integration.schedule_tasks),
+    )
+    monkeypatch.setattr(
+        workers, "integrate", counted("integrate", workers.integrate)
+    )
+    return counts
+
+
+def comparable(result):
+    doc = result.to_dict()
+    doc.pop("cpu_seconds", None)
+    return doc
+
+
+class TestStateStore:
+    def test_rechecks_schedule_until_the_plan_is_kept(self, monkeypatch):
+        """exp2 k=5: the first two checks schedule each of the 185
+        timing keys once; the second keeps its plan, so the third, and
+        the check after a migration and its undo, schedule nothing."""
+        counts = counting(monkeypatch)
+        session = experiment2_session(partition_count=5)
+        docs = []
+        for schedules in (185, 185, 0):
+            counts.clear()
+            docs.append(comparable(session.check("enumeration")))
+            assert (counts["integrate"], counts["schedule"]) == (
+                207, schedules
+            )
+        assert docs[1] == docs[0] and docs[2] == docs[0]
+        # A sink op of P1 (no consumer inside it) may move on to P2.
+        ops = session._partitions["P1"].op_ids
+        sink = min(
+            op for op in ops
+            if not any(succ in ops for succ in session.graph.successors(op))
+        )
+        session.migrate_operations("P1", "P2", [sink])
+        session.check("enumeration")
+        session.migrate_operations("P2", "P1", [sink])
+        counts.clear()
+        assert comparable(session.check("enumeration")) == docs[0]
+        assert (counts["integrate"], counts["schedule"]) == (207, 0)
+
+    def test_a_state_checked_once_keeps_no_plan(self):
+        session = experiment2_session(partition_count=3)
+        session.check("enumeration")
+        assert session.eval_stats()["entries"]["plans"] == 0
+        session.check("iterative")
+        assert session.eval_stats()["entries"]["plans"] == 1
+
+    def test_store_holds_at_most_eight_states(self):
+        session = experiment1_session(partition_count=3)
+        context = session._eval
+        rng = random.Random(7)
+        seen = []
+        for _ in range(40):
+            assert apply_random_migration(session, rng)
+            session.check()
+            key = context_module._state_key(session.partitioning())
+            if key not in seen:
+                seen.append(key)
+            assert len(context._states) == min(
+                len(seen), context_module.STATE_CAPACITY
+            )
+        assert len(seen) > context_module.STATE_CAPACITY
+        # The store keeps the most recently checked states, in order.
+        assert list(context._states)[-1] == key
+        assert set(context._states) <= set(seen)
+        assert session.eval_stats()["entries"]["states"] == 8
+
+    def test_an_over_cap_memo_is_not_kept(self, monkeypatch):
+        """exp2 k=5's enumeration fills 185 timing keys and the
+        iterative heuristic one more: at a cap of 185 the second
+        enumeration's plan is kept, and dropped once an iterative check
+        has grown its memo past the cap."""
+        monkeypatch.setattr(context_module, "PLAN_TIMING_CAP", 185)
+        session = experiment2_session(partition_count=5)
+        session.check("enumeration")
+        session.check("enumeration")
+        (state,) = session._eval._states.values()
+        assert state.plan is not None and state.plan.timing_keys == 185
+        first = comparable(session.check("iterative"))
+        assert state.plan is None
+        # A fresh plan answers the same; the iterative heuristic alone
+        # fills 5 keys, so this one is kept.
+        assert comparable(session.check("iterative")) == first
+        assert state.plan is not None and state.plan.timing_keys == 5
+
+    def test_clear_empties_the_store(self):
+        session = experiment2_session(partition_count=3)
+        session.check("enumeration")
+        session.check("enumeration")
+        session.clear_prediction_caches()
+        entries = session.eval_stats()["entries"]
+        assert entries["states"] == entries["plans"] == 0
