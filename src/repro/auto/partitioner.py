@@ -287,6 +287,17 @@ def _partition_objects(
     ]
 
 
+def _check_packages(session: ChopSession) -> None:
+    """Raise the :class:`~repro.errors.ChipError` of a chip whose
+    package's full pad ring leaves no die area.
+
+    Chip usage bonds every package pin, so such a chip fails every check
+    and no repair move can help it.
+    """
+    for chip in session.chips.values():
+        chip.package.usable_area_mil2(chip.package.pin_count)
+
+
 def _install(
     session: ChopSession, assignment: Dict[str, int], parts: int
 ) -> None:
@@ -403,7 +414,10 @@ def auto_partition(
     the feasibility oracle (default: :func:`default_auto_session` with
     a generated package).  ``engine`` is forwarded to
     :meth:`ChopSession.check`.  ``progress`` receives
-    ``(stage_index, stage_count)`` after each pipeline stage.
+    ``(stage_index, stage_count)`` after each pipeline stage.  A chip
+    whose package's pads consume its die raises its
+    :class:`~repro.errors.ChipError` before the partitions are
+    installed, so no repair move is made for it.
 
     Fully deterministic: same graph and config, same result — there is
     no randomness anywhere in the pipeline (the *generators* take
@@ -503,6 +517,7 @@ def auto_partition(
             refine=stats,
         )
         with trace_span("auto.feasibility") as sp:
+            _check_packages(session)
             _install(session, assignment, k)
             _repair_loop(
                 session, work_graph, assignment, config, result,

@@ -445,6 +445,9 @@ def _evaluate_candidate(
             )
         except PartitioningError as exc:
             return None, "skipped", str(exc), 0
+        except ChipError as exc:
+            # A package whose pads consume its die.
+            return None, "infeasible", str(exc), 0
         session, result = outcome.session, outcome.search
         if result is None or not result.feasible:
             return (
@@ -462,7 +465,7 @@ def _evaluate_candidate(
                 session, disk_cache,
                 heuristic=config.heuristic, engine=engine, cancel=cancel,
             ).result
-        except PredictionError as exc:
+        except (ChipError, PredictionError) as exc:
             result, reason = None, str(exc)
         # The candidate's session is fresh, so its seeded counter is
         # what the check took from disk, also when the check raised.

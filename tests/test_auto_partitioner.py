@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.auto import AutoPartitionConfig, auto_partition
+from repro.auto.partitioner import default_auto_package, default_auto_session
+from repro.core.chop import ChopSession
 from repro.dfg.builders import generate_dfg
 from repro.engine import EvaluationEngine
-from repro.errors import PartitioningError
+from repro.errors import ChipError, PartitioningError
 
 
 def _graph():
@@ -118,3 +122,32 @@ def test_auto_progress_ticks_every_stage():
         progress=progress,
     )
     assert seen == [(i, 5) for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("side", [400.0, 410.0])
+def test_unusable_package_raises_before_any_repair_move(monkeypatch, side):
+    # The default package of layered 200 over 3 chips bonds 576 pads,
+    # 171,418 mil^2 of them: a 400 or 410 mil die is all pad ring.
+    moves = []
+    migrate = ChopSession.migrate_operations
+
+    def counted(self, *args, **kwargs):
+        moves.append(args)
+        return migrate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChopSession, "migrate_operations", counted)
+
+    def factory(graph, chips):
+        package = dataclasses.replace(
+            default_auto_package(graph, chips),
+            width_mil=side, height_mil=side,
+        )
+        return default_auto_session(graph, chips, package=package)
+
+    with pytest.raises(ChipError, match="pads consume the entire die"):
+        auto_partition(
+            generate_dfg("layered", 200, seed=7),
+            AutoPartitionConfig(chips=3),
+            session_factory=factory,
+        )
+    assert moves == []

@@ -195,6 +195,35 @@ class TestSweep:
         assert result.feasible == 1
         assert len(result.front) == 1
 
+    def test_auto_seeding_reports_an_all_pad_die(self, graph):
+        # At a fifth of its area each default package's pad ring
+        # covers the die: the candidate is infeasible, with the
+        # package's error as its reason, and the sweep goes on.
+        result = explore(
+            graph,
+            ExploreConfig(
+                chip_counts=(1, 2), package_scales=(0.2,), seeding="auto"
+            ),
+        )
+        assert result.infeasible == 2
+        for row in result.candidates:
+            assert row["status"] == "infeasible"
+            assert row["reason"].endswith("pads consume the entire die")
+
+    def test_heuristic_seeding_reports_an_all_pad_die(self):
+        # Experiment 1's 84-pin package at 0.22 of its area: 24,783
+        # mil^2 of die under 24,998 of pads.  At k=3 some predictions
+        # fit the optimistic area, so the check reaches chip usage.
+        base = experiment1_session(package_number=2, partition_count=2)
+        result = explore(
+            base.graph,
+            ExploreConfig(chip_counts=(3,), package_scales=(0.22,)),
+            session_factory=session_like_factory(base),
+        )
+        (row,) = result.candidates
+        assert row["status"] == "infeasible"
+        assert row["reason"].endswith("pads consume the entire die")
+
     def test_to_dict_project_toggle(self, swept):
         with_projects = swept.to_dict(include_projects=True)
         without = swept.to_dict(include_projects=False)
